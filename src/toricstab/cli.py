@@ -336,7 +336,7 @@ def cmd_oracle(args):
         if args.suite == "vandermonde" and (args.k or args.n or args.d):
             from .oracles import run_vandermonde
 
-            result = run_vandermonde(seed, trials=args.trials or 500,
+            result = run_vandermonde(seed, trials=500 if args.trials is None else args.trials,
                                      k=args.k, n=args.n, d=args.d)
         else:
             result = run_suite(args.suite, seed, trials=args.trials)
@@ -406,6 +406,16 @@ def cmd_stability_e1(args):
 
 # -- parser -------------------------------------------------------------------
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="toricctl",
@@ -421,7 +431,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--bound", type=int, default=None, help="degree-vector coordinate bound")
     p.add_argument("--degrees", default=None, help="attach a stability report for these degrees")
-    p.add_argument("--n", type=int, default=2, help="multiplicity bound for the stability report")
+    p.add_argument("--n", type=_positive_int, default=2, help="multiplicity bound for the stability report")
     p.add_argument("--e1", action="store_true", help="attach the vanishing table (needs --degrees)")
     p.set_defaults(func=cmd_fan_analyze)
     p = fan.add_parser("validate", help="report fan axiom violations")
@@ -429,7 +439,7 @@ def build_parser():
     p.set_defaults(func=cmd_fan_validate)
     p = fan.add_parser("power", help="block-placement power fan")
     p.add_argument("path")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_fan_power)
 
     cx = top.add_parser("complex", help="simplicial complex operations").add_subparsers(
@@ -437,7 +447,7 @@ def build_parser():
     )
     p = cx.add_parser("power", help="power complex on the vertex grid")
     p.add_argument("path")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_complex_power)
     p = cx.add_parser("primitives", help="minimal non-faces and their least size")
     p.add_argument("path")
@@ -449,7 +459,7 @@ def build_parser():
     p = poly.add_parser("check", help="bounded-multiplicity membership verdict")
     p.add_argument("--fan", required=True)
     p.add_argument("--system", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_poly_check)
     p = poly.add_parser("stabilize", help="degree-raising stabilization (root form)")
     p.add_argument("--system", required=True)
@@ -457,16 +467,16 @@ def build_parser():
     p.set_defaults(func=cmd_poly_stabilize)
     p = poly.add_parser("jet", help="jet tuples of a coefficient-form system")
     p.add_argument("--system", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_poly_jet)
 
     oracle = top.add_parser("oracle", help="seeded certification suites")
     oracle.add_argument("suite", choices=("vandermonde", "band", "complement", "jetsection"))
-    oracle.add_argument("--trials", type=int, default=None)
+    oracle.add_argument("--trials", type=_positive_int, default=None)
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--k", type=int, default=None, help="fix the point count (vandermonde)")
-    oracle.add_argument("--n", type=int, default=None, help="fix the derivative order count (vandermonde)")
-    oracle.add_argument("--d", type=int, default=None, help="fix the degree (vandermonde)")
+    oracle.add_argument("--k", type=_positive_int, default=None, help="fix the point count (vandermonde)")
+    oracle.add_argument("--n", type=_positive_int, default=None, help="fix the derivative order count (vandermonde)")
+    oracle.add_argument("--d", type=_positive_int, default=None, help="fix the degree (vandermonde)")
     oracle.set_defaults(func=cmd_oracle)
 
     stab = top.add_parser("stability", help="stability dimensions and vanishing table").add_subparsers(
@@ -475,12 +485,12 @@ def build_parser():
     p = stab.add_parser("report", help="closed-form stability report")
     p.add_argument("--fan", required=True)
     p.add_argument("--degrees", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_stability_report)
     p = stab.add_parser("e1", help="first-page vanishing table")
     p.add_argument("--fan", required=True)
     p.add_argument("--degrees", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--s-max", type=int, default=None)
     p.add_argument("--table", action="store_true", help="print only the text render")
     p.set_defaults(func=cmd_stability_e1)

@@ -7,95 +7,110 @@ certification of the Hermite constraint matrices.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+# A Mersenne prime: ranks modulo P certify full rank over Q (one-sided).
+P = (1 << 61) - 1
 
 
-def rref(rows):
-    """Reduced row echelon form over Q.
+def _integer_rows(rows):
+    """Copy of a matrix of ints and Fractions with each row scaled by the lcm
+    of its denominators.
 
-    Returns (matrix, pivot_columns).  The input is not modified.
+    Row scaling preserves rank, pivots, kernel and the reduced echelon form.
+    An entry without an exact numerator and denominator (a float, say)
+    raises TypeError.
     """
-    m = _as_fraction_rows(rows)
+    out = []
+    for row in rows:
+        row = list(row)
+        if not all(type(x) is int for x in row):
+            try:
+                den = lcm(*[x.denominator for x in row])
+            except AttributeError:
+                raise TypeError("matrix entries must be ints or Fractions") from None
+            row = [x.numerator * (den // x.denominator) for x in row]
+        out.append(row)
+    return out
+
+
+def echelon(rows, reduced=False):
+    """Fraction-free (Bareiss) elimination of a matrix of ints and Fractions.
+
+    Rows are scaled to integers once; every later step divides exactly, so
+    all entries stay integral minors.  Returns (matrix, pivot_columns) with
+    the rank equal to the number of pivots; the input is not modified.
+    With reduced=True the pivot rows are also cleared above (fraction-free
+    Gauss-Jordan): all pivots then equal one integer D and the first rank
+    rows are D times the reduced row echelon form over Q.
+    """
+    m = _integer_rows(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
-    row = 0
+    prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
+        rk = len(pivots)
+        piv = next((i for i in range(rk, nrows) if m[i][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
+        m[rk], m[piv] = m[piv], m[rk]
+        top = m[rk]
+        p = top[col]
+        for i in range(0 if reduced else rk + 1, nrows):
+            if i == rk:
+                continue
+            row = m[i]
+            f = row[col]
+            # columns left of col are zero below the pivot row, not above it
+            for j in range(0 if i < rk else col + 1, ncols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = p
         pivots.append(col)
-        row += 1
-        if row == nrows:
+        if rk + 1 == nrows:
             break
     return m, pivots
 
 
-def rank(rows):
-    """Rank over Q via exact elimination."""
-    if not rows or not rows[0]:
-        return 0
-    return len(rref(rows)[1])
-
-
-def bareiss_rank(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    All intermediate entries stay integral; the divisions below are exact.
-    """
-    if not rows or not rows[0]:
-        return 0
-    m = [[int(x) for x in row] for row in rows]
+def _rank_mod_p(m):
+    """Rank of an integer matrix over Z/P, never above its rank over Q."""
+    m = [[x % P for x in row] for row in m]
     nrows, ncols = len(m), len(m[0])
     rk = 0
-    prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(rk, nrows) if m[i][col] != 0), None)
+        piv = next((i for i in range(rk, nrows) if m[i][col]), None)
         if piv is None:
             continue
         m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
+        top = m[rk]
+        inv = pow(top[col], -1, P)
         for i in range(rk + 1, nrows):
-            mic = m[i][col]
-            row_i = m[i]
-            row_r = m[rk]
-            for j in range(col + 1, ncols):
-                row_i[j] = (row_i[j] * p - mic * row_r[j]) // prev
-            row_i[col] = 0
-        prev = p
+            f = m[i][col] * inv % P
+            if f:
+                m[i] = [(x - f * y) % P for x, y in zip(m[i], top)]
         rk += 1
         if rk == nrows:
             break
     return rk
 
 
-def integer_rows(rows):
-    """Clear denominators and common factors row by row (rank-preserving)."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        denom = 1
-        for x in fr:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in fr]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def rank(rows):
+    """Rank over Q of a matrix of ints and Fractions.
+
+    A rank modulo P equal to min(rows, cols) certifies the rank over Q,
+    since rank_P <= rank_Q <= min(rows, cols); any shortfall falls back to
+    exact Bareiss elimination.  Rows are scaled to integers first, so no
+    denominator can vanish modulo P.
+    """
+    if not rows or not rows[0]:
+        return 0
+    m = _integer_rows(rows)
+    r = _rank_mod_p(m)
+    if r == min(len(m), len(m[0])):
+        return r
+    return len(echelon(m)[1])
 
 
 def solve_affine(a_rows, b):
@@ -103,54 +118,41 @@ def solve_affine(a_rows, b):
 
     Returns None when the system is inconsistent.
     """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    reduced, pivots = rref(aug)
+    ncols = len(a_rows[0]) if a_rows else 0
+    m, pivots = echelon([list(row) + [rhs] for row, rhs in zip(a_rows, b)], reduced=True)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = reduced[i][ncols]
+    for row, col in zip(m, pivots):
+        x[col] = Fraction(row[ncols], row[col])
     return x
 
 
 def nullspace_int(rows):
     """Primitive integer basis of the rational kernel of a matrix.
 
-    Basis vectors are scaled to integers with content 1 and a positive
-    leading entry.
+    One vector per free column f of the reduced echelon form: 1 at f, minus
+    column f at the pivots.  Each is scaled to integers with content 1 and
+    a positive leading entry.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     if ncols == 0:
         return []
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = echelon(rows, reduced=True)
+    scale = m[0][pivots[0]] if pivots else 1
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -reduced[i][f]
-        basis.append(_primitive_int_vector(v))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for row, col in zip(m, pivots):
+            v[col] = -row[f]
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append([x // g for x in v])
     return basis
-
-
-def _primitive_int_vector(v):
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for val in ints:
-        g = gcd(g, val)
-    if g > 1:
-        ints = [val // g for val in ints]
-    lead = next((val for val in ints if val != 0), 0)
-    if lead < 0:
-        ints = [-val for val in ints]
-    return ints
 
 
 def smith_normal_form(rows):

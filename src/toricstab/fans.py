@@ -16,7 +16,7 @@ from math import gcd
 
 from . import complexes
 from .complexes import UnsupportedFanError
-from .exactla import bareiss_rank, lp_feasible, nullspace_int, smith_normal_form
+from .exactla import echelon, lp_feasible, nullspace_int, smith_normal_form
 
 
 class FanStructureError(ValueError):
@@ -82,7 +82,7 @@ def _check_structure(dim, rays, cones):
 def _cone_rank(fan, cone):
     if not cone:
         return 0
-    return bareiss_rank(fan.generators(cone))
+    return len(echelon(fan.generators(cone))[1])
 
 
 def _is_simplicial(fan, cone):
@@ -355,7 +355,7 @@ def is_smooth(fan):
         if not cone:
             continue
         gens = fan.generators(cone)
-        if bareiss_rank(gens) != len(gens):
+        if len(echelon(gens)[1]) != len(gens):
             return False
         factors = smith_normal_form(gens)
         if any(f != 1 for f in factors):

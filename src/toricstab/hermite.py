@@ -3,20 +3,27 @@
 A monic polynomial f = z^d + sum a_i z^i subject to f^(l)(x_j) = s for
 l = 0..n-1 at k distinct nodes gives a stacked linear system in the a_i.
 This module builds those matrices over the rationals, certifies their rank
-by fraction-free elimination, and exposes the dimension bookkeeping of the
-associated affine constraint spaces.  No floating point anywhere.
+modulo a prime with an exact fraction-free fallback, and exposes the
+dimension bookkeeping of the associated affine constraint spaces.  No
+floating point anywhere.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
 
-from .exactla import bareiss_rank, integer_rows, solve_affine
+from .exactla import echelon, rank, solve_affine
 from .polynomials import GaussianRational, RationalPoly
 
 
-def confluent_vandermonde(points, order, degree):
-    """k x d matrix of the coefficients of a_0..a_{d-1} in f^(order)(x_j)."""
+def _integer_block(points, order, degree):
+    """Rows of confluent_vandermonde as (integer row, scale) pairs.
+
+    For x = a/b in lowest terms the row of x, times scale = b^(degree-1-order),
+    has the integer entries perm(i, order) * a^j * b^(degree-1-order-j),
+    j = i - order (an all-zero row has scale 1).  Row scaling preserves
+    rank, so the rank certificate reads these rows directly.
+    """
     pts = [Fraction(x) for x in points]
     if len(set(pts)) != len(pts):
         raise ValueError("interpolation points must be distinct")
@@ -24,34 +31,37 @@ def confluent_vandermonde(points, order, degree):
     degree = int(degree)
     if order < 0 or degree < 1:
         raise ValueError("need order >= 0 and degree >= 1")
-    rows = []
+    top = max(degree - 1 - order, 0)
+    zeros = [0] * min(order, degree)
+    block = []
     for x in pts:
-        row = []
-        for i in range(degree):
-            if i < order:
-                row.append(Fraction(0))
-            else:
-                row.append(perm(i, order) * x ** (i - order))
-        rows.append(row)
-    return rows
+        a, b = x.numerator, x.denominator
+        row = zeros + [perm(order + j, order) * a ** j * b ** (top - j) for j in range(degree - order)]
+        block.append((row, b ** top))
+    return block
+
+
+def confluent_vandermonde(points, order, degree):
+    """k x d matrix of the coefficients of a_0..a_{d-1} in f^(order)(x_j)."""
+    return [[Fraction(v, scale) for v in row]
+            for row, scale in _integer_block(points, order, degree)]
+
+
+def _stacked_blocks(points, n, degree):
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    return [pair for order in range(n) for pair in _integer_block(points, order, degree)]
 
 
 def stacked_system(points, n, degree):
     """The n*k x d matrix stacking derivative orders 0..n-1."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
-    rows = []
-    for order in range(n):
-        rows.extend(confluent_vandermonde(points, order, degree))
-    return rows
+    return [[Fraction(v, scale) for v in row] for row, scale in _stacked_blocks(points, n, degree)]
 
 
-def exact_rank(matrix):
-    """Rank over Q, certified by integer fraction-free elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    return bareiss_rank(integer_rows(matrix))
+def _stacked_integer_rows(points, n, degree):
+    """stacked_system with every row scaled to integers (same rank)."""
+    return [row for row, _ in _stacked_blocks(points, n, degree)]
 
 
 @dataclass(frozen=True)
@@ -83,8 +93,8 @@ def verify_rank_claim(points, n, degree):
     result flags the regime violation (the rank is then capped by degree).
     """
     k = len(points)
-    rank = exact_rank(stacked_system(points, n, degree))
-    return RankCheck(rank=rank, expected=n * k, in_regime=degree >= n * k)
+    r = rank(_stacked_integer_rows(points, n, degree))
+    return RankCheck(rank=r, expected=n * k, in_regime=degree >= n * k)
 
 
 @dataclass(frozen=True)
@@ -121,19 +131,30 @@ def _hermite_matrix_rhs(spec):
         block = confluent_vandermonde(spec.points, order, spec.degree)
         for j, x in enumerate(spec.points):
             rows.append(block[j])
-            rhs.append(spec.targets[order][j] - perm(spec.degree, order) * x ** (spec.degree - order))
+            # the order-th derivative of z^degree vanishes past order = degree
+            lead = perm(spec.degree, order) * x ** (spec.degree - order) if order <= spec.degree else 0
+            rhs.append(spec.targets[order][j] - lead)
     return rows, rhs
 
 
 def hermite_dimension(spec):
-    """Dimension of the affine space of monic solutions (degree - n*k in regime)."""
+    """Dimension of the affine space of monic solutions (degree - n*k in regime).
+
+    With degree >= n*k a certified full row rank n*k makes the system
+    consistent, so one rank certificate decides it.  Otherwise one Bareiss
+    pass on the augmented matrix [A | b] gives rank(A), and the system is
+    inconsistent exactly when a pivot falls in the column of b.
+    """
+    nk = spec.order * len(spec.points)
+    if spec.degree >= nk and rank(_stacked_integer_rows(spec.points, spec.order, spec.degree)) == nk:
+        return spec.degree - nk
     rows, rhs = _hermite_matrix_rhs(spec)
-    solution = solve_affine(rows, rhs)
-    if solution is None:
+    _, pivots = echelon([row + [c] for row, c in zip(rows, rhs)])
+    if pivots and pivots[-1] == spec.degree:
         raise HermiteInconsistencyError(
             "inconsistent Hermite system; impossible for distinct points with degree >= n*k"
         )
-    return spec.degree - exact_rank(rows)
+    return spec.degree - len(pivots)
 
 
 def hermite_solution(spec):

@@ -18,7 +18,7 @@ from .complexes import (
     underlying_complex,
 )
 from .fans import builtin_fan
-from .hermite import HermiteSpec, hermite_dimension, verify_rank_claim
+from .hermite import HermiteInconsistencyError, HermiteSpec, hermite_dimension, verify_rank_claim
 from .polynomials import (
     GaussianRational,
     PolySystem,
@@ -40,8 +40,13 @@ class SuiteResult:
     failures: list = field(default_factory=list)
 
     @property
+    def vacuous(self):
+        """No trial ran, so the run certifies nothing."""
+        return self.passed == 0 and not self.failures
+
+    @property
     def ok(self):
-        return not self.failures
+        return not self.failures and not self.vacuous
 
     def record(self, trial, ok, detail=None):
         if ok:
@@ -50,7 +55,7 @@ class SuiteResult:
             self.failures.append({"trial": trial, "detail": detail or "failed"})
 
     def to_dict(self):
-        return {
+        out = {
             "suite": self.suite,
             "seed": self.seed,
             "trials": self.trials,
@@ -58,6 +63,9 @@ class SuiteResult:
             "failures": self.failures,
             "ok": self.ok,
         }
+        if self.vacuous:
+            out["vacuous"] = True
+        return out
 
 
 def _distinct_fractions(rng, count, height=50):
@@ -85,7 +93,10 @@ def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
             tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(kk))
             for _ in range(nn)
         )
-        dim = hermite_dimension(HermiteSpec(tuple(points), nn, dd, targets))
+        try:
+            dim = hermite_dimension(HermiteSpec(tuple(points), nn, dd, targets))
+        except HermiteInconsistencyError:  # only possible below the regime dd >= nn * kk
+            dim = None
         ok = check.passed and check.in_regime and dim == dd - nn * kk
         result.record(trial, ok, detail=None if ok else {
             "k": kk, "n": nn, "d": dd, "rank": check.rank, "dim": dim,

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from toricstab.cli import main
+import pytest
+
+from toricstab.cli import EXIT_PARSE, main
+from toricstab.oracles import run_band, run_vandermonde
 
 
 def run_cli(argv, capsys):
@@ -212,6 +215,17 @@ class TestOracleCommands:
         assert code == 0
         assert json.loads(out)["passed"] == 5
 
+    def test_vandermonde_below_regime_is_oracle_failure(self, capsys):
+        # d = 3 < n*k = 4: the claim fails and the random targets are inconsistent
+        code, out, _ = run_cli(
+            ["oracle", "vandermonde", "--trials", "2", "--seed", "1",
+             "--k", "2", "--n", "2", "--d", "3"],
+            capsys,
+        )
+        doc = json.loads(out)
+        assert code == 1 and doc["ok"] is False and len(doc["failures"]) == 2
+        assert all(f["detail"]["rank"] == 3 for f in doc["failures"])
+
     def test_band_small(self, capsys):
         code, out, _ = run_cli(["oracle", "band", "--trials", "5", "--seed", "2"], capsys)
         assert code == 0 and json.loads(out)["ok"]
@@ -280,6 +294,43 @@ class TestStabilityCommands:
         assert cells[(1, 6)] == "possibly_nonzero"
         assert cells[(3, 12)] == "tail_unknown"
         assert "legend" in doc["table"]
+
+
+H1 = "fixtures/hirzebruch1.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "analyze", H1, "--degrees", "5,7,5,12", "--n", "0"],
+        ["fan", "power", H1, "--n", "0"],
+        ["complex", "power", H1, "--n", "-1"],
+        ["poly", "check", "--fan", H1, "--system", "fixtures/system_planted_cp1.json", "--n", "0"],
+        ["poly", "jet", "--system", "fixtures/system_generic_cp1.json", "--n", "0"],
+        ["oracle", "vandermonde", "--trials", "0", "--k", "2", "--n", "1", "--d", "3"],
+        ["oracle", "vandermonde", "--k", "0", "--n", "1", "--d", "3"],
+        ["oracle", "vandermonde", "--k", "2", "--n", "0", "--d", "3"],
+        ["oracle", "vandermonde", "--k", "2", "--n", "1", "--d", "0"],
+        ["oracle", "band", "--trials", "two"],
+        ["stability", "report", "--fan", H1, "--degrees", "5,7,5,12", "--n", "0"],
+        ["stability", "e1", "--fan", H1, "--degrees", "5,7,5,12", "--n", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[:2] + [argv[argv.index(bad) - 1] for bad in ("0", "-1", "two")
+                                          if bad in argv]),
+)
+def test_non_positive_counts_exit_parse_error(argv, capsys, fixtures_dir, monkeypatch):
+    monkeypatch.chdir(fixtures_dir.parent)
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "expected a positive integer" in err
+
+
+def test_oracle_without_trials_is_vacuous():
+    for result in (run_vandermonde(5, trials=0), run_band(5, trials=0)):
+        doc = result.to_dict()
+        assert not result.ok and doc["ok"] is False and doc["vacuous"] is True
+    assert "vacuous" not in run_vandermonde(5, trials=1, k=2, n=1, d=3).to_dict()
 
 
 def test_console_script_installed():

@@ -1,25 +1,29 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricstab import builtin_fan, load_fan
 from toricstab.exactla import (
-    bareiss_rank,
-    integer_rows,
+    P,
+    _rank_mod_p,
+    echelon,
     lp_feasible,
     nullspace_int,
     rank,
-    rref,
     smith_normal_form,
     solve_affine,
 )
 
 
 def test_rref_identity():
-    m, pivots = rref([[1, 0], [0, 1]])
+    m, pivots = echelon([[1, 0], [0, 1]], reduced=True)
     assert pivots == [0, 1]
-    assert m == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert m == [[1, 0], [0, 1]]
 
 
 def test_rank_matches_sympy_on_random_matrices():
@@ -30,7 +34,7 @@ def test_rank_matches_sympy_on_random_matrices():
         mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         expected = sympy.Matrix(mat).rank()
         assert rank(mat) == expected
-        assert bareiss_rank(mat) == expected
+        assert len(echelon(mat)[1]) == expected
 
 
 def test_bareiss_agrees_with_fraction_elimination():
@@ -42,7 +46,7 @@ def test_bareiss_agrees_with_fraction_elimination():
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
             for _ in range(rows)
         ]
-        assert bareiss_rank(integer_rows(mat)) == rank(mat)
+        assert len(echelon(mat)[1]) == rank(mat) == sympy.Matrix(mat).rank()
 
 
 def test_nullspace_int_h1_rays():
@@ -52,6 +56,119 @@ def test_nullspace_int_h1_rays():
     assert len(basis) == 2
     for v in basis:
         assert all(sum(m[i][j] * v[j] for j in range(4)) == 0 for i in range(2))
+
+
+FIXTURE_FANS = ("affine2", "bad_line", "cp1", "cp2", "cp3", "hirzebruch1", "hirzebruch2", "hirzebruch3")
+
+
+def _primitive(v):
+    """Integer multiple of a rational vector with content 1 and positive lead."""
+    den = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * den) for x in v]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+def _reference_nullspace(mat):
+    # sympy builds one kernel vector per free column of the rref: 1 at the
+    # free column, minus that column at the pivots, the basis find_degree_vector walks
+    return [_primitive(list(v)) for v in sympy.Matrix(mat).nullspace()]
+
+
+@pytest.mark.parametrize("name", FIXTURE_FANS)
+def test_nullspace_int_basis_on_fixture_rays(fixtures_dir, name):
+    mat = load_fan(fixtures_dir / f"{name}.json").ray_matrix()
+    assert nullspace_int(mat) == _reference_nullspace(mat)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_nullspace_int_basis_on_projective_spaces(m):
+    mat = builtin_fan("cp", m).ray_matrix()
+    assert nullspace_int(mat) == _reference_nullspace(mat)
+
+
+def test_modular_shortfall_falls_back_to_exact_rank():
+    mat = [[P, 0], [0, 1]]
+    assert _rank_mod_p(mat) == 1
+    assert rank(mat) == 2
+
+
+@pytest.mark.parametrize(
+    "mat,expected",
+    [
+        ([[Fraction(1, P), 0], [0, 1]], 2),
+        ([[Fraction(1, P), 1], [1, P]], 1),
+        ([[Fraction(1, P)]], 1),
+    ],
+)
+def test_denominator_divisible_by_p(mat, expected):
+    assert rank(mat) == expected == sympy.Matrix(mat).rank()
+    assert len(echelon(mat)[1]) == expected
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2", None])
+def test_inexact_entries_are_refused(entry):
+    with pytest.raises(TypeError):
+        rank([[1, entry], [0, 1]])
+    with pytest.raises(TypeError):
+        echelon([[entry]])
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(_FRACTIONS, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Tall, wide and square matrices; half of them a product through a
+    narrower inner dimension, hence usually rank-deficient."""
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return draw(_matrix(rows, cols))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    left = draw(_matrix(rows, inner))
+    right = draw(_matrix(inner, cols))
+    return [[sum((left[i][t] * right[t][j] for t in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rank_and_pivots_match_sympy(mat):
+    ref_rref, ref_pivots = sympy.Matrix(mat).rref()
+    assert rank(mat) == len(ref_pivots)
+    assert echelon(mat)[1] == list(ref_pivots)
+    m, pivots = echelon(mat, reduced=True)
+    assert pivots == list(ref_pivots)
+    for i, col in enumerate(pivots):
+        assert [Fraction(x, m[i][col]) for x in m[i]] == list(ref_rref.row(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_affine_matches_sympy(mat, data):
+    rows, cols = len(mat), len(mat[0])
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(_FRACTIONS, min_size=cols, max_size=cols))
+        b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in mat]
+    else:
+        b = data.draw(st.lists(_FRACTIONS, min_size=rows, max_size=rows))
+    ref_rref, ref_pivots = sympy.Matrix([row + [c] for row, c in zip(mat, b)]).rref()
+    solution = solve_affine(mat, b)
+    if cols in ref_pivots:
+        assert solution is None
+        return
+    expected = [Fraction(0)] * cols
+    for i, col in enumerate(ref_pivots):
+        expected[col] = ref_rref[i, cols]
+    assert solution == expected
 
 
 def test_solve_affine_consistent_and_inconsistent():

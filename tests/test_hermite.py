@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricstab import (
     GaussianRational,
@@ -16,6 +18,7 @@ from toricstab import (
     stacked_system,
     verify_rank_claim,
 )
+from toricstab.hermite import HermiteInconsistencyError, _hermite_matrix_rhs
 
 
 def rand_points(rng, k, height=50):
@@ -163,6 +166,36 @@ class TestHermiteDimension:
             )
             spec = HermiteSpec(tuple(points), n, d, targets)
             assert hermite_dimension(spec) == d - exact_rank(stacked_system(points, n, d))
+
+
+    def test_inconsistent_below_regime_raises(self):
+        # f = z + a_0 has f' = 1, so f'(0) = 5 cannot hold (d = 1 < nk = 3)
+        spec = HermiteSpec((Fraction(0),), 3, 1, ((Fraction(0),), (Fraction(5),), (Fraction(0),)))
+        with pytest.raises(HermiteInconsistencyError):
+            hermite_dimension(spec)
+
+    def test_consistent_below_regime(self):
+        spec = HermiteSpec((Fraction(0),), 3, 1, ((Fraction(2),), (Fraction(1),), (Fraction(0),)))
+        assert hermite_dimension(spec) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dimension_and_consistency_match_sympy(self, data):
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 3))
+        d = data.draw(st.integers(1, n * k + 2))
+        values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+        points = data.draw(st.lists(values, min_size=k, max_size=k, unique=True))
+        targets = tuple(tuple(data.draw(values) for _ in range(k)) for _ in range(n))
+        spec = HermiteSpec(tuple(points), n, d, targets)
+        rows, rhs = _hermite_matrix_rhs(spec)
+        a = sympy.Matrix(rows)
+        consistent = a.rank() == a.row_join(sympy.Matrix(rhs)).rank()
+        if consistent:
+            assert hermite_dimension(spec) == d - a.rank()
+        else:
+            with pytest.raises(HermiteInconsistencyError):
+                hermite_dimension(spec)
 
 
 class TestBundleRank:
