@@ -19,7 +19,6 @@ from .complexes import (
     UnsupportedFanError,
     complex_power,
     primitive_collections,
-    r_min,
     underlying_complex,
 )
 from .exactla import nullspace_int
@@ -174,14 +173,9 @@ def cmd_fan_analyze(args):
     prims = primitive_collections(fan)
     out["indexing"] = "1-based"
     out["primitive_collections"] = _one_based(prims)
-    try:
-        out["r_min"] = r_min(fan)
-    except UndefinedValueError:
-        out["r_min"] = None
-    bound = args.bound if args.bound is not None else 10 * fan.ray_count
-    vector = find_degree_vector(fan, coord_bound=bound)
+    out["r_min"] = min((len(p) for p in prims), default=None)
+    vector = find_degree_vector(fan)
     out["degree_vector"] = list(vector) if vector is not None else None
-    out["degree_search_bound"] = bound
     out["degree_search_exhausted"] = vector is None and bool(nullspace_int(fan.ray_matrix()))
     out["cox_rank"] = cox_group_rank(fan) if out["spans_lattice"] else None
     if args.degrees is not None:
@@ -406,14 +400,20 @@ def cmd_stability_e1(args):
 
 # -- parser -------------------------------------------------------------------
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(least, kind):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser():
@@ -429,7 +429,6 @@ def build_parser():
     )
     p = fan.add_parser("analyze", help="run every predicate and report a bundle")
     p.add_argument("path")
-    p.add_argument("--bound", type=int, default=None, help="degree-vector coordinate bound")
     p.add_argument("--degrees", default=None, help="attach a stability report for these degrees")
     p.add_argument("--n", type=_positive_int, default=2, help="multiplicity bound for the stability report")
     p.add_argument("--e1", action="store_true", help="attach the vanishing table (needs --degrees)")
@@ -491,7 +490,7 @@ def build_parser():
     p.add_argument("--fan", required=True)
     p.add_argument("--degrees", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--s-max", type=int, default=None)
+    p.add_argument("--s-max", type=_non_negative_int, default=None)
     p.add_argument("--table", action="store_true", help="print only the text render")
     p.set_defaults(func=cmd_stability_e1)
 

@@ -145,12 +145,16 @@ def non_faces(complex_):
 
 
 def minimal_non_faces(complex_):
-    """Minimal subsets that are not faces, found by size-increasing search."""
+    """Minimal subsets that are not faces, found by size-increasing search.
+
+    Dropping one vertex from a minimal non-face leaves a face, so none is
+    larger than the largest facet plus one.
+    """
     if complex_._minimal_cache is not None:
         return complex_._minimal_cache
     r = complex_.vertex_count
     found = []
-    for size in range(1, r + 1):
+    for size in range(1, min(r, complex_.dim() + 2) + 1):
         for cand in combinations(range(r), size):
             s = frozenset(cand)
             if any(p <= s for p in found):

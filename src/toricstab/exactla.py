@@ -217,19 +217,19 @@ class SimplexError(RuntimeError):
 
 
 def lp_feasible(a_rows, b, max_iter=100_000):
-    """Exact feasibility of {x >= 0 : A x = b} by phase-one simplex.
+    """A point of {x >= 0 : A x = b} by exact phase-one simplex, or None.
 
-    Bland's rule, all arithmetic over Fraction.  Only the verdict is
-    needed by callers, so no solution vector is returned.
+    Bland's rule, all arithmetic over Fraction.  The point returned is the
+    phase-one vertex, as a list of Fractions.  Each row of [A | b] is
+    scaled to integers first, so a float entry raises TypeError.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
     tableau = []
-    for i in range(nrows):
-        row = [Fraction(x) for x in a_rows[i]] + [Fraction(b[i])]
+    for row in _integer_rows([list(a) + [rhs] for a, rhs in zip(a_rows, b)]):
         if row[-1] < 0:
             row = [-x for x in row]
-        tableau.append(row)
+        tableau.append([Fraction(x) for x in row])
     # objective: sum of artificial variables, expressed through the rows
     obj = [Fraction(0)] * (ncols + 1)
     for row in tableau:
@@ -239,7 +239,13 @@ def lp_feasible(a_rows, b, max_iter=100_000):
     for _ in range(max_iter):
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
-            return obj[-1] == 0
+            if obj[-1] != 0:
+                return None
+            x = [Fraction(0)] * ncols
+            for row, var in zip(tableau, basis):
+                if var < ncols:
+                    x[var] = row[-1]
+            return x
         # Bland ratio test: smallest ratio, ties by smallest basis index
         leave = None
         best = None

@@ -4,15 +4,14 @@ A fan is stored as primitive integer ray vectors plus a family of cones,
 each cone being the frozenset of indices of the rays spanning it.  Files
 carry only maximal cones; face closure is computed on load.  All geometric
 decisions (strong convexity, face recognition, intersection axiom) are made
-in exact rational arithmetic via small feasibility LPs.
+in exact rational arithmetic by one feasibility LP, the escape LP.
 """
 
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import complexes
 from .complexes import UnsupportedFanError
@@ -89,91 +88,38 @@ def _is_simplicial(fan, cone):
     return _cone_rank(fan, cone) == len(cone)
 
 
-def _strongly_convex(gens):
-    """Exact test: no non-trivial non-negative combination of generators is zero."""
-    if not gens:
-        return True
-    m = len(gens[0])
-    s = len(gens)
-    rows = [[Fraction(g[j]) for g in gens] for j in range(m)]
-    rows.append([Fraction(1)] * s)
-    rhs = [Fraction(0)] * m + [Fraction(1)]
-    return not lp_feasible(rows, rhs)
+def _escapes(fan, a, b):
+    """Escape LP E(a, b): is some point of cone(a) also in cone(b) with a
+    representation that puts weight on a ray outside a & b?
 
-
-def _is_face_subset(gens, subset_positions):
-    """Exact test that the given generator positions cut out a face.
-
-    Feasibility of a functional vanishing on the subset and >= 1 on the
-    remaining generators (split into positive parts plus slacks).
+    Variables lambda >= 0 on the rays of a and nu >= 0 on those of b with
+    sum lambda_k n_k = sum nu_k n_k and total weight 1 on (a - b) + (b - a).
+    By Farkas it is infeasible exactly when some u is 0 on a & b, >= 1 on
+    a - b and <= -1 on b - a (the separation lemma), so:
+    cone(a) is strongly convex iff not E(a, {}); S <= a spans a face of a
+    iff not E(a, S); a and b meet in the common face cone(a & b) iff not
+    E(a, b).
     """
-    m = len(gens[0])
-    inside = sorted(subset_positions)
-    outside = [p for p in range(len(gens)) if p not in subset_positions]
-    nvars = 2 * m + len(outside)
-    rows = []
-    rhs = []
-    for p in inside:
-        row = [Fraction(gens[p][j]) for j in range(m)]
-        row += [-Fraction(gens[p][j]) for j in range(m)]
-        row += [Fraction(0)] * len(outside)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    for slot, p in enumerate(outside):
-        row = [Fraction(gens[p][j]) for j in range(m)]
-        row += [-Fraction(gens[p][j]) for j in range(m)]
-        slack = [Fraction(0)] * len(outside)
-        slack[slot] = Fraction(-1)
-        row += slack
-        rows.append(row)
-        rhs.append(Fraction(1))
-    if not rows:
-        return True
-    assert all(len(r) == nvars for r in rows)
-    return lp_feasible(rows, rhs)
+    a_idx, b_idx = sorted(a), sorted(b)
+    rows = [[fan.rays[k][j] for k in a_idx] + [-fan.rays[k][j] for k in b_idx]
+            for j in range(fan.dim)]
+    rows.append([int(k not in b) for k in a_idx] + [int(k not in a) for k in b_idx])
+    return lp_feasible(rows, [0] * fan.dim + [1]) is not None
 
 
 def geometric_faces(fan, cone):
     """Index sets of the faces of a stored cone (the cone itself included)."""
     cone = frozenset(cone)
-    if not cone:
-        return {frozenset()}
     idx = sorted(cone)
     if _is_simplicial(fan, cone):
-        out = set()
-        for k in range(len(idx) + 1):
-            out.update(frozenset(c) for c in combinations(idx, k))
-        return out
-    gens = fan.generators(cone)
-    out = {frozenset()}
-    for k in range(1, len(idx) + 1):
-        for positions in combinations(range(len(idx)), k):
-            if _is_face_subset(gens, set(positions)):
-                out.add(frozenset(idx[p] for p in positions))
-    out.add(cone)
+        subsets = (frozenset(c) for k in range(len(idx) + 1) for c in combinations(idx, k))
+        return set(subsets)
+    out = {frozenset(), cone}
+    for k in range(1, len(idx)):
+        for subset in combinations(idx, k):
+            if not _escapes(fan, cone, frozenset(subset)):
+                out.add(frozenset(subset))
     return out
-
-
-def _pair_violation(fan, cone_a, cone_b):
-    """Feasibility of a common point whose cone_a representation uses a ray
-    outside the shared index set.  Exact when cone_a is simplicial."""
-    shared = cone_a & cone_b
-    outside = sorted(cone_a - shared)
-    if not outside:
-        return False
-    a_idx = sorted(cone_a)
-    b_idx = sorted(cone_b)
-    m = fan.dim
-    rows = []
-    for j in range(m):
-        row = [Fraction(fan.rays[k][j]) for k in a_idx]
-        row += [-Fraction(fan.rays[k][j]) for k in b_idx]
-        rows.append(row)
-    marker = [Fraction(1) if k in outside else Fraction(0) for k in a_idx]
-    marker += [Fraction(0)] * len(b_idx)
-    rows.append(marker)
-    rhs = [Fraction(0)] * m + [Fraction(1)]
-    return lp_feasible(rows, rhs)
 
 
 @dataclass(frozen=True)
@@ -225,40 +171,30 @@ def validate_fan(fan):
     if not any(c for c in fan.cones):
         report.add("zero-cone", "fan must contain at least one nonzero cone")
 
-    for cone in sorted(fan.cones, key=lambda c: (len(c), sorted(c))):
-        if cone and not _strongly_convex(fan.generators(cone)):
+    def order(c):
+        return len(c), sorted(c)
+
+    # a simplicial cone is pointed, and so is every face of a pointed cone
+    maximal = sorted(fan.maximal_cones(), key=order)
+    for cone in maximal:
+        if not _is_simplicial(fan, cone) and _escapes(fan, cone, frozenset()):
             report.add("strong-convexity", f"cone {sorted(cone)} is not strongly convex")
 
-    faces_of = {cone: geometric_faces(fan, cone) for cone in fan.cones}
-    for cone in fan.cones:
-        for face in faces_of[cone]:
-            if face not in fan.cones:
-                report.add(
-                    "face-closure",
-                    f"face {sorted(face)} of cone {sorted(cone)} is not stored",
-                )
+    faces_of = {cone: geometric_faces(fan, cone) for cone in maximal}
+    for cone in maximal:
+        for face in sorted(faces_of[cone] - fan.cones, key=order):
+            report.add("face-closure", f"face {sorted(face)} of cone {sorted(cone)} is not stored")
 
-    cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
-    for a, b in combinations(cones, 2):
-        if a <= b or b <= a:
-            small, big = (a, b) if a <= b else (b, a)
-            if small not in faces_of[big]:
+    # faces of maximal cones meet properly once the maximal cones do
+    for small in sorted(fan.cones - set(maximal), key=order):
+        for big in maximal:
+            if small < big and small not in faces_of[big]:
                 report.add(
                     "intersection",
                     f"cone {sorted(small)} is contained in {sorted(big)} but is not a face of it",
                 )
-            continue
-        shared = a & b
-        # a simplicial side makes the escape LP exact: the representation of
-        # a common point there is unique, so infeasibility certifies that the
-        # intersection is the cone on the shared rays
-        if _is_simplicial(fan, a):
-            escaped = _pair_violation(fan, a, b)
-        elif _is_simplicial(fan, b):
-            escaped = _pair_violation(fan, b, a)
-        else:
-            escaped = _pair_violation(fan, a, b) and _pair_violation(fan, b, a)
-        if escaped or shared not in faces_of[a] or shared not in faces_of[b]:
+    for a, b in combinations(maximal, 2):
+        if _escapes(fan, a, b):
             report.add(
                 "intersection",
                 f"cones {sorted(a)} and {sorted(b)} do not meet in a common face",
@@ -380,33 +316,21 @@ def degree_is_null(fan, degrees):
     return True
 
 
-def find_degree_vector(fan, coord_bound=None):
+def find_degree_vector(fan):
     """Some strictly positive integer vector in the kernel of the ray matrix.
 
-    Returns None when no such vector exists within the coordinate bound
-    (default 10 * r).  Absence of any kernel at all also returns None.
+    One exact LP: x = 1 + y for the phase-one vertex y of
+    {y >= 0 : A y = -A 1}, scaled by the lcm of its denominators.  Returns
+    None exactly when no strictly positive kernel vector exists (a zero
+    kernel included).
     """
-    r = fan.ray_count
-    bound = coord_bound if coord_bound is not None else 10 * r
-    basis = nullspace_int(fan.ray_matrix())
-    if not basis:
+    a = fan.ray_matrix()
+    y = lp_feasible(a, [-sum(row) for row in a])
+    if y is None:
         return None
-    k = len(basis)
-    for radius in range(1, bound + 1):
-        for coeffs in _shell(k, radius):
-            cand = [sum(c * basis[i][j] for i, c in enumerate(coeffs)) for j in range(r)]
-            if all(1 <= x <= bound for x in cand):
-                return tuple(cand)
-    return None
-
-
-def _shell(k, radius):
-    """Integer vectors of max-norm exactly radius, in k coordinates."""
-    from itertools import product as iproduct
-
-    for c in iproduct(range(-radius, radius + 1), repeat=k):
-        if max(abs(x) for x in c) == radius:
-            yield c
+    x = [1 + v for v in y]
+    den = lcm(*(v.denominator for v in x))
+    return tuple(int(v * den) for v in x)
 
 
 def cox_group_rank(fan):

@@ -49,6 +49,18 @@ class TestFanCommands:
         assert doc["primitive_collections"] == []
         assert doc["degree_vector"] is None
         assert doc["degree_search_exhausted"] is False
+        assert "degree_search_bound" not in doc
+
+    def test_analyze_half_plane_search_exhausted(self, tmp_path, capsys):
+        # nonzero kernel, but every kernel vector has a negative entry
+        doc = {"dim": 2, "rays": [[1, 0], [1, 1], [0, 1]], "max_cones": [[0, 1], [1, 2]]}
+        path = tmp_path / "half_plane.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["fan", "analyze", str(path)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["degree_vector"] is None
+        assert doc["degree_search_exhausted"] is True
 
     def test_analyze_cp2(self, fixtures_dir, capsys):
         code, out, _ = run_cli(["fan", "analyze", str(fixtures_dir / "cp2.json")], capsys)
@@ -324,6 +336,15 @@ def test_non_positive_counts_exit_parse_error(argv, capsys, fixtures_dir, monkey
     assert code == EXIT_PARSE
     assert out == ""
     assert "expected a positive integer" in err
+
+
+def test_negative_s_max_exits_parse_error(capsys, fixtures_dir, monkeypatch):
+    monkeypatch.chdir(fixtures_dir.parent)
+    argv = ["stability", "e1", "--fan", H1, "--degrees", "5,7,5,12", "--n", "2", "--s-max", "-1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "expected a non-negative integer" in err
 
 
 def test_oracle_without_trials_is_vacuous():

@@ -73,7 +73,7 @@ def _primitive(v):
 
 def _reference_nullspace(mat):
     # sympy builds one kernel vector per free column of the rref: 1 at the
-    # free column, minus that column at the pivots, the basis find_degree_vector walks
+    # free column, minus that column at the pivots, the basis cox_group_sample uses
     return [_primitive(list(v)) for v in sympy.Matrix(mat).nullspace()]
 
 
@@ -206,11 +206,16 @@ def test_smith_normal_form_matches_sympy():
 
 def test_lp_feasible_gordan_cases():
     # 0 = x + y with x, y >= 0, sum = 1: antipodal pair is feasible
-    assert lp_feasible([[1, -1], [1, 1]], [0, 1])
+    assert lp_feasible([[1, -1], [1, 1]], [0, 1]) == [Fraction(1, 2), Fraction(1, 2)]
     # cone over (1,0),(0,1): only the trivial combination hits zero
-    assert not lp_feasible([[1, 0], [0, 1], [1, 1]], [0, 0, 1])
+    assert lp_feasible([[1, 0], [0, 1], [1, 1]], [0, 0, 1]) is None
     # (1,0)+(-1,1)+(0,-1) = 0: zero is a positive combination
-    assert lp_feasible([[1, -1, 0], [0, 1, -1], [1, 1, 1]], [0, 0, 1])
+    assert lp_feasible([[1, -1, 0], [0, 1, -1], [1, 1, 1]], [0, 0, 1]) == [Fraction(1, 3)] * 3
+
+
+def test_lp_feasible_refuses_floats():
+    with pytest.raises(TypeError):
+        lp_feasible([[1.0, -1]], [0])
 
 
 def test_lp_feasible_on_constructed_feasible_systems():
@@ -222,7 +227,10 @@ def test_lp_feasible_on_constructed_feasible_systems():
         a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(m)]
         x0 = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)]
         b = [sum(a[i][j] * x0[j] for j in range(n)) for i in range(m)]
-        assert lp_feasible(a, b)
+        x = lp_feasible(a, b)
+        assert x is not None and len(x) == n
+        assert all(type(v) is Fraction and v >= 0 for v in x)
+        assert [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)] == b
 
 
 def test_lp_feasible_on_farkas_infeasible_systems():
@@ -244,5 +252,5 @@ def test_lp_feasible_on_farkas_infeasible_systems():
         if sum(yi * bi for yi, bi in zip(y, b)) >= 0:
             continue
         a = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
-        assert not lp_feasible(a, b)
+        assert lp_feasible(a, b) is None
         built += 1

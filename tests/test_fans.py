@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricstab import (
     Fan,
@@ -187,6 +189,64 @@ class TestFindDegreeVector:
         fan = builtin_fan(f"cp({m})")
         assert find_degree_vector(fan) == tuple(1 for _ in range(m + 1))
 
+    def test_kernel_vector_off_the_basis_lattice(self):
+        # the integer combinations of the kernel basis miss (1, 7, 7, 1)
+        rays = [(-3, -1), (-1, -3), (2, 3), (-4, 1)]
+        fan = fan_from_max_cones(2, rays, [(0, 3), (3, 2), (2, 1), (1, 0)])
+        assert validate_fan(fan).ok and is_complete(fan)
+        d = find_degree_vector(fan)
+        assert d is not None and all(x >= 1 for x in d) and degree_is_null(fan, d)
+
+    @pytest.mark.parametrize("r", [5, 8, 24])
+    def test_complete_fan_is_fast(self, r):
+        import time
+
+        rays = _cycle_rays(r)
+        fan = fan_from_max_cones(2, rays, [(i, (i + 1) % r) for i in range(r)])
+        start = time.perf_counter()
+        d = find_degree_vector(fan)
+        assert time.perf_counter() - start < 0.05
+        assert d is not None and all(x >= 1 for x in d) and degree_is_null(fan, d)
+
+    def test_half_plane_has_none(self):
+        rays = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1)]
+        fan = fan_from_max_cones(2, rays, [(i, i + 1) for i in range(4)])
+        assert validate_fan(fan).ok
+        assert find_degree_vector(fan) is None
+
+
+def _cycle_rays(r):
+    """r primitive rays in counterclockwise order, consecutive gaps under a half turn."""
+    import math
+
+    rays = [primitive_ray((round(50 * math.cos(2 * math.pi * (k + 0.3) / r)),
+                           round(50 * math.sin(2 * math.pi * (k + 0.3) / r)))) for k in range(r)]
+    assert len(set(rays)) == r
+    return rays
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=4, max_size=12))
+def test_random_complete_plane_fans(points):
+    import math
+
+    rays = sorted({primitive_ray(p) for p in points if any(p)},
+                  key=lambda v: math.atan2(v[1], v[0]))
+    r = len(rays)
+    # a sorted ray cycle with every gap under a half turn tiles the plane
+    assume(r >= 3 and all(_cross(rays[i], rays[(i + 1) % r]) > 0 for i in range(r)))
+    cones = [(i, (i + 1) % r) for i in range(r)]
+    fan = fan_from_max_cones(2, rays, cones)
+    assert validate_fan(fan).ok
+    d = find_degree_vector(fan)
+    assert d is not None and all(x >= 1 for x in d) and degree_is_null(fan, d)
+    for i in range(r):
+        assert validate_fan(fan_from_max_cones(2, rays, cones[:i] + cones[i + 1:])).ok
+
 
 class TestCoxGroup:
     def test_ranks(self, h1, cp2):
@@ -282,7 +342,7 @@ class TestGeometricFaces:
         assert not is_smooth(fan)
 
     def test_lp_path_matches_subset_rule_on_simplicial_cones(self):
-        from toricstab.fans import _is_face_subset
+        from toricstab.fans import _escapes
 
         rng = random.Random(52)
         for _ in range(10):
@@ -301,9 +361,10 @@ class TestGeometricFaces:
                 continue
             from itertools import combinations as combos
 
+            fan = Fan(m, gens, [frozenset(range(m))])
             for size in range(len(gens) + 1):
                 for subset in combos(range(len(gens)), size):
-                    assert _is_face_subset(gens, set(subset))
+                    assert not _escapes(fan, frozenset(range(m)), frozenset(subset))
 
 
 class TestCompletenessFuzz:
