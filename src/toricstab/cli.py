@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .complexes import (
+    CapExceededError,
     SimplicialComplex,
     UndefinedValueError,
     UnsupportedFanError,
@@ -44,7 +45,7 @@ from .polynomials import (
     system_to_json,
     stabilize,
 )
-from .stability import CapExceededError, e1_support, stability_dim_n1, stability_report
+from .stability import e1_support, stability_dim_n1, stability_report
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -158,6 +159,14 @@ def _parse_degrees(text, fan):
     return degrees
 
 
+def _stability(degrees, fan, n):
+    """The stability dict: the n = 1 dimension and its kind, or the full report."""
+    if n == 1:
+        value, kind = stability_dim_n1(degrees, fan)
+        return {"n": 1, "stability_dim": value, "kind": kind, "degrees": list(degrees)}
+    return stability_report(degrees, fan, n).to_dict()
+
+
 # -- fan ----------------------------------------------------------------------
 
 def cmd_fan_analyze(args):
@@ -181,12 +190,7 @@ def cmd_fan_analyze(args):
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees, fan)
         try:
-            if args.n == 1:
-                value, kind = stability_dim_n1(degrees, fan)
-                out["stability"] = {"n": 1, "stability_dim": value, "kind": kind,
-                                    "degrees": list(degrees)}
-            else:
-                out["stability"] = stability_report(degrees, fan, args.n).to_dict()
+            out["stability"] = _stability(degrees, fan, args.n)
             if args.e1:
                 if args.n < 2:
                     _fail(EXIT_SHAPE, "the vanishing table requires n >= 2")
@@ -209,7 +213,10 @@ def cmd_fan_validate(args):
 
 def cmd_fan_power(args):
     fan, raw, _ = _load_fan(args.path)
-    power = fan_power(fan, args.n)
+    try:
+        power = fan_power(fan, args.n)
+    except CapExceededError as exc:
+        _fail(EXIT_CAP, str(exc))
     out = _meta("fan power", _canonical_hash(raw))
     out["n"] = args.n
     out["fan"] = fan_to_json(power)
@@ -240,7 +247,10 @@ def _load_complex_like(path):
 
 def cmd_complex_power(args):
     complex_, raw = _load_complex_like(args.path)
-    power = complex_power(complex_, args.n)
+    try:
+        power = complex_power(complex_, args.n)
+    except CapExceededError as exc:
+        _fail(EXIT_CAP, str(exc))
     out = _meta("complex power", _canonical_hash(raw))
     out["n"] = args.n
     out["complex"] = power.to_json()
@@ -349,15 +359,7 @@ def cmd_stability_report(args):
     degrees = _parse_degrees(args.degrees, fan)
     out = _meta("stability report", _canonical_hash(raw))
     try:
-        if args.n == 1:
-            value, kind = stability_dim_n1(degrees, fan)
-            out["n"] = 1
-            out["stability_dim"] = value
-            out["kind"] = kind
-            out["degrees"] = list(degrees)
-        else:
-            report = stability_report(degrees, fan, args.n)
-            out.update(report.to_dict())
+        out.update(_stability(degrees, fan, args.n))
     except UndefinedValueError as exc:
         _fail(EXIT_SHAPE, str(exc))
     _emit(out)

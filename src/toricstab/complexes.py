@@ -7,7 +7,7 @@ complex on vertex grid [r] x [n], and membership tests for points of
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, groupby, product
 
 
 class UndefinedValueError(ValueError):
@@ -18,9 +18,13 @@ class UnsupportedFanError(ValueError):
     """Raised for fans outside the supported class (e.g. a ray spanning no cone)."""
 
 
-def _powerset(iterable):
-    items = list(iterable)
-    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+class CapExceededError(ValueError):
+    """An enumeration was requested beyond its documented cap."""
+
+
+# Largest facet count complex_power builds; time and memory grow with the
+# count.  (P^1)^8 with n = 2 has 2^16 facets and builds in about 0.5 s.
+POWER_FACET_CAP = 1 << 16
 
 
 class SimplicialComplex:
@@ -43,16 +47,13 @@ class SimplicialComplex:
             for v in f:
                 if not (0 <= v < self.vertex_count):
                     raise ValueError(f"vertex {v} out of range")
-        # size-descending sweep keeps maximality checks linear in the output
+        # distinct faces of one size never contain each other, so a face is
+        # compared only with the strictly larger faces kept before its size
         maximal = []
-        for f in sorted(faces, key=len, reverse=True):
-            if not any(f <= g for g in maximal):
-                maximal.append(f)
+        for _, same_size in groupby(sorted(faces, key=len, reverse=True), key=len):
+            larger = tuple(maximal)
+            maximal.extend(f for f in same_size if not any(f <= g for g in larger))
         self.max_faces = frozenset(maximal)
-
-    @classmethod
-    def from_faces(cls, vertex_count, faces):
-        return cls(vertex_count, faces)
 
     def is_face(self, vertices):
         s = frozenset(vertices)
@@ -64,11 +65,9 @@ class SimplicialComplex:
         """Materialized face set (intended for small complexes)."""
         out = set()
         for f in self.max_faces:
-            out.update(frozenset(s) for s in _powerset(f))
+            for k in range(len(f) + 1):
+                out.update(frozenset(s) for s in combinations(f, k))
         return frozenset(out)
-
-    def dim(self):
-        return max(len(f) for f in self.max_faces) - 1
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -93,41 +92,6 @@ class SimplicialComplex:
         return cls(obj["vertices"], [frozenset(f) for f in obj["max_faces"]])
 
 
-class NonFaceFamily:
-    """All subsets of the vertex set that are not faces (upward closed).
-
-    Membership and iteration are driven by the minimal non-faces; the full
-    2^r table is materialized only up to 24 vertices, larger complexes are
-    consumed through the streaming iterator.
-    """
-
-    _TABLE_CAP = 24
-
-    def __init__(self, complex_):
-        self.complex = complex_
-        self.minimal = minimal_non_faces(complex_)
-
-    def __contains__(self, vertices):
-        s = frozenset(vertices)
-        return any(p <= s for p in self.minimal)
-
-    def iter_sets(self):
-        for s in _powerset(range(self.complex.vertex_count)):
-            fs = frozenset(s)
-            if fs in self:
-                yield fs
-
-    @property
-    def sets(self):
-        r = self.complex.vertex_count
-        if r > self._TABLE_CAP:
-            raise ValueError(
-                f"non-face table materialization capped at {self._TABLE_CAP} vertices; "
-                "use iter_sets() or the minimal family"
-            )
-        return frozenset(self.iter_sets())
-
-
 def underlying_complex(fan):
     """Complex whose faces are the ray index sets spanning a cone of the fan.
 
@@ -140,28 +104,31 @@ def underlying_complex(fan):
     return SimplicialComplex(r, fan.cones)
 
 
-def non_faces(complex_):
-    return NonFaceFamily(complex_)
-
-
 def minimal_non_faces(complex_):
-    """Minimal subsets that are not faces, found by size-increasing search.
+    """Minimal subsets that are not faces.
 
-    Dropping one vertex from a minimal non-face leaves a face, so none is
-    larger than the largest facet plus one.
+    A set is a non-face exactly when it meets the complement of every facet,
+    so the minimal non-faces are the minimal transversals of the facet
+    complements.  They are built one facet at a time (Berge's incremental
+    dualization): a transversal that already meets the new complement stays,
+    one that misses it grows by each vertex of the complement, and a grown
+    set is kept unless it contains a transversal that stayed.
     """
     if complex_._minimal_cache is not None:
         return complex_._minimal_cache
-    r = complex_.vertex_count
-    found = []
-    for size in range(1, min(r, complex_.dim() + 2) + 1):
-        for cand in combinations(range(r), size):
-            s = frozenset(cand)
-            if any(p <= s for p in found):
-                continue
-            if not complex_.is_face(s):
-                found.append(s)
-    complex_._minimal_cache = frozenset(found)
+    everything = frozenset(range(complex_.vertex_count))
+    # lexicographic order keeps consecutive complements alike, and with them
+    # the partial families small: on the square of (P^1)^5 they peak at 9
+    # sets, against 2282 in hash order
+    complements = sorted(
+        (everything - f for f in complex_.max_faces), key=lambda e: (len(e), sorted(e))
+    )
+    transversals = [frozenset()]
+    for edge in complements:
+        kept = [t for t in transversals if t & edge]
+        grown = [t | {v} for t in transversals if not t & edge for v in edge]
+        transversals = kept + [g for g in grown if not any(t <= g for t in kept)]
+    complex_._minimal_cache = frozenset(transversals)
     return complex_._minimal_cache
 
 
@@ -191,23 +158,27 @@ def power_vertex(i, j, n):
 
 def complex_power(complex_, n):
     """Power complex on [r] x [n]: faces are the sets containing no full block
-    sigma x [n] over a primitive collection sigma."""
+    sigma x [n] over a primitive collection sigma.
+
+    Its facets are ([r] x [n]) minus {(i, c(i)) : i not in F}, one for each
+    facet F of the complex and each map c: [r] - F -> [n].  They form an
+    antichain, and there are sum_F n^(r - |F|) of them; above
+    POWER_FACET_CAP the build raises CapExceededError.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     r = complex_.vertex_count
-    prims = minimal_non_faces(complex_)
+    count = sum(n ** (r - len(f)) for f in complex_.max_faces)
+    if count > POWER_FACET_CAP:
+        raise CapExceededError(
+            f"power complex capped at {POWER_FACET_CAP} facets, this one has {count}"
+        )
     everything = frozenset(range(r * n))
-    if not prims:
-        return SimplicialComplex(r * n, [everything])
-    blocks = [
-        frozenset(power_vertex(i, j, n) for i in sigma for j in range(n))
-        for sigma in sorted(prims, key=sorted)
-    ]
-    # maximal faces are complements of minimal hitting sets of the blocks;
-    # every minimal hitting set arises from a one-choice-per-block selection
-    candidates = {frozenset(choice) for choice in product(*blocks)}
-    minimal_hits = {h for h in candidates if not any(g < h for g in candidates)}
-    max_faces = [everything - h for h in minimal_hits]
+    max_faces = []
+    for f in complex_.max_faces:
+        outside = [i for i in range(r) if i not in f]
+        for choice in product(range(n), repeat=len(outside)):
+            max_faces.append(everything - {power_vertex(i, j, n) for i, j in zip(outside, choice)})
     return SimplicialComplex(r * n, max_faces)
 
 

@@ -220,10 +220,6 @@ def fan_from_complex(complex_, rays, dim):
     return Fan(dim, rays, frozenset(complex_.all_faces()))
 
 
-def underlying_complex(fan):
-    return complexes.underlying_complex(fan)
-
-
 # -- completeness ------------------------------------------------------------
 
 def _cross(u, v):

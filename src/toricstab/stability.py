@@ -9,7 +9,7 @@ underlying groups are out of scope, only the vanishing ranges are certified.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import dim_config, r_min
+from .complexes import CapExceededError, dim_config, r_min
 from .fans import degree_is_null
 from .hermite import bundle_rank
 
@@ -18,10 +18,6 @@ POSSIBLY_NONZERO = "possibly_nonzero"
 TAIL_UNKNOWN = "tail_unknown"
 
 BAND_CAP = 12
-
-
-class CapExceededError(ValueError):
-    """Band enumeration requested beyond the supported truncation size."""
 
 
 def stability_dim(degrees, fan, n):

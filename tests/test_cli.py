@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,8 +106,27 @@ class TestFanCommands:
         assert doc["fan"]["dim"] == 2
         assert len(doc["fan"]["rays"]) == 4
 
+    def test_fan_power_over_facet_cap_exits_5(self, fixtures_dir, capsys):
+        # 4 facets of 2 rays each give 4 * 200^2 power facets
+        code, out, err = run_cli(
+            ["fan", "power", str(fixtures_dir / "hirzebruch1.json"), "--n", "200"], capsys
+        )
+        assert code == 5 and out == ""
+        assert "capped" in json.loads(err)["error"]
+
 
 class TestComplexCommands:
+    def test_power_over_facet_cap_exits_5_quickly(self, tmp_path, capsys):
+        r = 24
+        path = tmp_path / "polygon.json"
+        path.write_text(json.dumps({"vertices": r, "max_faces": [[i, (i + 1) % r] for i in range(r)]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["complex", "power", str(path), "--n", "3"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 5 and out == ""
+        doc = json.loads(err)
+        assert doc["tool"] == "toricctl" and "capped" in doc["error"]
+
     def test_power_from_fan_file(self, fixtures_dir, capsys):
         code, out, _ = run_cli(
             ["complex", "power", str(fixtures_dir / "cp1.json"), "--n", "2"], capsys

@@ -1,9 +1,13 @@
 import random
-from itertools import chain, combinations
+import time
+from itertools import chain, combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricstab import (
+    CapExceededError,
     PointInProduct,
     SimplicialComplex,
     UndefinedValueError,
@@ -15,11 +19,11 @@ from toricstab import (
     in_arrangement,
     in_polyhedral_product,
     minimal_non_faces,
-    non_faces,
     primitive_collections,
     r_min,
     underlying_complex,
 )
+from toricstab.complexes import POWER_FACET_CAP
 from toricstab.fans import Fan
 
 
@@ -52,22 +56,30 @@ class TestUnderlyingComplex:
             underlying_complex(fan)
 
 
+def upward_closure(k):
+    """Every vertex set containing a minimal non-face of k."""
+    prims = minimal_non_faces(k)
+    return {
+        s for s in (frozenset(p) for p in powerset(range(k.vertex_count)))
+        if any(p <= s for p in prims)
+    }
+
+
 class TestNonFaces:
     def test_segment_boundary(self):
         k = SimplicialComplex(2, [{0}, {1}])
-        assert non_faces(k).sets == {frozenset({0, 1})}
+        assert upward_closure(k) == {frozenset({0, 1})}
 
     def test_hirzebruch_non_faces_are_supersets_of_primitives(self, h1):
-        family = non_faces(underlying_complex(h1))
         expected = {
             s for s in (frozenset(p) for p in powerset(range(4)))
             if frozenset({0, 2}) <= s or frozenset({1, 3}) <= s
         }
-        assert family.sets == expected
+        assert upward_closure(underlying_complex(h1)) == expected
 
     def test_full_simplex_has_none(self):
         k = SimplicialComplex(3, [{0, 1, 2}])
-        assert non_faces(k).sets == frozenset()
+        assert upward_closure(k) == set()
 
     def test_characterization_against_max_faces(self):
         # a non-face is exactly a set contained in no maximal face
@@ -76,10 +88,11 @@ class TestNonFaces:
             r = rng.randint(2, 6)
             maxima = [frozenset(rng.sample(range(r), rng.randint(1, r))) for _ in range(3)]
             k = SimplicialComplex(r, maxima)
-            family = non_faces(k)
+            non_faces = upward_closure(k)
             for s in (frozenset(p) for p in powerset(range(r))):
                 expected = not any(s <= f for f in k.max_faces)
-                assert (s in family) == expected
+                assert (s in non_faces) == expected
+                assert k.is_face(s) != expected
 
 
 class TestPrimitiveCollections:
@@ -99,9 +112,8 @@ class TestPrimitiveCollections:
     def test_minimality(self, h1):
         k = underlying_complex(h1)
         prims = minimal_non_faces(k)
-        family = non_faces(k)
-        for s in family.sets:
-            assert any(p <= s for p in prims)
+        for s in (frozenset(p) for p in powerset(range(4))):
+            assert k.is_face(s) != any(p <= s for p in prims)
         for p in prims:
             for v in p:
                 assert k.is_face(p - {v})
@@ -155,6 +167,96 @@ class TestComplexPower:
         for s in powerset(range(k.vertex_count)):
             block = frozenset(i * n + j for i in s for j in range(n))
             assert k.is_face(s) == p.is_face(block)
+
+
+def p1_power_complex(k):
+    """Complex of (P^1)^k: one vertex of each pair {2i, 2i + 1} per facet."""
+    return SimplicialComplex(
+        2 * k, [frozenset(2 * i + c[i] for i in range(k)) for c in product((0, 1), repeat=k)]
+    )
+
+
+class TestPowerCap:
+    def test_p1_eighth_power_builds_at_the_cap(self):
+        p = complex_power(p1_power_complex(8), 2)
+        assert len(p.max_faces) == 2 ** 16 <= POWER_FACET_CAP
+
+    def test_facet_count_above_cap_raises_before_building(self):
+        r = POWER_FACET_CAP.bit_length()
+        k = SimplicialComplex(r, [])  # 2^r facets at n = 2
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            complex_power(k, 2)
+        assert time.perf_counter() - start < 0.1
+
+    def test_p1_sixth_power_is_fast(self):
+        start = time.perf_counter()
+        p = complex_power(p1_power_complex(6), 2)
+        assert time.perf_counter() - start < 0.5
+        assert len(p.max_faces) == 2 ** 12
+
+
+# -- brute-force references ----------------------------------------------------
+
+def subsets(items):
+    return [frozenset(s) for s in powerset(items)]
+
+
+def brute_minimal_non_faces(k):
+    """Powerset search: non-faces all of whose one-smaller subsets are faces."""
+    faces = {s for s in subsets(range(k.vertex_count)) if any(s <= f for f in k.max_faces)}
+    return {
+        s for s in subsets(range(k.vertex_count))
+        if s not in faces and all(s - {v} in faces for v in s)
+    }
+
+
+def block_face(prims, n, s):
+    """Block definition: s holds no full block sigma x [n] over a primitive sigma."""
+    return not any(all(i * n + j in s for i in sigma for j in range(n)) for sigma in prims)
+
+
+@st.composite
+def random_complexes(draw):
+    r = draw(st.integers(0, 9))
+    vertex_sets = st.frozensets(st.integers(0, r - 1), max_size=r) if r else st.just(frozenset())
+    return SimplicialComplex(r, draw(st.lists(vertex_sets, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes())
+@example(SimplicialComplex(0, []))
+@example(SimplicialComplex(4, []))
+@example(SimplicialComplex(5, [{0, 1}, {1, 2}]))
+def test_minimal_non_faces_match_powerset_search(k):
+    assert minimal_non_faces(k) == brute_minimal_non_faces(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes(), st.sampled_from([1, 2, 3]), st.randoms(use_true_random=False))
+@example(SimplicialComplex(0, []), 2, random.Random(0))
+@example(SimplicialComplex(4, []), 3, random.Random(0))
+@example(SimplicialComplex(5, [{0, 1}, {1, 2}]), 2, random.Random(0))
+def test_complex_power_matches_block_definition(k, n, rng):
+    prims = brute_minimal_non_faces(k)
+    p = complex_power(k, n)
+    grid = range(k.vertex_count * n)
+    assert p.vertex_count == len(grid)
+    # every facet is a face, and adding any grid vertex to it breaks that
+    for f in p.max_faces:
+        assert block_face(prims, n, f)
+        assert not any(block_face(prims, n, f | {x}) for x in grid if x not in f)
+    # every face lies in a facet: exhaustively on small grids, and through
+    # greedy maximal faces along random vertex orders on all grids
+    if len(grid) <= 10:
+        for s in subsets(grid):
+            assert p.is_face(s) == block_face(prims, n, s)
+    for _ in range(5):
+        face = frozenset()
+        for x in rng.sample(list(grid), len(grid)):
+            if block_face(prims, n, face | {x}):
+                face |= {x}
+        assert face in p.max_faces
 
 
 class TestDimensions:
