@@ -233,10 +233,7 @@ def _load_complex_like(path):
             fan = fan_from_json(raw)
         except (FanJsonError, FanStructureError) as exc:
             _fail(EXIT_PARSE, str(exc))
-        try:
-            return underlying_complex(fan), raw
-        except UnsupportedFanError as exc:
-            _fail(EXIT_INVALID_FAN, str(exc))
+        return underlying_complex(fan), raw
     if isinstance(raw, dict) and "max_faces" in raw:
         try:
             return SimplicialComplex.from_json(raw), raw
@@ -385,9 +382,11 @@ def _render_table(support):
 def cmd_stability_e1(args):
     fan, raw, _ = _load_fan(args.fan)
     degrees = _parse_degrees(args.degrees, fan)
+    if args.n < 2:
+        _fail(EXIT_SHAPE, "the vanishing table requires n >= 2")
     try:
         support = e1_support(degrees, fan, args.n, s_max=args.s_max)
-    except (UndefinedValueError, ValueError) as exc:
+    except UndefinedValueError as exc:
         _fail(EXIT_SHAPE, str(exc))
     if args.table:
         print(_render_table(support))
@@ -506,6 +505,8 @@ def main(argv=None):
         return args.func(args)
     except SystemExit:
         raise
+    except UnsupportedFanError as exc:
+        _fail(EXIT_INVALID_FAN, str(exc))
     except BrokenPipeError:
         return EXIT_OK
     return EXIT_OK

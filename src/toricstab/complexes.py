@@ -93,15 +93,16 @@ class SimplicialComplex:
 
 
 def underlying_complex(fan):
-    """Complex whose faces are the ray index sets spanning a cone of the fan.
+    """Complex on the rays whose facets are the generating cones of the fan.
 
-    Each ray must span a cone on its own; fans violating this are rejected.
+    Each ray must lie in a generating cone; fans violating this are rejected.
     """
     r = len(fan.rays)
+    covered = frozenset().union(*fan.generating_cones)
     for k in range(r):
-        if frozenset((k,)) not in fan.cones:
+        if k not in covered:
             raise UnsupportedFanError(f"ray {k} spans no cone of the fan")
-    return SimplicialComplex(r, fan.cones)
+    return SimplicialComplex(r, fan.generating_cones)
 
 
 def minimal_non_faces(complex_):

@@ -1,10 +1,11 @@
 """Lattice fans: construction, validation, and global predicates.
 
-A fan is stored as primitive integer ray vectors plus a family of cones,
-each cone being the frozenset of indices of the rays spanning it.  Files
-carry only maximal cones; face closure is computed on load.  All geometric
-decisions (strong convexity, face recognition, intersection axiom) are made
-in exact rational arithmetic by one feasibility LP, the escape LP.
+A fan is stored as primitive integer ray vectors plus the cones it is built
+from, each cone being the frozenset of indices of the rays spanning it.
+Files carry maximal cones; the other faces are implied (the faces of the
+stored cones) and never materialized.  All geometric decisions (strong
+convexity, face recognition, intersection axiom) are made in exact rational
+arithmetic by one feasibility LP, the escape LP.
 """
 
 import json
@@ -42,17 +43,30 @@ def primitive_ray(v):
 
 @dataclass(frozen=True)
 class Fan:
+    """Rays plus the cones the fan is built from (its listed maximal cones or
+    the facets of a complex), deduplicated but not reduced.  The fan's faces
+    are the faces of these generating cones, the empty cone included.
+    """
+
     dim: int
     rays: tuple
-    cones: frozenset
+    generating_cones: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in ray) for ray in self.rays))
-        object.__setattr__(self, "cones", frozenset(frozenset(c) for c in self.cones))
+        cones = frozenset(frozenset(c) for c in self.generating_cones)
+        object.__setattr__(self, "generating_cones", cones - {frozenset()})
 
     @property
     def ray_count(self):
         return len(self.rays)
+
+    @property
+    def cones(self):
+        """Every index subset of a generating cone, the empty one included
+        (materialized on demand; intended for small fans)."""
+        return frozenset(frozenset(s) for c in self.generating_cones | {frozenset()}
+                         for k in range(len(c) + 1) for s in combinations(sorted(c), k))
 
     def ray_matrix(self):
         """m x r matrix whose columns are the rays."""
@@ -62,7 +76,7 @@ class Fan:
         return [self.rays[k] for k in sorted(cone)]
 
     def maximal_cones(self):
-        return [c for c in self.cones if not any(c < d for d in self.cones)]
+        return complexes.SimplicialComplex(self.ray_count, self.generating_cones).max_faces
 
 
 def _check_structure(dim, rays, cones):
@@ -107,21 +121,6 @@ def _escapes(fan, a, b):
     return lp_feasible(rows, [0] * fan.dim + [1]) is not None
 
 
-def geometric_faces(fan, cone):
-    """Index sets of the faces of a stored cone (the cone itself included)."""
-    cone = frozenset(cone)
-    idx = sorted(cone)
-    if _is_simplicial(fan, cone):
-        subsets = (frozenset(c) for k in range(len(idx) + 1) for c in combinations(idx, k))
-        return set(subsets)
-    out = {frozenset(), cone}
-    for k in range(1, len(idx)):
-        for subset in combinations(idx, k):
-            if not _escapes(fan, cone, frozenset(subset)):
-                out.add(frozenset(subset))
-    return out
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -152,7 +151,7 @@ def validate_fan(fan):
     Out-of-range ray indices raise FanStructureError before any axiom is
     considered.  An empty violation list certifies a valid fan.
     """
-    _check_structure(fan.dim, fan.rays, fan.cones)
+    _check_structure(fan.dim, fan.rays, fan.generating_cones)
     report = ValidationReport()
 
     seen = {}
@@ -166,58 +165,37 @@ def validate_fan(fan):
             report.add("ray", f"ray {i} duplicates ray {seen[ray]}")
         seen.setdefault(ray, i)
 
-    if frozenset() not in fan.cones:
-        report.add("zero-cone", "the zero cone (empty index set) is missing")
-    if not any(c for c in fan.cones):
+    if not fan.generating_cones:
         report.add("zero-cone", "fan must contain at least one nonzero cone")
 
     def order(c):
         return len(c), sorted(c)
 
-    # a simplicial cone is pointed, and so is every face of a pointed cone
-    maximal = sorted(fan.maximal_cones(), key=order)
-    for cone in maximal:
+    # a simplicial cone is pointed; faces of generating cones meet properly
+    # once the generating cones do
+    cones = sorted(fan.generating_cones, key=order)
+    for cone in cones:
         if not _is_simplicial(fan, cone) and _escapes(fan, cone, frozenset()):
             report.add("strong-convexity", f"cone {sorted(cone)} is not strongly convex")
-
-    faces_of = {cone: geometric_faces(fan, cone) for cone in maximal}
-    for cone in maximal:
-        for face in sorted(faces_of[cone] - fan.cones, key=order):
-            report.add("face-closure", f"face {sorted(face)} of cone {sorted(cone)} is not stored")
-
-    # faces of maximal cones meet properly once the maximal cones do
-    for small in sorted(fan.cones - set(maximal), key=order):
-        for big in maximal:
-            if small < big and small not in faces_of[big]:
-                report.add(
-                    "intersection",
-                    f"cone {sorted(small)} is contained in {sorted(big)} but is not a face of it",
-                )
-    for a, b in combinations(maximal, 2):
+    for a, b in combinations(cones, 2):
+        # for a < b, E(a, b) is feasible exactly when a spans no face of b
         if _escapes(fan, a, b):
-            report.add(
-                "intersection",
-                f"cones {sorted(a)} and {sorted(b)} do not meet in a common face",
-            )
+            report.add("intersection", (
+                f"cone {sorted(a)} is contained in {sorted(b)} but is not a face of it" if a < b
+                else f"cones {sorted(a)} and {sorted(b)} do not meet in a common face"))
     return report
 
 
 def fan_from_max_cones(dim, rays, max_cones):
-    """Build a fan from maximal cones, closing under geometric faces."""
-    rays = tuple(tuple(int(x) for x in ray) for ray in rays)
-    cone_sets = [frozenset(c) for c in max_cones]
-    _check_structure(dim, rays, cone_sets)
-    base = Fan(dim, rays, frozenset(cone_sets) | {frozenset()})
-    closed = set()
-    for cone in cone_sets:
-        closed |= geometric_faces(base, cone)
-    closed.add(frozenset())
-    return Fan(dim, rays, frozenset(closed))
+    """Build a fan from its maximal cones; their faces are implied."""
+    fan = Fan(dim, rays, max_cones)
+    _check_structure(fan.dim, fan.rays, fan.generating_cones)
+    return fan
 
 
 def fan_from_complex(complex_, rays, dim):
     """Rebuild a fan from its underlying complex and ray list."""
-    return Fan(dim, rays, frozenset(complex_.all_faces()))
+    return Fan(dim, rays, complex_.max_faces)
 
 
 # -- completeness ------------------------------------------------------------
@@ -282,10 +260,11 @@ def is_complete(fan):
 
 
 def is_smooth(fan):
-    """Every cone's generators extend to a Z-basis (unit invariant factors)."""
-    for cone in fan.cones:
-        if not cone:
-            continue
+    """Every cone's generators extend to a Z-basis (unit invariant factors).
+
+    Faces of a smooth cone are smooth, so the generating cones decide it.
+    """
+    for cone in fan.generating_cones:
         gens = fan.generators(cone)
         if len(echelon(gens)[1]) != len(gens):
             return False
@@ -361,10 +340,10 @@ def cox_group_sample(fan, parameters):
 
 
 def fan_power(fan, n):
-    """Fan on R^(m*n) with block-placed rays and one cone per power-complex face.
+    """Fan on R^(m*n) with block-placed rays and one cone per power-complex facet.
 
-    Ray (i, j) places ray i of the input into slot j; the cone family is the
-    face set of the power complex, so the underlying complex of the result
+    Ray (i, j) places ray i of the input into slot j; the generating cones are
+    the facets of the power complex, so the underlying complex of the result
     is the power complex by construction.
     """
     if n < 1:
@@ -379,7 +358,7 @@ def fan_power(fan, n):
             for t in range(m):
                 vec[j * m + t] = fan.rays[i][t]
             rays.append(tuple(vec))
-    return Fan(m * n, tuple(rays), frozenset(power.all_faces()))
+    return Fan(m * n, tuple(rays), power.max_faces)
 
 
 _BUILTIN_RE = re.compile(r"^\s*(cp|hirzebruch|affine)\s*\(\s*(\d+)\s*\)\s*$")

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -106,6 +107,16 @@ class TestFanCommands:
         assert doc["fan"]["dim"] == 2
         assert len(doc["fan"]["rays"]) == 4
 
+    def test_fan_power_fourth_power_is_fast(self, fixtures_dir, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["fan", "power", str(fixtures_dir / "hirzebruch1.json"), "--n", "4"], capsys
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        # 4 facets of 2 rays each give 4 * 4^2 power facets
+        assert len(json.loads(out)["fan"]["max_cones"]) == 64
+
     def test_fan_power_over_facet_cap_exits_5(self, fixtures_dir, capsys):
         # 4 facets of 2 rays each give 4 * 200^2 power facets
         code, out, err = run_cli(
@@ -144,6 +155,15 @@ class TestComplexCommands:
         doc = json.loads(out)
         assert doc["primitive_collections"] == [[1, 2]]
         assert doc["r_min"] == 2
+
+    def test_primitives_of_a_cone_with_a_line(self, fixtures_dir, capsys):
+        # the cone [0, 1] is a facet of the complex though it is no valid cone
+        code, out, _ = run_cli(
+            ["complex", "primitives", str(fixtures_dir / "bad_line.json")], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["primitive_collections"] == [] and doc["r_min"] is None
 
     def test_primitives_from_fan_file(self, fixtures_dir, capsys):
         code, out, _ = run_cli(
@@ -390,3 +410,65 @@ def test_cross_process_determinism(fixtures_dir):
     second = subprocess.run(argv, capture_output=True, text=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# a valid fan whose third ray lies in no cone, and one whose third ray runs
+# through the interior of its only cone
+STRAY_RAY = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1]]}
+INTERIOR_RAY = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1, 2]]}
+
+
+def _write_fan_and_system(tmp_path, doc):
+    """Write a fan document and a coefficient-form system with one linear
+    polynomial per ray; return both paths."""
+    fan_path = tmp_path / "fan.json"
+    fan_path.write_text(json.dumps(doc))
+    count = len(doc.get("rays", [0, 0]))
+    system = {"degrees": [1] * count,
+              "polys": [[[str(k + 1), "0"], ["1", "0"]] for k in range(count)]}
+    system_path = tmp_path / "system.json"
+    system_path.write_text(json.dumps(system))
+    return str(fan_path), str(system_path), ",".join("2" * count)
+
+
+def _fan_reading_commands(fan, system, degrees):
+    return {
+        "fan analyze": ["fan", "analyze", fan],
+        "fan validate": ["fan", "validate", fan],
+        "fan power": ["fan", "power", fan, "--n", "2"],
+        "complex primitives": ["complex", "primitives", fan],
+        "complex power": ["complex", "power", fan, "--n", "2"],
+        "stability report": ["stability", "report", "--fan", fan, "--degrees", degrees, "--n", "2"],
+        "stability e1": ["stability", "e1", "--fan", fan, "--degrees", degrees, "--n", "2"],
+        "poly check": ["poly", "check", "--fan", fan, "--system", system, "--n", "1"],
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["fan analyze", "fan power", "poly check", "stability report", "stability e1"]
+)
+def test_ray_in_no_cone_exits_invalid_fan(command, tmp_path, capsys):
+    fan, system, degrees = _write_fan_and_system(tmp_path, STRAY_RAY)
+    code, out, err = run_cli(_fan_reading_commands(fan, system, degrees)[command], capsys)
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["tool"] == "toricctl" and doc["error"] == "ray 2 spans no cone of the fan"
+
+
+_SWEEP_DOCS = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures").glob("*.json"))
+_SWEEP_DOCS += ["stray-ray", "interior-ray"]
+
+
+@pytest.mark.parametrize("command", sorted(_fan_reading_commands("F", "S", "D")))
+@pytest.mark.parametrize("source", _SWEEP_DOCS)
+def test_fan_reading_commands_never_trace_back(source, command, fixtures_dir, tmp_path, capsys):
+    if source in ("stray-ray", "interior-ray"):
+        doc = STRAY_RAY if source == "stray-ray" else INTERIOR_RAY
+    else:
+        doc = json.loads((fixtures_dir / source).read_text())
+    fan, system, degrees = _write_fan_and_system(tmp_path, doc)
+    code, _, err = run_cli(_fan_reading_commands(fan, system, degrees)[command], capsys)
+    assert code in range(6)
+    assert "Traceback" not in err
+    if err:
+        assert json.loads(err)["tool"] == "toricctl"

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from toricstab import (
     FanStructureError,
     UnsupportedFanError,
     builtin_fan,
+    complex_power,
     cox_group_rank,
     cox_group_sample,
     degree_is_null,
@@ -55,12 +57,6 @@ class TestValidateFan:
         report = validate_fan(fan)
         assert not report.ok
         assert any(v.kind == "strong-convexity" for v in report.violations)
-
-    def test_missing_face_detected(self):
-        # hand-built fan skipping the face {1} of the cone {0, 1}
-        fan = Fan(2, ((1, 0), (0, 1)), [frozenset(), frozenset((0,)), frozenset((0, 1))])
-        report = validate_fan(fan)
-        assert any(v.kind == "face-closure" for v in report.violations)
 
     def test_out_of_range_index_is_structural(self):
         fan = Fan(2, ((1, 0),), [frozenset(), frozenset((3,))])
@@ -131,6 +127,13 @@ class TestIsSmooth:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_projective_space(self, m):
         assert is_smooth(builtin_fan(f"cp({m})"))
+
+    def test_one_singular_cone_among_smooth_ones(self):
+        # the weighted projective plane P(1, 2, 1): only the cone [0, 2] has index 2
+        rays = [(1, 0), (0, 1), (-1, -2)]
+        fan = fan_from_max_cones(2, rays, [(0, 1), (1, 2), (0, 2)])
+        assert validate_fan(fan).ok and not is_smooth(fan)
+        assert is_smooth(fan_from_max_cones(2, rays, [(0, 1), (1, 2)]))
 
 
 class TestSpansLattice:
@@ -319,14 +322,44 @@ class TestFanPower:
         assert p.rays[4] == (-1, 1, 0, 0)
         assert p.rays[5] == (0, 0, -1, 1)
 
+    def test_projective_line_fourth_power_validates_fast(self, cp1):
+        import time
+
+        p = fan_power(cp1, 4)
+        start = time.perf_counter()
+        report = validate_fan(p)
+        assert time.perf_counter() - start < 0.1
+        # opposite rays share a generating cone: not strongly convex
+        assert not report.ok
+        assert any(v.kind == "strong-convexity" for v in report.violations)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=8),
+       st.integers(1, 3))
+def test_power_fan_is_built_from_power_facets(points, n):
+    import math
+
+    rays = sorted({primitive_ray(p) for p in points if any(p)},
+                  key=lambda v: math.atan2(v[1], v[0]))
+    r = len(rays)
+    assume(3 <= r <= 6 and all(_cross(rays[i], rays[(i + 1) % r]) > 0 for i in range(r)))
+    fan = fan_from_max_cones(2, rays, [(i, (i + 1) % r) for i in range(r)])
+    power = complex_power(underlying_complex(fan), n)
+    lifted = fan_power(fan, n)
+    assert underlying_complex(lifted) == power
+    assert fan_to_json(lifted)["max_cones"] == sorted(sorted(f) for f in power.max_faces)
+
 
 class TestGeometricFaces:
     def test_square_cone_faces(self):
-        from toricstab.fans import geometric_faces
+        from toricstab.fans import _escapes
 
         rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
-        fan = Fan(3, rays, [frozenset(range(4))])
-        faces = geometric_faces(fan, frozenset(range(4)))
+        cone = frozenset(range(4))
+        fan = Fan(3, rays, [cone])
+        faces = {frozenset(s) for k in range(5) for s in combinations(range(4), k)
+                 if not _escapes(fan, cone, frozenset(s))}
         expected = {
             frozenset(), frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}),
             frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({0, 3}),
@@ -438,3 +471,69 @@ class TestJson:
         with pytest.raises(FanJsonError) as err:
             fan_from_json({"dim": 2, "rays": [[1, 0], [1]], "max_cones": [[0]]})
         assert err.value.pointer == "/rays/1"
+
+
+def _reference_validate(dim, rays, listed):
+    """Brute-force validator: store every geometric face of the listed cones
+    (one escape LP per index subset), then check face closure, the stored
+    cones nested in maximal ones, and every pair of maximal cones."""
+    from toricstab.exactla import echelon
+    from toricstab.fans import _escapes
+
+    fan = Fan(dim, rays, listed)
+
+    def simplicial(cone):
+        return not cone or len(echelon(fan.generators(cone))[1]) == len(cone)
+
+    def faces(cone):
+        subsets = {frozenset(s) for k in range(len(cone) + 1) for s in combinations(sorted(cone), k)}
+        if simplicial(cone):
+            return subsets
+        return {s for s in subsets if not s or s == cone or not _escapes(fan, cone, s)}
+
+    stored = {frozenset()}
+    for cone in map(frozenset, listed):
+        stored |= faces(cone)
+    maximal = [c for c in stored if not any(c < d for d in stored)]
+    if any(not any(ray) or primitive_ray(ray) != tuple(ray) for ray in rays):
+        return False
+    if len(set(map(tuple, rays))) != len(rays) or not any(stored):
+        return False
+    if any(not simplicial(c) and _escapes(fan, c, frozenset()) for c in maximal):
+        return False
+    if any(not faces(c) <= stored for c in maximal):
+        return False
+    if any(s < b and s not in faces(b) for s in stored for b in maximal):
+        return False
+    return not any(_escapes(fan, a, b) for a, b in combinations(maximal, 2))
+
+
+def _random_fan(rng):
+    """A small 2-D or 3-D fan that often breaks some axiom: non-primitive and
+    repeated rays, non-simplicial cones and listed cones nested in others."""
+    dim = rng.choice((2, 3))
+    r = rng.randint(2, 6)
+    rays = []
+    while len(rays) < r:
+        v = tuple(rng.randint(-1, 1) for _ in range(dim))
+        if any(v):
+            rays.append(tuple(2 * x for x in v) if rng.random() < 0.05 else v)
+    cones = [rng.sample(range(r), rng.randint(1, min(r, dim + 1))) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        big = max(cones, key=len)
+        cones.append(rng.sample(big, rng.randint(1, len(big))))
+    return dim, rays, cones
+
+
+def test_validate_matches_face_closure_reference():
+    rng = random.Random(2021)
+    verdicts = {True: 0, False: 0}
+    nonsimplicial = nested = 0
+    for _ in range(250):
+        dim, rays, cones = _random_fan(rng)
+        expected = _reference_validate(dim, rays, cones)
+        assert validate_fan(fan_from_max_cones(dim, rays, cones)).ok == expected, (dim, rays, cones)
+        verdicts[expected] += 1
+        nonsimplicial += any(len(c) > dim for c in cones)
+        nested += any(set(a) < set(b) for a, b in combinations(cones, 2))
+    assert min(verdicts.values()) >= 50 and nonsimplicial >= 40 and nested >= 40, (verdicts, nonsimplicial, nested)
