@@ -36,7 +36,6 @@ from .fans import (
     spans_lattice,
     validate_fan,
 )
-from .oracles import run_suite
 from .polynomials import (
     SystemJsonError,
     is_member,
@@ -332,11 +331,11 @@ def cmd_poly_jet(args):
 # -- oracle -------------------------------------------------------------------
 
 def cmd_oracle(args):
+    from .oracles import run_suite, run_vandermonde
+
     seed = _effective_seed(args)
     try:
         if args.suite == "vandermonde" and (args.k or args.n or args.d):
-            from .oracles import run_vandermonde
-
             result = run_vandermonde(seed, trials=500 if args.trials is None else args.trials,
                                      k=args.k, n=args.n, d=args.d)
         else:

@@ -4,17 +4,29 @@ Coefficient-form polynomials live over the Gaussian rationals, the largest
 exactly representable subfield the gcd and jet computations need.  Root-form
 polynomials are float multisets and are an input representation, never
 computed from coefficients.
+
+Floats are plain Python complex numbers, and no verdict rests on them.  The
+float helpers serve the root form and the witnesses: `_expand` multiplies out
+a root multiset one factor (z - a) at a time, `_horner` and
+`_formal_derivative` evaluate and differentiate ascending coefficient lists,
+and `_aberth_roots` finds the roots of a polynomial with simple roots by the
+Aberth-Ehrlich iteration (Aberth 1973), started on the circle of Cauchy's
+root bound.  `witness_roots` feeds it the exact squarefree part of a witness
+factor, so the package needs nothing beyond the standard library.
 """
 
+import cmath
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .complexes import PointInProduct, primitive_collections
 
 ROOT_CLUSTER_TOL = 1e-6
+ABERTH_TOL = 1e-12
+ABERTH_MAX_ITER = 100
+ABERTH_START_ANGLE = 0.7
 
 
 class GaussianRational:
@@ -251,11 +263,7 @@ class RationalPoly:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        z = complex(x)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.to_complex()
-        return acc
+        return _horner(self.to_complex_coeffs(), complex(x))
 
     def to_complex_coeffs(self):
         return [c.to_complex() for c in self.coeffs]
@@ -367,9 +375,7 @@ class RootPoly:
 
     def expanded_complex_coeffs(self):
         """Ascending complex coefficients of the monic expansion."""
-        flat = [a for a, m in self.roots for _ in range(m)]
-        desc = np.poly(flat) if flat else np.array([1.0 + 0j])
-        return list(np.asarray(desc, dtype=complex)[::-1])
+        return _expand(a for a, m in self.roots for _ in range(m))
 
     def clusters(self, tol=ROOT_CLUSTER_TOL):
         """Root clusters at relative tolerance, as (center, total multiplicity)."""
@@ -399,6 +405,89 @@ class RootPoly:
 
 def _close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+# -- float helpers -------------------------------------------------------------
+
+def _expand(roots):
+    """Ascending complex coefficients of prod (z - a) over the given roots."""
+    coeffs = [1 + 0j]
+    for a in roots:
+        shifted = [0j] + coeffs
+        for k, c in enumerate(coeffs):
+            shifted[k] -= a * c
+        coeffs = shifted
+    return coeffs
+
+
+def _horner(coeffs, z):
+    """Value at z of the polynomial with ascending coefficients coeffs."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _formal_derivative(coeffs):
+    return [c * k for k, c in enumerate(coeffs)][1:]
+
+
+def _cauchy_bound(p):
+    """Cauchy's root bound of a monic p: the positive root of x^d - sum_{i<d} |p_i| x^i.
+
+    With L = max |p_i|^(1/(d-i)) the bound lies in [L, 2L]; bisection keeps the
+    upper end, so every root of p lies in the closed disc of the returned radius.
+    """
+    mags = [abs(c) for c in p[:-1]]
+    degree = len(mags)
+    lo = max(m ** (1 / (degree - i)) for i, m in enumerate(mags))
+    if not lo:
+        return 0.0
+    hi = 2 * lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if sum(m * mid ** (i - degree) for i, m in enumerate(mags)) < 1:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _aberth_roots(coeffs):
+    """Roots of a polynomial with simple roots by the Aberth-Ehrlich iteration.
+
+    coeffs are ascending complex floats with a nonzero leading coefficient.
+    The start is deterministic: the deg(p) points of the circle of the Cauchy
+    root bound, turned by a fixed angle off the real axis.  Each sweep moves
+    every approximation z_k in place by p / (p' - p * sum_{j != k} 1/(z_k - z_j)).
+    The iteration stops once every correction is below ABERTH_TOL * max(1, |z_k|),
+    or after ABERTH_MAX_ITER sweeps.
+    """
+    lead = coeffs[-1]
+    p = [c / lead for c in coeffs]
+    degree = len(p) - 1
+    if degree < 1:
+        return []
+    dp = _formal_derivative(p)
+    radius = _cauchy_bound(p)
+    zs = [cmath.rect(radius, 2 * math.pi * k / degree + ABERTH_START_ANGLE) for k in range(degree)]
+    for _ in range(ABERTH_MAX_ITER):
+        converged = True
+        for k, z in enumerate(zs):
+            value = _horner(p, z)
+            if not value:
+                continue
+            denom = _horner(dp, z) - value * sum(1 / (z - w) for w in zs if w != z)
+            if not denom:
+                converged = False
+                continue
+            step = value / denom
+            zs[k] = z - step
+            if abs(step) > ABERTH_TOL * max(1.0, abs(z)):
+                converged = False
+        if converged:
+            break
+    return zs
 
 
 class PolySystem:
@@ -504,13 +593,19 @@ def is_member(system, fan, n, tol=ROOT_CLUSTER_TOL):
 
 
 def witness_roots(result):
-    """Float roots of a failed membership check, from the factor or the root."""
+    """Float roots of a failed membership check, each distinct root once.
+
+    A root-form verdict carries its root.  A coefficient-form verdict carries
+    an exact common factor g; its squarefree part g / gcd(g, g') over Q(i) has
+    the same roots, all simple, and `_aberth_roots` finds them.
+    """
     if result.member:
         return []
     if result.witness_root is not None:
         return [result.witness_root]
-    desc = list(reversed(result.witness_factor.to_complex_coeffs()))
-    return [complex(z) for z in np.roots(desc)]
+    g = result.witness_factor
+    squarefree = g.divmod(gcd_monic(g, derivative(g)))[0]
+    return _aberth_roots(squarefree.to_complex_coeffs())
 
 
 def stabilize(system, shifts):
@@ -533,18 +628,19 @@ def stabilize(system, shifts):
     total = n_of(degrees)
     new_polys = []
     for i, poly in enumerate(system.polys):
-        moved = [(phi_map(degrees, alpha), m) for alpha, m in poly.roots]
+        moved = []
+        for alpha, m in poly.roots:
+            try:
+                moved.append((phi_map(degrees, alpha), m))
+            except OverflowError:
+                raise ValueError(
+                    f"polynomial {i}: root {alpha} is too far left for phi_map "
+                    "(exp(-Re) overflows a float)"
+                ) from None
         if a[i]:
             moved.append((complex(total + i + 1), a[i]))
         new_polys.append(RootPoly(tuple(moved)))
     return PolySystem("root", tuple(new_polys), tuple(d + x for d, x in zip(degrees, a)))
-
-
-def _polyder(desc):
-    if len(desc) <= 1:
-        return np.zeros(1, dtype=complex)
-    powers = np.arange(len(desc) - 1, 0, -1, dtype=complex)
-    return desc[:-1] * powers
 
 
 def evaluate_jet(system, n, alpha):
@@ -563,15 +659,13 @@ def evaluate_jet(system, n, alpha):
     else:
         z = complex(alpha)
         for poly in system.polys:
-            asc = poly.expanded_complex_coeffs()
-            desc = np.array(asc[::-1], dtype=complex)
-            base = np.polyval(desc, z)
+            deriv = poly.expanded_complex_coeffs()
+            base = _horner(deriv, z)
             entry = [base]
-            deriv = desc
             for _ in range(1, n):
-                deriv = _polyder(deriv)
-                entry.append(base + np.polyval(deriv, z))
-            blocks.append(tuple(complex(v) for v in entry))
+                deriv = _formal_derivative(deriv)
+                entry.append(base + _horner(deriv, z))
+            blocks.append(tuple(entry))
     return PointInProduct(tuple(blocks))
 
 
@@ -582,6 +676,11 @@ class SystemJsonError(ValueError):
         super().__init__(f"{message} (at {pointer or '/'})")
         self.pointer = pointer
         self.message = message
+
+
+def _is_count(value):
+    """Whether a JSON value is an integer >= 1 (JSON true and false are not)."""
+    return type(value) is int and value >= 1
 
 
 def system_to_json(system):
@@ -602,6 +701,11 @@ def system_from_json(obj):
         degrees = obj.get("degrees")
         if not isinstance(degrees, list) or not degrees:
             raise SystemJsonError("degrees must be a non-empty array", "/degrees")
+        for i, d in enumerate(degrees):
+            if not _is_count(d):
+                raise SystemJsonError(
+                    f"degree must be an integer >= 1, got {json.dumps(d)}", f"/degrees/{i}"
+                )
         polys = obj["polys"]
         if not isinstance(polys, list) or len(polys) != len(degrees):
             raise SystemJsonError("polys must match degrees in length", "/polys")
@@ -631,8 +735,17 @@ def system_from_json(obj):
             if not isinstance(rl, list) or not rl:
                 raise SystemJsonError("each polynomial needs at least one root", f"/roots/{i}")
             try:
-                lists.append(tuple((complex(a, b), int(m)) for a, b, m in rl))
-            except (TypeError, ValueError) as exc:
+                triples = [(complex(a, b), m) for a, b, m in rl]
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SystemJsonError(f"bad root triple: {exc}", f"/roots/{i}") from exc
+            for j, (alpha, m) in enumerate(triples):
+                if not cmath.isfinite(alpha):
+                    raise SystemJsonError("root coordinates must be finite", f"/roots/{i}/{j}")
+                if not _is_count(m):
+                    raise SystemJsonError(
+                        f"root multiplicity must be an integer >= 1, got {json.dumps(m)}",
+                        f"/roots/{i}/{j}",
+                    )
+            lists.append(tuple(triples))
         return PolySystem.root_system(lists)
     raise SystemJsonError("system document needs either 'polys' or 'roots'")

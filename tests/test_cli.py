@@ -472,3 +472,43 @@ def test_fan_reading_commands_never_trace_back(source, command, fixtures_dir, tm
     assert "Traceback" not in err
     if err:
         assert json.loads(err)["tool"] == "toricctl"
+
+
+# system documents that fail the typed checks of system_from_json, with the
+# command that reads them and the JSON pointer of the fault; NaN and Infinity
+# are written as json.dump writes them, which json.load reads back
+_BAD_SYSTEMS = {
+    "multiplicity 0": ({"roots": [[[0.0, 0.0, 0]], [[1.0, 0.0, 1]]]}, "stabilize", "/roots/0/0"),
+    "multiplicity 1.5": ({"roots": [[[0.0, 0.0, 1]], [[1.0, 0.0, 1.5]]]}, "stabilize", "/roots/1/0"),
+    "multiplicity true": ({"roots": [[[0.0, 0.0, 1], [2.0, 0.0, True]]]}, "stabilize", "/roots/0/1"),
+    "string degree": ({"degrees": ["1"], "polys": [[["0", "0"], ["1", "0"]]]}, "jet", "/degrees/0"),
+    "zero degree": ({"degrees": [1, 0], "polys": [[["0", "0"], ["1", "0"]], [["1", "0"]]]},
+                    "jet", "/degrees/1"),
+    "NaN coordinate": ({"roots": [[[float("nan"), 0.0, 1]]]}, "stabilize", "/roots/0/0"),
+    "Infinity coordinate": ({"roots": [[[0.0, float("inf"), 1]]]}, "stabilize", "/roots/0/0"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_BAD_SYSTEMS))
+def test_bad_system_document_exits_parse_error(probe, tmp_path, capsys):
+    doc, command, pointer = _BAD_SYSTEMS[probe]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    argv = ["poly", command, "--system", str(path)]
+    argv += ["--a", "1"] if command == "stabilize" else ["--n", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE and out == ""
+    assert "Traceback" not in err
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and envelope["pointer"] == pointer
+
+
+def test_stabilize_root_beyond_phi_map_range_exits_4(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"roots": [[[0.0, 0.0, 1]], [[-800.0, 0.0, 1]]]}))
+    code, out, err = run_cli(["poly", "stabilize", "--system", str(path), "--a", "1,0"], capsys)
+    assert code == 4 and out == ""
+    assert "Traceback" not in err
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl"
+    assert "polynomial 1" in envelope["error"] and "-800" in envelope["error"]

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricstab import (
     GaussianRational,
+    MembershipResult,
     PolySystem,
     RationalPoly,
+    RootPoly,
     builtin_fan,
     derivative,
     evaluate_jet,
@@ -228,8 +232,7 @@ class TestDiscriminantLink:
             assert any(hits)
 
     def test_member_jets_avoid_arrangement_at_all_roots(self, h1):
-        import numpy as np
-
+        np = pytest.importorskip("numpy")
         rng = random.Random(8)
         k = underlying_complex(h1)
         for _ in range(10):
@@ -291,6 +294,11 @@ class TestStabilize:
     def test_coefficient_form_rejected(self, cp1):
         system = PolySystem.coefficient_system([poly(0, 1), poly(1, 1)])
         with pytest.raises(ValueError):
+            stabilize(system, (1, 0))
+
+    def test_root_beyond_float_range_is_named(self):
+        system = PolySystem.root_system([[(0j, 1)], [(1 + 0j, 1), (-800 + 1j, 2)]])
+        with pytest.raises(ValueError, match=r"polynomial 1: root \(-800\+1j\)"):
             stabilize(system, (1, 0))
 
 
@@ -373,3 +381,130 @@ class TestSystemJson:
         with pytest.raises(SystemJsonError) as err:
             system_from_json({"degrees": [2], "polys": [[["0", "0"], ["1", "0"]]]})
         assert err.value.pointer == "/polys/0"
+
+    @pytest.mark.parametrize("m", [0, -1, 1.5, 2.0, True, "2", None])
+    def test_multiplicity_must_be_a_positive_integer(self, m):
+        with pytest.raises(SystemJsonError) as err:
+            system_from_json({"roots": [[[0.0, 0.0, 1]], [[1.0, 0.0, 1], [2.0, 0.0, m]]]})
+        assert err.value.pointer == "/roots/1/1"
+
+    @pytest.mark.parametrize("d", [0, -2, 1.0, True, "1", None])
+    def test_degrees_must_be_positive_integers(self, d):
+        doc = {"degrees": [1, d], "polys": [[["0", "0"], ["1", "0"]], [["0", "0"], ["1", "0"]]]}
+        with pytest.raises(SystemJsonError) as err:
+            system_from_json(doc)
+        assert err.value.pointer == "/degrees/1"
+
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
+    def test_root_coordinates_must_be_finite(self, coordinate):
+        for triple in ([coordinate, 0.0, 1], [0.0, coordinate, 1]):
+            with pytest.raises(SystemJsonError) as err:
+                system_from_json({"roots": [[[0.0, 0.0, 1], triple]]})
+            assert err.value.pointer == "/roots/0/1"
+
+
+# -- float helpers against numpy, a test-only oracle ----------------------------
+
+@pytest.fixture(scope="module")
+def np():
+    return pytest.importorskip("numpy")
+
+
+def _distinct_gaussians(rng, count):
+    out = []
+    while len(out) < count:
+        z = G(Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4))),
+              Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4))))
+        if z not in out:
+            out.append(z)
+    return out
+
+
+def _same_set(found, expected, tol):
+    return (len(found) == len(expected)
+            and all(min(abs(a - b) for b in expected) <= tol for a in found)
+            and all(min(abs(a - b) for a in found) <= tol for b in expected))
+
+
+def _failed(factor):
+    return MembershipResult(member=False, representation="coefficient",
+                            witness_collection=(0,), witness_factor=factor)
+
+
+class TestFloatHelpersAgainstNumpy:
+    def test_witness_roots_match_numpy_on_planted_systems(self, np):
+        rng = random.Random(41)
+        for name in ("cp(1)", "cp(2)", "hirzebruch(1)"):
+            fan = builtin_fan(name)
+            for _ in range(15):
+                n = rng.randint(2, 3)
+                coeff, _, _ = make_planted_system(fan, n, rng)
+                verdict = is_member(coeff, fan, n)
+                desc = list(reversed(verdict.witness_factor.to_complex_coeffs()))
+                assert _same_set(witness_roots(verdict), list(np.roots(desc)), 1e-9)
+
+    def test_witness_roots_of_repeated_roots_match_numpy_once_each(self, np):
+        rng = random.Random(43)
+        for _ in range(40):
+            distinct = _distinct_gaussians(rng, rng.randint(1, 5))
+            mults = [rng.randint(1, 3) for _ in distinct]
+            factor = RationalPoly.from_roots(list(zip(distinct, mults)))
+            simple = RationalPoly.from_roots([(a, 1) for a in distinct])
+            desc = list(reversed(simple.to_complex_coeffs()))
+            found = witness_roots(_failed(factor))
+            assert _same_set(found, list(np.roots(desc)), 1e-9)
+            assert _same_set(found, [a.to_complex() for a in distinct], 1e-9)
+
+    def test_witness_root_of_a_triple_root_at_zero(self):
+        assert witness_roots(_failed(RationalPoly.from_roots([(ZERO, 3)]))) == [0j]
+
+    @staticmethod
+    def _root_multisets(rng):
+        yield ()  # degree 0
+        yield ((0.5 - 1.5j, 3),)  # one root of multiplicity 3
+        yield ((2 + 0j, 3), (-1j, 1), (0.25 + 0.75j, 2))
+        for _ in range(40):
+            yield tuple((complex(rng.uniform(-4, 4), rng.uniform(-4, 4)), rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 4)))
+
+    def test_expanded_coeffs_match_np_poly(self, np):
+        for roots in self._root_multisets(random.Random(47)):
+            flat = [a for a, m in roots for _ in range(m)]
+            expected = np.atleast_1d(np.poly(flat))[::-1].astype(complex)
+            found = np.array(RootPoly(roots).expanded_complex_coeffs())
+            assert found.shape == expected.shape
+            assert np.max(np.abs(found - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_root_form_jets_match_np_polyval(self, np):
+        rng = random.Random(53)
+        for roots in self._root_multisets(rng):
+            if not roots:
+                continue  # a system polynomial has degree >= 1
+            desc = np.poly([a for a, m in roots for _ in range(m)]).astype(complex)
+            alpha = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            n = rng.randint(1, 6)  # n beyond the degree drives derivatives to zero
+            (block,) = evaluate_jet(PolySystem.root_system([roots]), n, alpha).blocks
+            base = np.polyval(desc, alpha)
+            expected = [base] + [base + np.polyval(np.polyder(desc, k), alpha) for k in range(1, n)]
+            scale = np.polyval(np.abs(desc), abs(alpha))
+            assert len(block) == n
+            assert all(abs(x - y) <= 1e-12 * scale for x, y in zip(block, expected))
+
+
+_small_gaussian = st.builds(
+    G,
+    st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 4))),
+    st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 4))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_small_gaussian, st.integers(1, 3)), min_size=1, max_size=4,
+                unique_by=lambda pair: pair[0]))
+def test_witness_roots_are_roots_of_the_squarefree_part(root_mults):
+    factor = RationalPoly.from_roots(root_mults)
+    squarefree = RationalPoly.from_roots([(a, 1) for a, _ in root_mults])
+    norm = max(abs(c) for c in squarefree.to_complex_coeffs())
+    found = witness_roots(_failed(factor))
+    assert len(found) == len(root_mults)
+    assert all(abs(squarefree.evaluate(r)) <= 1e-9 * norm for r in found)
