@@ -219,53 +219,66 @@ class SimplexError(RuntimeError):
 def lp_feasible(a_rows, b, max_iter=100_000):
     """A point of {x >= 0 : A x = b} by exact phase-one simplex, or None.
 
-    Bland's rule, all arithmetic over Fraction.  The point returned is the
-    phase-one vertex, as a list of Fractions.  Each row of [A | b] is
-    scaled to integers first, so a float entry raises TypeError.
+    Integer pivoting (Edmonds; Avis's lrs): each row of [A | b] is scaled
+    to integers once and negated where b < 0, and the tableau keeps one
+    running denominator d, the last pivot (1 at first).  Every entry is d
+    times its Fraction value and d > 0, so signs are true signs.  A pivot p
+    maps every other row T_i to (p T_i - T_i[enter] T_leave) // d, exact by
+    Sylvester's identity as in `echelon`.  Bland's rule picks the entering
+    column and, comparing ratios by cross-multiplication with ties to the
+    smaller basis index, the leaving row.  The vertex is returned as
+    Fractions over d.  A float entry raises TypeError.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
-    tableau = []
-    for row in _integer_rows([list(a) + [rhs] for a, rhs in zip(a_rows, b)]):
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tableau.append([Fraction(x) for x in row])
+    tableau = [[-x for x in row] if row[-1] < 0 else row
+               for row in _integer_rows([list(a) + [rhs] for a, rhs in zip(a_rows, b)])]
     # objective: sum of artificial variables, expressed through the rows
-    obj = [Fraction(0)] * (ncols + 1)
-    for row in tableau:
-        obj = [a + c for a, c in zip(obj, row)]
+    obj = [sum(col) for col in zip(*tableau)] if tableau else [0] * (ncols + 1)
     basis = [ncols + i for i in range(nrows)]  # artificials carry large indices
+    d = 1
 
     for _ in range(max_iter):
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
             if obj[-1] != 0:
                 return None
-            x = [Fraction(0)] * ncols
+            x = [0] * ncols
             for row, var in zip(tableau, basis):
                 if var < ncols:
                     x[var] = row[-1]
-            return x
-        # Bland ratio test: smallest ratio, ties by smallest basis index
+            return [Fraction(v, d) for v in x]
+        # Bland ratio test: smallest rhs/coef, ties by smallest basis index
         leave = None
-        best = None
-        for i in range(nrows):
-            coef = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            coef = row[enter]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                top = tableau[leave]
+                lhs, rhs = row[-1] * top[enter], top[-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise SimplexError("phase-one objective unbounded")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
-        for i in range(nrows):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * p for a, p in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * p for a, p in zip(obj, tableau[leave])]
+        top = tableau[leave]
+        p = top[enter]
+        for i, row in enumerate(tableau):
+            if i != leave:
+                tableau[i] = _pivot_row(row, top, p, enter, d)
+        obj = _pivot_row(obj, top, p, enter, d)
+        d = p
         basis[leave] = enter
     raise SimplexError("simplex iteration cap exceeded")
+
+
+def _pivot_row(row, top, p, enter, d):
+    """(p row - row[enter] top) // d; a row that is 0 in the pivot column is
+    only rescaled by p / d."""
+    f = row[enter]
+    if f:
+        return [(p * x - f * t) // d for x, t in zip(row, top)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]

@@ -27,6 +27,24 @@ ROOT_CLUSTER_TOL = 1e-6
 ABERTH_TOL = 1e-12
 ABERTH_MAX_ITER = 100
 ABERTH_START_ANGLE = 0.7
+# Python's default limit on the digits of an int converted from or to str
+MAX_COEFFICIENT_DIGITS = 4300
+
+
+def _rational(value):
+    """Fraction of an int, a float or a decimal, fraction or exponent string.
+
+    Exponent notation is read before Fraction sees it: when the mantissa's
+    digits plus the exponent's magnitude exceed MAX_COEFFICIENT_DIGITS it
+    raises ValueError, so no huge power of ten is built and every value
+    read can be printed back.
+    """
+    text = str(value)
+    if "e" in text or "E" in text:
+        mantissa, _, exponent = text.lower().rpartition("e")
+        if sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_COEFFICIENT_DIGITS:
+            raise ValueError(f"exponent notation beyond {MAX_COEFFICIENT_DIGITS} digits")
+    return Fraction(text)
 
 
 class GaussianRational:
@@ -45,7 +63,7 @@ class GaussianRational:
     def from_pair(cls, pair):
         if len(pair) != 2:
             raise ValueError("coefficient must be a [re, im] pair")
-        return cls(Fraction(str(pair[0])), Fraction(str(pair[1])))
+        return cls(_rational(pair[0]), _rational(pair[1]))
 
     def to_pair(self):
         return [str(self.re), str(self.im)]
@@ -738,7 +756,9 @@ def system_from_json(obj):
                 triples = [(complex(a, b), m) for a, b, m in rl]
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SystemJsonError(f"bad root triple: {exc}", f"/roots/{i}") from exc
-            for j, (alpha, m) in enumerate(triples):
+            for j, ((alpha, m), (a, b, _)) in enumerate(zip(triples, rl)):
+                if type(a) not in (int, float) or type(b) not in (int, float):
+                    raise SystemJsonError("root coordinates must be numbers", f"/roots/{i}/{j}")
                 if not cmath.isfinite(alpha):
                     raise SystemJsonError("root coordinates must be finite", f"/roots/{i}/{j}")
                 if not _is_count(m):

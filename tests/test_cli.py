@@ -486,6 +486,8 @@ _BAD_SYSTEMS = {
                     "jet", "/degrees/1"),
     "NaN coordinate": ({"roots": [[[float("nan"), 0.0, 1]]]}, "stabilize", "/roots/0/0"),
     "Infinity coordinate": ({"roots": [[[0.0, float("inf"), 1]]]}, "stabilize", "/roots/0/0"),
+    "boolean coordinate": ({"roots": [[[True, False, 1]], [[1.0, 0.0, 1]]]}, "stabilize",
+                           "/roots/0/0"),
 }
 
 
@@ -501,6 +503,24 @@ def test_bad_system_document_exits_parse_error(probe, tmp_path, capsys):
     assert "Traceback" not in err
     envelope = json.loads(err)
     assert envelope["tool"] == "toricctl" and envelope["pointer"] == pointer
+
+
+@pytest.mark.parametrize("coefficient", ["1e400000", "1e999999999"])
+def test_exponent_beyond_printable_digits_exits_parse_error(coefficient, fixtures_dir, tmp_path,
+                                                            capsys):
+    # read as an exact rational this is a 400001- or 10^9-digit integer
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"degrees": [1, 1], "polys": [[["0", "0"], ["1", "0"]],
+                                                             [[coefficient, "0"], ["1", "0"]]]}))
+    argv = ["poly", "check", "--fan", str(fixtures_dir / "cp1.json"), "--n", "1",
+            "--system", str(path)]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_PARSE and out == ""
+    assert "Traceback" not in err
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and envelope["pointer"] == "/polys/1"
 
 
 def test_stabilize_root_beyond_phi_map_range_exits_4(tmp_path, capsys):

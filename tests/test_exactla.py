@@ -1,15 +1,19 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricstab import builtin_fan, load_fan
+from toricstab import Fan, builtin_fan, exactla, fans, load_fan
 from toricstab.exactla import (
     P,
+    SimplexError,
+    _integer_rows,
     _rank_mod_p,
     echelon,
     lp_feasible,
@@ -254,3 +258,154 @@ def test_lp_feasible_on_farkas_infeasible_systems():
         a = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
         assert lp_feasible(a, b) is None
         built += 1
+
+
+def _fraction_simplex(a_rows, b, max_iter=100_000):
+    """Reference for lp_feasible: the same Bland phase-one simplex with
+    every tableau entry a Fraction, dividing the pivot row by the pivot."""
+    nrows = len(a_rows)
+    ncols = len(a_rows[0]) if nrows else 0
+    tableau = []
+    for row in _integer_rows([list(a) + [rhs] for a, rhs in zip(a_rows, b)]):
+        if row[-1] < 0:
+            row = [-x for x in row]
+        tableau.append([Fraction(x) for x in row])
+    # objective: sum of artificial variables, expressed through the rows
+    obj = [Fraction(0)] * (ncols + 1)
+    for row in tableau:
+        obj = [a + c for a, c in zip(obj, row)]
+    basis = [ncols + i for i in range(nrows)]  # artificials carry large indices
+
+    for _ in range(max_iter):
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        if enter is None:
+            if obj[-1] != 0:
+                return None
+            x = [Fraction(0)] * ncols
+            for row, var in zip(tableau, basis):
+                if var < ncols:
+                    x[var] = row[-1]
+            return x
+        # Bland ratio test: smallest ratio, ties by smallest basis index
+        leave = None
+        best = None
+        for i in range(nrows):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise SimplexError("phase-one objective unbounded")
+        pivot = tableau[leave][enter]
+        tableau[leave] = [x / pivot for x in tableau[leave]]
+        for i in range(nrows):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * p for a, p in zip(tableau[i], tableau[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * p for a, p in zip(obj, tableau[leave])]
+        basis[leave] = enter
+    raise SimplexError("simplex iteration cap exceeded")
+
+
+_LP_ENTRIES = st.one_of(st.integers(-6, 6), _FRACTIONS)
+_LP_WEIGHTS = st.one_of(st.just(0), st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)))
+
+
+@st.composite
+def lp_problems(draw):
+    """(A, b, feasible): 1-6 rows and 1-9 columns of ints and Fractions,
+    sometimes with a repeated row or a zero column; b is A x0 for some
+    x0 >= 0 (feasible by construction), zero, or drawn at random."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 9))
+    a = draw(st.lists(st.lists(_LP_ENTRIES, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        a[-1] = list(a[draw(st.integers(0, rows - 2))])
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in a:
+            row[zero] = 0
+    kind = draw(st.sampled_from(("constructed", "zero", "random")))
+    if kind == "constructed":
+        x0 = draw(st.lists(_LP_WEIGHTS, min_size=cols, max_size=cols))
+        b = [sum((c * x for c, x in zip(row, x0)), Fraction(0)) for row in a]
+    elif kind == "zero":
+        b = [0] * rows
+    else:
+        b = draw(st.lists(_LP_ENTRIES, min_size=rows, max_size=rows))
+    return a, b, kind != "random"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_problems())
+@example(([[1, 2, -1], [1, 2, -1], [0, 1, 1]], [3, 3, 1], True))  # repeated row
+@example(([[1, -1, 0], [Fraction(1, 2), 3, -2]], [0, 0], True))  # b = 0
+@example(([[0, 1, -1], [0, 2, 1]], [1, Fraction(-1, 3)], False))  # zero column
+# a tie in the ratio test, which Bland's rule breaks by the smaller basis index
+@example(([[1, -1, 1, 1], [-2, -1, 0, 2], [-1, 0, -1, -1]], [-2, -2, -1], True))
+def test_lp_feasible_matches_fraction_simplex(problem):
+    a, b, feasible = problem
+    x = lp_feasible(a, b)
+    assert x == _fraction_simplex(a, b)
+    if feasible:
+        assert x is not None
+
+
+def _random_rgon_rays(rng, r):
+    """r primitive rays of height <= 4 in angular order, each consecutive
+    pair strictly convex: the rays of a complete planar fan."""
+    pool = [(u, v) for u in range(-4, 5) for v in range(-4, 5) if gcd(u, v) == 1]
+    while True:
+        rays = sorted(rng.sample(pool, r), key=lambda w: math.atan2(w[1], w[0]))
+        pairs = zip(rays, rays[1:] + rays[:1])
+        if all(p[0] * q[1] - p[1] * q[0] > 0 for p, q in pairs):
+            return rays
+
+
+def test_escape_verdicts_match_fraction_simplex(monkeypatch):
+    # every strong-convexity and pair LP of a validation, on complete planar
+    # r-gons and on the same r-gons with an overlapping three-ray cone added
+    rng = random.Random(73)
+    for _ in range(16):
+        r = rng.randint(3, 9)
+        rays = _random_rgon_rays(rng, r)
+        cones = [frozenset({i, (i + 1) % r}) for i in range(r)]
+        k = rng.randrange(r)
+        overlap = frozenset({k, (k + 1) % r, (k + 2) % r})
+        for listed, valid in ((cones, True), (cones + [overlap], False)):
+            fan = Fan(2, rays, listed)
+            queries = [(a, frozenset()) for a in listed] + list(combinations(listed, 2))
+            verdicts = [fans._escapes(fan, a, b) for a, b in queries]
+            with monkeypatch.context() as patch:
+                patch.setattr(fans, "lp_feasible", _fraction_simplex)
+                assert [fans._escapes(fan, a, b) for a, b in queries] == verdicts
+            assert any(verdicts) is not valid
+
+
+def test_lp_feasible_builds_fractions_only_at_return(monkeypatch):
+    # pivoting is integral: a solve builds one Fraction per coordinate of the
+    # vertex it returns, and none when it returns None
+    built = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(exactla, "Fraction", CountedFraction)
+    rng = random.Random(502)
+    outcomes = set()
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(2, 8)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-5, 5) for _ in range(m)]
+        built.clear()
+        x = lp_feasible(a, b)
+        outcomes.add(x is None)
+        assert len(built) == (0 if x is None else n)
+    assert outcomes == {True, False}

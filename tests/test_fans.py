@@ -333,6 +333,16 @@ class TestFanPower:
         assert not report.ok
         assert any(v.kind == "strong-convexity" for v in report.violations)
 
+    def test_hirzebruch_cube_validates_fast(self, h1):
+        import time
+
+        p = fan_power(h1, 3)
+        start = time.perf_counter()
+        report = validate_fan(p)
+        # dimension 6, 12 rays, 36 non-simplicial cones: one LP per cone and per pair
+        assert time.perf_counter() - start < 0.5
+        assert not report.ok
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=8),

@@ -58,6 +58,17 @@ class TestGaussianRational:
         a = G.from_pair(["3/2", "-1/4"])
         assert a.to_pair() == ["3/2", "-1/4"]
 
+    def test_pair_decimal_and_exponent_forms(self):
+        assert G.from_pair(["0.5", "-1/3"]) == G(Fraction(1, 2), Fraction(-1, 3))
+        assert G.from_pair(["2.5e-3", "1E2"]) == G(Fraction(1, 400), 100)
+        # 4300 digits print back; one more would not
+        assert len(G.from_pair(["1e4299", "0"]).to_pair()[0]) == 4300
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "12e4299", "1e999999999", "1e+" + "9" * 5000])
+    def test_pair_beyond_printable_digits_rejected(self, text):
+        with pytest.raises(ValueError):
+            G.from_pair([text, "0"])
+
 
 class TestDerivative:
     def test_first_derivative(self):
