@@ -1,9 +1,10 @@
 """toricctl: JSON-speaking command-line front end for the library kernels.
 
 Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid fan,
-4 shape mismatch, 5 enumeration cap exceeded.  All reports embed the tool
-version, a digest of the canonicalized input, and the formula the verdict
-rests on.  Randomized suites surface their seed; TORICCTL_SEED overrides it.
+4 shape mismatch, 5 enumeration cap exceeded or output too large to
+print.  All reports embed the tool version, a digest of the canonicalized
+input, and the formula the verdict rests on.  Randomized suites surface
+their seed; TORICCTL_SEED overrides it.
 """
 
 import argparse
@@ -37,6 +38,7 @@ from .fans import (
     validate_fan,
 )
 from .polynomials import (
+    MAX_COEFFICIENT_DIGITS,
     SystemJsonError,
     is_member,
     jet,
@@ -267,6 +269,15 @@ def cmd_complex_primitives(args):
 
 # -- poly ---------------------------------------------------------------------
 
+def _coefficient_pairs(poly):
+    """The [re, im] strings of poly's coefficients; exit 5 for a caller who
+    asks for an integer beyond the digits Python prints."""
+    try:
+        return [c.to_pair() for c in poly.coeffs]
+    except ValueError:
+        _fail(EXIT_CAP, f"a coefficient has more than {MAX_COEFFICIENT_DIGITS} digits to print")
+
+
 def cmd_poly_check(args):
     fan, fan_raw, _ = _load_fan(args.fan)
     system, sys_raw = _load_system(args.system)
@@ -283,7 +294,7 @@ def cmd_poly_check(args):
     else:
         witness = {"collection": [i + 1 for i in verdict.witness_collection], "indexing": "1-based"}
         if verdict.witness_factor is not None:
-            witness["common_factor"] = [c.to_pair() for c in verdict.witness_factor.coeffs]
+            witness["common_factor"] = _coefficient_pairs(verdict.witness_factor)
         if verdict.witness_root is not None:
             witness["common_root"] = [verdict.witness_root.real, verdict.witness_root.imag]
         out["witness"] = witness
@@ -321,7 +332,7 @@ def cmd_poly_jet(args):
     out = _meta("poly jet", _canonical_hash(raw))
     out["n"] = args.n
     out["jets"] = [
-        [[c.to_pair() for c in entry.coeffs] for entry in jet(p, args.n).entries]
+        [_coefficient_pairs(entry) for entry in jet(p, args.n).entries]
         for p in system.polys
     ]
     _emit(out)

@@ -5,6 +5,21 @@ exactly representable subfield the gcd and jet computations need.  Root-form
 polynomials are float multisets and are an input representation, never
 computed from coefficients.
 
+Membership in coefficient form is certified modulo P = 2^61 - 1, the prime
+`exactla.rank` uses.  P is 3 mod 4, so F_P[i] is the field F_(P^2), and the
+gcd of f_i, f_i', ..., f_i^(n-1) over a primitive collection is taken there
+by the pair-list arithmetic of `modular`.  The bound is one-sided: when P
+divides no denominator of the f_i, the monic gcd over Q(i), a monic factor
+of monic f_i, has none either, and it reduces to a divisor of the gcd
+modulo P.  A constant gcd modulo P therefore proves the collection
+harmless.  A non-constant one is rationally reconstructed (Wang 1981; von
+zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 5-6) and verified on
+Gaussian integers: scaled by its denominators, it must leave a zero
+pseudo-remainder on every f_i^(k).  A divisor of the exact gcd of at least
+its degree is the exact gcd.  Where the certificate cannot decide (a
+denominator divisible by P, a failed reconstruction or division) that
+collection falls back to `mult_part` and `gcd_monic`, Euclid over Q(i).
+
 Floats are plain Python complex numbers, and no verdict rests on them.  The
 float helpers serve the root form and the witnesses: `_expand` multiplies out
 a root multiset one factor (z - a) at a time, `_horner` and
@@ -27,6 +42,9 @@ ROOT_CLUSTER_TOL = 1e-6
 ABERTH_TOL = 1e-12
 ABERTH_MAX_ITER = 100
 ABERTH_START_ANGLE = 0.7
+# the unit roundoff 2^-53 times 4: a complex product or sum rounds by at most
+# 2 * sqrt(2) times the unit roundoff of each part
+ABERTH_ROUNDING = 4 * 2.0 ** -53
 # Python's default limit on the digits of an int converted from or to str
 MAX_COEFFICIENT_DIGITS = 4300
 
@@ -446,6 +464,21 @@ def _horner(coeffs, z):
     return acc
 
 
+def _horner_with_bound(coeffs, z):
+    """(p(z), e): Horner's value with its running error bound (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Alg. 5.1), so that the
+    computed value is within e of the exact one.  The bound's unit roundoff
+    is scaled by ABERTH_ROUNDING for complex products and sums.
+    """
+    acc = 0j
+    mu = 0.0
+    r = abs(z)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+        mu = mu * r + abs(acc)
+    return acc, ABERTH_ROUNDING * (2 * mu - abs(acc))
+
+
 def _formal_derivative(coeffs):
     return [c * k for k, c in enumerate(coeffs)][1:]
 
@@ -478,8 +511,10 @@ def _aberth_roots(coeffs):
     The start is deterministic: the deg(p) points of the circle of the Cauchy
     root bound, turned by a fixed angle off the real axis.  Each sweep moves
     every approximation z_k in place by p / (p' - p * sum_{j != k} 1/(z_k - z_j)).
-    The iteration stops once every correction is below ABERTH_TOL * max(1, |z_k|),
-    or after ABERTH_MAX_ITER sweeps.
+    The iteration stops after a sweep in which every correction is below
+    ABERTH_TOL * max(1, |z_k|) or every |p(z_k)| is within Horner's running
+    error bound, so at rounding level where no further sweep can help, or
+    after ABERTH_MAX_ITER sweeps.
     """
     lead = coeffs[-1]
     p = [c / lead for c in coeffs]
@@ -490,11 +525,13 @@ def _aberth_roots(coeffs):
     radius = _cauchy_bound(p)
     zs = [cmath.rect(radius, 2 * math.pi * k / degree + ABERTH_START_ANGLE) for k in range(degree)]
     for _ in range(ABERTH_MAX_ITER):
-        converged = True
+        converged = at_rounding = True
         for k, z in enumerate(zs):
-            value = _horner(p, z)
+            value, bound = _horner_with_bound(p, z)
             if not value:
                 continue
+            if abs(value) > bound:
+                at_rounding = False
             denom = _horner(dp, z) - value * sum(1 / (z - w) for w in zs if w != z)
             if not denom:
                 converged = False
@@ -503,7 +540,7 @@ def _aberth_roots(coeffs):
             zs[k] = z - step
             if abs(step) > ABERTH_TOL * max(1.0, abs(z)):
                 converged = False
-        if converged:
+        if converged or at_rounding:
             break
     return zs
 
@@ -560,9 +597,22 @@ class MembershipResult:
 def is_member(system, fan, n, tol=ROOT_CLUSTER_TOL):
     """Whether no primitive collection shares a root of multiplicity >= n.
 
-    Coefficient form decides exactly through gcds; root form clusters the
-    declared roots at the given relative tolerance.  On failure the result
-    carries the offending collection and the common factor or root.
+    Coefficient form decides exactly through the gcd of f_i, f_i', ...,
+    f_i^(n-1) over each primitive collection, certified modulo P = 2^61 - 1
+    first.  The f_i are monic, so when P divides none of their denominators
+    the monic gcd over Q(i) reduces to a divisor of the gcd modulo P, and a
+    constant gcd modulo P proves the collection harmless: the bound is
+    one-sided, as `exactla.rank` is.  A non-constant gcd modulo P is
+    rationally reconstructed and must divide every f_i^(k), checked by
+    pseudo-division on Gaussian integers; a common divisor of at least the
+    exact gcd's degree is that gcd.  What the certificate cannot decide (a
+    denominator divisible by P, a failed reconstruction or division) falls
+    back to `mult_part` and `gcd_monic` on that collection only, so the
+    verdict, the collection and the factor are those of Euclid over Q(i).
+
+    Root form clusters the declared roots at the given relative tolerance.
+    On failure the result carries the offending collection and the common
+    factor or root.
     """
     n = int(n)
     if n < 1:
@@ -572,20 +622,33 @@ def is_member(system, fan, n, tol=ROOT_CLUSTER_TOL):
         raise ValueError(f"system has {system.r} polynomials, fan has {fan.ray_count} rays")
 
     if system.form == "coefficient":
-        parts = {}
+        # imported on first use: toricctl commands that never test
+        # membership then do not load it at start-up
+        from .modular import certified_gcd, mult_part_mod_p
+
+        parts, mod_parts = {}, {}
 
         def part(i):
             if i not in parts:
                 parts[i] = mult_part(system.polys[i], n)
             return parts[i]
 
+        def mod_part(i):
+            if i not in mod_parts:
+                mod_parts[i] = mult_part_mod_p(system.polys[i], n)
+            return mod_parts[i]
+
         for sigma in prims:
             idx = sorted(sigma)
-            g = part(idx[0])
-            for i in idx[1:]:
-                if g.degree == 0:
-                    break
-                g = gcd_monic(g, part(i))
+            pairs = certified_gcd([system.polys[i] for i in idx], [mod_part(i) for i in idx], n)
+            if pairs is not None:
+                g = RationalPoly([GaussianRational(re, im) for re, im in pairs])
+            else:
+                g = part(idx[0])
+                for i in idx[1:]:
+                    if g.degree == 0:
+                        break
+                    g = gcd_monic(g, part(i))
             if g.degree >= 1:
                 return MembershipResult(
                     member=False,

@@ -523,6 +523,22 @@ def test_exponent_beyond_printable_digits_exits_parse_error(coefficient, fixture
     assert envelope["tool"] == "toricctl" and envelope["pointer"] == "/polys/1"
 
 
+def test_jet_beyond_printable_digits_exits_cap(tmp_path, capsys):
+    # each coefficient parses, but the derivative doubles N to 4301 digits
+    big = "9" * 4300
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"degrees": [2, 2], "polys": [
+        [["0", "0"], [big, "0"], ["1", "0"]], [["1", "0"], [big, "0"], ["1", "0"]]]}))
+    code, out, err = run_cli(["poly", "jet", "--system", str(path), "--n", "2"], capsys)
+    assert code == 5 and out == ""
+    assert "Traceback" not in err
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and "4300" in envelope["error"]
+    # the same system prints at n = 1, where no coefficient grows
+    code, out, _ = run_cli(["poly", "jet", "--system", str(path), "--n", "1"], capsys)
+    assert code == 0 and json.loads(out)["jets"][0][0][1] == [big, "0"]
+
+
 def test_stabilize_root_beyond_phi_map_range_exits_4(tmp_path, capsys):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"roots": [[[0.0, 0.0, 1]], [[-800.0, 0.0, 1]]]}))

@@ -20,6 +20,16 @@ def test_cli_import_loads_neither_numpy_nor_oracles():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_cli_import_leaves_the_membership_certificate_unloaded():
+    # is_member imports it on first use, off the start-up path of toricctl
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import toricstab.cli, sys; print('toricstab.modular' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]

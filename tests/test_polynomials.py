@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricstab import polynomials
 from toricstab import (
     GaussianRational,
     MembershipResult,
@@ -16,6 +18,7 @@ from toricstab import (
     builtin_fan,
     derivative,
     evaluate_jet,
+    gcd_monic,
     in_arrangement,
     in_polyhedral_product,
     is_member,
@@ -24,12 +27,14 @@ from toricstab import (
     mult_part,
     n_of,
     phi_map,
+    primitive_collections,
     stabilize,
     system_from_json,
     system_to_json,
     underlying_complex,
     witness_roots,
 )
+from toricstab.exactla import P
 from toricstab.oracles import make_generic_system, make_planted_system
 from toricstab.polynomials import SystemJsonError
 
@@ -519,3 +524,188 @@ def test_witness_roots_are_roots_of_the_squarefree_part(root_mults):
     found = witness_roots(_failed(factor))
     assert len(found) == len(root_mults)
     assert all(abs(squarefree.evaluate(r)) <= 1e-9 * norm for r in found)
+
+
+# -- the modular membership certificate against the exact Euclid ------------------
+
+def _reference_is_member(system, fan, n):
+    """The coefficient-form loop of is_member before its certificate modulo P:
+    Euclid over Q(i) through mult_part and gcd_monic on every collection."""
+    prims = sorted(primitive_collections(fan), key=lambda s: (len(s), sorted(s)))
+    for sigma in prims:
+        idx = sorted(sigma)
+        g = mult_part(system.polys[idx[0]], n)
+        for i in idx[1:]:
+            if g.degree == 0:
+                break
+            g = gcd_monic(g, mult_part(system.polys[i], n))
+        if g.degree >= 1:
+            return MembershipResult(member=False, representation="coefficient",
+                                    witness_collection=tuple(idx), witness_factor=g)
+    return MembershipResult(member=True, representation="coefficient")
+
+
+_CERTIFICATE_FANS = {name: builtin_fan(name)
+                     for name in ("cp(1)", "cp(2)", "hirzebruch(1)", "hirzebruch(2)")}
+
+
+@st.composite
+def _membership_cases(draw):
+    """A fan, n in 1..3 and a coefficient system whose roots come from one small
+    pool with multiplicities up to n + 1, so that collections share roots of
+    every multiplicity; optionally one primitive collection gets one or two
+    planted roots of multiplicity n or n + 1 on each of its polynomials."""
+    fan = _CERTIFICATE_FANS[draw(st.sampled_from(sorted(_CERTIFICATE_FANS)))]
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(_small_gaussian, min_size=2, max_size=7, unique=True))
+    root_lists = [
+        draw(st.dictionaries(st.sampled_from(pool), st.integers(1, n + 1), min_size=1, max_size=3))
+        for _ in range(fan.ray_count)
+    ]
+    prims = sorted(sorted(s) for s in primitive_collections(fan))
+    planted = draw(st.sampled_from([None] + prims))
+    if planted is not None:
+        shared = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+        mult = draw(st.sampled_from((n, n + 1)))
+        for i in planted:
+            for alpha in shared:
+                root_lists[i][alpha] = max(root_lists[i].get(alpha, 0), mult)
+    system = PolySystem.coefficient_system(
+        [RationalPoly.from_roots(list(roots.items())) for roots in root_lists])
+    return system, fan, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_membership_cases())
+def test_certificate_matches_exact_euclid(case):
+    system, fan, n = case
+    assert is_member(system, fan, n) == _reference_is_member(system, fan, n)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Names of the exact-Euclid functions is_member calls, in call order."""
+    calls = []
+    for name in ("mult_part", "gcd_monic"):
+        real = getattr(polynomials, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(polynomials, name, counted)
+    return calls
+
+
+class TestModularCertificate:
+    def test_members_and_planted_systems_skip_the_exact_euclid(self, exact_calls):
+        rng = random.Random(61)
+        for fan in _CERTIFICATE_FANS.values():
+            for n in (2, 3):
+                for _ in range(4):
+                    generic, _ = make_generic_system(fan, n, rng)
+                    assert is_member(generic, fan, n).member
+                    planted, _, _ = make_planted_system(fan, n, rng)
+                    verdict = is_member(planted, fan, n)
+                    assert exact_calls == []
+                    # the reference itself runs gcd_monic through the patch
+                    assert verdict == _reference_is_member(planted, fan, n)
+                    assert not verdict.member
+                    exact_calls.clear()
+
+    def test_witness_of_degree_two_is_reconstructed(self, h1, exact_calls):
+        # two shared double roots on {0, 2} and a triple root on {1, 3}: n = 2
+        a, b = G(Fraction(1, 3), -2), G(Fraction(-5, 4), Fraction(7, 2))
+        both = RationalPoly.from_roots([(a, 2), (b, 2), (G(9), 1)])
+        triple = RationalPoly.from_roots([(G(0, 1), 3)])
+        system = PolySystem.coefficient_system([both, triple, both, triple])
+        verdict = is_member(system, h1, 2)
+        assert verdict.witness_collection == (0, 2)
+        assert verdict.witness_factor == RationalPoly.from_roots([(a, 1), (b, 1)])
+        system = PolySystem.coefficient_system([triple, triple, both, triple])
+        verdict = is_member(system, h1, 2)
+        assert verdict.witness_collection == (1, 3)
+        assert verdict.witness_factor == RationalPoly.from_roots([(G(0, 1), 2)])
+        assert exact_calls == []
+
+    def test_denominator_divisible_by_p_falls_back(self, cp1, exact_calls):
+        # 1/P has no residue modulo P, so only the exact Euclid can decide
+        tiny = G(Fraction(1, P), 2)
+        heavy = RationalPoly.from_roots([(tiny, 2), (G(1), 1)])
+        planted = PolySystem.coefficient_system([heavy, RationalPoly.from_roots([(tiny, 2)])])
+        verdict = is_member(planted, cp1, 2)
+        assert "mult_part" in exact_calls
+        assert verdict == _reference_is_member(planted, cp1, 2)
+        assert verdict.witness_factor == RationalPoly.from_roots([(tiny, 1)])
+        exact_calls.clear()
+        split = PolySystem.coefficient_system([heavy, RationalPoly.from_roots([(tiny, 1), (G(3), 2)])])
+        verdict = is_member(split, cp1, 2)
+        assert "mult_part" in exact_calls
+        assert verdict.member and verdict == _reference_is_member(split, cp1, 2)
+
+    def test_witness_beyond_reconstruction_bound_falls_back(self, cp2, exact_calls):
+        # a root of height about 2^40: the witness z - alpha has no
+        # reconstruction within 2^30, so the exact Euclid supplies it
+        alpha = G((1 << 40) + 3, -((1 << 39) + 7))
+        shared = RationalPoly.from_roots([(alpha, 3)])
+        system = PolySystem.coefficient_system(
+            [shared, RationalPoly.from_roots([(alpha, 3), (G(1), 1)]), shared])
+        for n in (1, 2, 3):
+            exact_calls.clear()
+            verdict = is_member(system, cp2, n)
+            assert "mult_part" in exact_calls
+            assert verdict == _reference_is_member(system, cp2, n)
+            assert verdict.witness_factor == RationalPoly.from_roots([(alpha, 4 - n)])
+
+    def test_residues_that_collide_modulo_p_fall_back(self, cp1, exact_calls):
+        # 0 and P are distinct roots with equal residues: the gcd modulo P is z,
+        # which does not divide (z - P)^2, and the exact Euclid finds no factor
+        system = PolySystem.coefficient_system(
+            [RationalPoly.from_roots([(ZERO, 2)]), RationalPoly.from_roots([(G(P), 2)])])
+        verdict = is_member(system, cp1, 2)
+        assert "gcd_monic" in exact_calls
+        assert verdict.member and verdict == _reference_is_member(system, cp1, 2)
+        # z (z - P) is z^2 modulo P: z divides both polynomials exactly but
+        # not their derivatives, so only the full check rejects it
+        exact_calls.clear()
+        split = RationalPoly.from_roots([(ZERO, 1), (G(P), 1)])
+        system = PolySystem.coefficient_system([split, split])
+        verdict = is_member(system, cp1, 2)
+        assert "mult_part" in exact_calls
+        assert verdict.member and verdict == _reference_is_member(system, cp1, 2)
+
+
+def test_generic_degree_24_system_is_certified_fast(h1):
+    # the exact Euclid takes about half a second on this system
+    rng = random.Random(24)
+    polys = [RationalPoly.from_roots([(a, 1) for a in _distinct_gaussians(rng, 24)])
+             for _ in range(h1.ray_count)]
+    system = PolySystem.coefficient_system(polys)
+    for n in (2, 3):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            verdict = is_member(system, h1, n)
+            best = min(best, time.perf_counter() - start)
+            assert verdict.member
+        assert best < 0.05, f"n = {n}: {best * 1e3:.1f} ms"
+
+
+@pytest.mark.parametrize("seed", [24, 28, 36])
+def test_aberth_stops_at_rounding_level(seed, monkeypatch):
+    # these degree-20 polynomials leave corrections stalled above 1e-12
+    # relative, and without the backward-error stop all 100 sweeps ran
+    rng = random.Random(seed)
+    roots = [complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(20)]
+    calls = []
+    real = polynomials._horner
+
+    def counted(coeffs, z):
+        calls.append(z)
+        return real(coeffs, z)
+
+    monkeypatch.setattr(polynomials, "_horner", counted)
+    found = polynomials._aberth_roots(polynomials._expand(roots))
+    # one evaluation of p' per root and sweep
+    assert len(calls) <= 40 * len(roots)
+    assert _same_set(found, roots, 1e-6)
