@@ -198,6 +198,8 @@ def cmd_fan_analyze(args):
                 out["e1"] = e1_support(degrees, fan, args.n).to_dict()
         except UndefinedValueError as exc:
             _fail(EXIT_SHAPE, str(exc))
+        except CapExceededError as exc:
+            _fail(EXIT_CAP, str(exc))
     elif args.e1:
         _fail(EXIT_SHAPE, "--e1 needs --degrees")
     _emit(out)
@@ -345,14 +347,11 @@ def cmd_oracle(args):
     from .oracles import run_suite, run_vandermonde
 
     seed = _effective_seed(args)
-    try:
-        if args.suite == "vandermonde" and (args.k or args.n or args.d):
-            result = run_vandermonde(seed, trials=500 if args.trials is None else args.trials,
-                                     k=args.k, n=args.n, d=args.d)
-        else:
-            result = run_suite(args.suite, seed, trials=args.trials)
-    except CapExceededError as exc:
-        _fail(EXIT_CAP, str(exc))
+    if args.suite == "vandermonde" and (args.k or args.n or args.d):
+        result = run_vandermonde(seed, trials=500 if args.trials is None else args.trials,
+                                 k=args.k, n=args.n, d=args.d)
+    else:
+        result = run_suite(args.suite, seed, trials=args.trials)
     out = _meta(f"oracle {args.suite}")
     out.update(result.to_dict())
     _emit(out)
@@ -398,6 +397,8 @@ def cmd_stability_e1(args):
         support = e1_support(degrees, fan, args.n, s_max=args.s_max)
     except UndefinedValueError as exc:
         _fail(EXIT_SHAPE, str(exc))
+    except CapExceededError as exc:
+        _fail(EXIT_CAP, str(exc))
     if args.table:
         print(_render_table(support))
         return EXIT_OK

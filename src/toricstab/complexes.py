@@ -26,6 +26,11 @@ class CapExceededError(ValueError):
 # count.  (P^1)^8 with n = 2 has 2^16 facets and builds in about 0.5 s.
 POWER_FACET_CAP = 1 << 16
 
+# Largest (k, s) window stability.e1_support builds: (d' + 2)(s_max + 1)
+# cells, one dict entry each.  Uncapped, 800k cells took 8.7 s and 931 MB
+# on a 2-vCPU host.
+E1_CELL_CAP = 1 << 16
+
 
 class SimplicialComplex:
     """Abstract simplicial complex on vertices {0, ..., vertex_count - 1}.

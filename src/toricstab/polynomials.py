@@ -250,12 +250,12 @@ class RationalPoly:
         return self + (-other)
 
     def __neg__(self):
-        return RationalPoly(tuple(-c for c in self.coeffs))
+        return RationalPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (GaussianRational, int, Fraction)):
             o = other if isinstance(other, GaussianRational) else GaussianRational(other)
-            return RationalPoly(tuple(c * o for c in self.coeffs))
+            return RationalPoly([c * o for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return RationalPoly.zero()
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -290,7 +290,7 @@ class RationalPoly:
         if self.is_zero:
             return self
         lead = self.coeffs[-1]
-        return RationalPoly(tuple(c / lead for c in self.coeffs))
+        return RationalPoly([c / lead for c in self.coeffs])
 
     def evaluate(self, x):
         """Horner evaluation; exact for GaussianRational x, float otherwise."""
@@ -309,14 +309,13 @@ class RationalPoly:
 
 
 def derivative(poly, order=1):
-    """Formal derivative of the given order, exactly."""
+    """Formal derivative of the given order, exactly: c_i z^i becomes
+    c_i i! / (i - order)! z^(i - order)."""
     order = int(order)
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     cs = poly.coeffs
-    for _ in range(order):
-        cs = tuple(cs[i] * i for i in range(1, len(cs)))
-    return RationalPoly(cs)
+    return RationalPoly([cs[i] * math.perm(i, order) for i in range(order, len(cs))])
 
 
 @dataclass(frozen=True)
@@ -555,7 +554,7 @@ class PolySystem:
             raise ValueError(f"unknown system form {form!r}")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "polys", tuple(polys))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
+        object.__setattr__(self, "degrees", tuple([int(d) for d in degrees]))
         if len(self.polys) != len(self.degrees):
             raise ValueError("degree vector length must match polynomial count")
         if any(d < 1 for d in self.degrees):

@@ -7,17 +7,14 @@ underlying groups are out of scope, only the vanishing ranges are certified.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import isqrt
 
-from .complexes import CapExceededError, dim_config, r_min
+from .complexes import E1_CELL_CAP, CapExceededError, r_min
 from .fans import degree_is_null
-from .hermite import bundle_rank
 
 ZERO = "zero"
 POSSIBLY_NONZERO = "possibly_nonzero"
 TAIL_UNKNOWN = "tail_unknown"
-
-BAND_CAP = 12
 
 
 def stability_dim(degrees, fan, n):
@@ -139,7 +136,8 @@ def e1_support(degrees, fan, n, s_max=None):
     In the band 1 <= k <= d' a cell vanishes exactly when the dual degree
     2nrk - s falls outside [0, dim of the k-point configuration stratum];
     the truncation column k = d' + 1 vanishes up to the known edge and is
-    unknown above it.
+    unknown above it.  A window of more than E1_CELL_CAP cells, counted
+    before any is built, raises CapExceededError.
     """
     n = int(n)
     if n < 2:
@@ -152,6 +150,9 @@ def e1_support(degrees, fan, n, s_max=None):
     if s_max is None:
         s_max = stability_dim(degrees, fan, n) + 2 * n * rm + 4
     s_min = 0
+    count = (d_prime + 2) * (s_max - s_min + 1)
+    if count > E1_CELL_CAP:
+        raise CapExceededError(f"the e1 window is capped at {E1_CELL_CAP} cells, this one has {count}")
     cells = {}
     for k in range(0, d_prime + 2):
         for s in range(s_min, s_max + 1):
@@ -189,7 +190,7 @@ def _cell_status(k, s, d_prime, rm, n, r):
 
 @dataclass(frozen=True)
 class BandResult:
-    """Minimal s - k over the unknown bands, by brute force and closed form."""
+    """Minimal s - k over each comparison-failure band t, and over all of them."""
 
     value: int
     per_t: dict
@@ -199,77 +200,43 @@ class BandResult:
         return {
             "value": self.value,
             "empty": self.empty,
-            "per_t": {str(t): {"brute": b, "closed": c} for t, (b, c) in sorted(self.per_t.items())},
+            "per_t": {str(t): v for t, v in sorted(self.per_t.items())},
         }
 
 
 def min_unknown_band(degrees, fan, n):
-    """min over the comparison-failure bands of s - k, two ways.
+    """min over the comparison-failure bands of s - k, in closed form.
 
-    Brute force enumerates strictly increasing tuples (l_1 < ... < l_t) of
-    positive integers with u + sum l_j = d' + 1 and reads off the minimal
-    s - k; the closed form is (2 n r_min - 3) d' + t - 1 per t.  The two
-    must agree, and the overall minimum must equal stability_dim + 2.
+    Band t holds the cells of strictly increasing tuples (l_1 < ... < l_t)
+    of positive integers with sum l_j <= d' + 1, so it is non-empty exactly
+    when t(t + 1)/2 <= d' + 1.  Its minimum is (2 n r_min - 3) d' + t - 1,
+    and the overall minimum, at t = 1, is stability_dim + 2.
+    oracles.run_band checks both against an enumeration of the tuples.
     """
     n = int(n)
     if n < 2:
-        raise ValueError("band enumeration requires n >= 2")
-    degrees = tuple(int(d) for d in degrees)
+        raise ValueError("the band minima require n >= 2")
     rm = r_min(fan)
-    d_min = min(degrees)
-    d_prime = d_min // n
+    d_prime = min(int(d) for d in degrees) // n
     if d_prime == 0:
         return BandResult(value=None, per_t={}, empty=True)
-    if d_prime > BAND_CAP:
-        raise CapExceededError(f"band enumeration capped at d' <= {BAND_CAP}, got {d_prime}")
-
-    edge = (2 * n * rm - 2) * d_prime
-    per_t = {}
-    t = 1
-    while t * (t + 1) // 2 <= d_prime + 1:
-        brute = None
-        for tup in combinations(range(1, d_prime + 2), t):
-            total = sum(tup)
-            u = d_prime + 1 - total
-            if u < 0:
-                continue
-            v = edge - sum(l - 1 for l in tup)
-            diff = v - u
-            if brute is None or diff < brute:
-                brute = diff
-        if brute is not None:
-            closed = (2 * n * rm - 3) * d_prime + t - 1
-            if brute != closed:
-                raise AssertionError(
-                    f"band mismatch at t={t}: brute {brute} != closed {closed}"
-                )
-            per_t[t] = (brute, closed)
-        t += 1
-
-    value = min(b for b, _ in per_t.values())
-    expected = stability_dim(degrees, fan, n) + 2
-    if value != expected:
-        raise AssertionError(f"band minimum {value} != stability_dim + 2 = {expected}")
+    value = (2 * n * rm - 3) * d_prime
+    t_max = (isqrt(8 * d_prime + 9) - 1) // 2  # the largest t with t(t + 1)/2 <= d' + 1
+    per_t = {t: value + t - 1 for t in range(1, t_max + 1)}
     return BandResult(value=value, per_t=per_t, empty=False)
 
 
 def truncation_dim(degrees, fan, n):
-    """Dimension of the top truncation stratum, evaluated two ways.
+    """Dimension 2 N(D) + 3d' - 2 n r_min d' of the top truncation stratum.
 
-    The closed form 2 N(D) + 3d' - 2 n r_min d' must match the decomposition
-    bundle rank + configuration dimension + 1 at k = d'.
+    It equals the bundle rank plus the configuration dimension plus 1 at
+    k = d' (hermite.bundle_rank, complexes.dim_config); the tests check
+    that identity.
     """
     n = int(n)
     degrees = tuple(int(d) for d in degrees)
     rm = r_min(fan)
-    r = fan.ray_count
-    d_min = min(degrees)
-    d_prime = d_min // n
+    d_prime = min(degrees) // n
     if d_prime < 1:
         raise ValueError("truncation dimension needs floor(d_min / n) >= 1")
-    total = sum(degrees)
-    closed = 2 * total + 3 * d_prime - 2 * n * rm * d_prime
-    decomposed = bundle_rank(degrees, d_prime, n, r) + dim_config(fan, n, d_prime) + 1
-    if closed != decomposed:
-        raise AssertionError(f"truncation formulas disagree: {closed} != {decomposed}")
-    return closed
+    return 2 * sum(degrees) + 3 * d_prime - 2 * n * rm * d_prime

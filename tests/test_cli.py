@@ -548,3 +548,33 @@ def test_stabilize_root_beyond_phi_map_range_exits_4(tmp_path, capsys):
     envelope = json.loads(err)
     assert envelope["tool"] == "toricctl"
     assert "polynomial 1" in envelope["error"] and "-800" in envelope["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "e1", "--fan", H1, "--degrees", "5,7,5,12", "--n", "2", "--s-max", "16384"],
+        ["stability", "e1", "--fan", H1, "--degrees", "5,7,5,12", "--n", "2", "--s-max", "16384",
+         "--table"],
+        ["fan", "analyze", H1, "--degrees", "600,600,600,1200", "--e1"],
+    ],
+    ids=["e1", "e1 table", "fan analyze"],
+)
+def test_e1_window_over_cap_exits_5_quickly(argv, capsys, fixtures_dir, monkeypatch):
+    # d' = 2 and s_max = 16384 give 65,540 cells; degrees of 600 give 456,322
+    monkeypatch.chdir(fixtures_dir.parent)
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and out == ""
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and "capped at 65536 cells" in envelope["error"]
+
+
+def test_e1_window_at_cap_prints(capsys, fixtures_dir, monkeypatch):
+    monkeypatch.chdir(fixtures_dir.parent)
+    argv = ["stability", "e1", "--fan", H1, "--degrees", "5,7,5,12", "--n", "2", "--s-max", "16383",
+            "--table"]
+    code, out, _ = run_cli(argv, capsys)
+    # a header, one row per s in [0, 16383], a legend
+    assert code == 0 and len(out.splitlines()) == 16384 + 2

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone; numpy is a test oracle."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -35,3 +36,16 @@ def test_no_runtime_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
     assert any(dep.startswith("numpy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_library_raises_only_typed_errors():
+    # cross-checks live in oracles and the tests, so no library module
+    # asserts or names AssertionError
+    offenders = []
+    for path in sorted((ROOT / "src" / "toricstab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

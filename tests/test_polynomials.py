@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -38,6 +42,7 @@ from toricstab.exactla import P
 from toricstab.oracles import make_generic_system, make_planted_system
 from toricstab.polynomials import SystemJsonError
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 G = GaussianRational
 ZERO = G(0)
 
@@ -88,6 +93,25 @@ class TestDerivative:
 
     def test_order_beyond_degree_is_zero(self):
         assert derivative(poly(1, 1), 5).is_zero
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 9))
+    def test_order_k_is_k_first_derivatives(self, coeffs, order):
+        f = poly(*coeffs)
+        iterated = f
+        for _ in range(order):
+            iterated = derivative(iterated)
+        assert derivative(f, order) == iterated
+
+    def test_huge_order_is_immediate(self):
+        # closed form c_i * i! / (i - order)!: no work per order
+        f = poly(1, 2, 3, 4)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            assert derivative(f, 10**6).is_zero
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01, f"{best * 1e3:.1f} ms"
 
 
 class TestJet:
@@ -709,3 +733,31 @@ def test_aberth_stops_at_rounding_level(seed, monkeypatch):
     # one evaluation of p' per root and sweep
     assert len(calls) <= 40 * len(roots)
     assert _same_set(found, roots, 1e-6)
+
+
+def test_coefficient_maps_leave_no_tuples_behind():
+    # a tuple built from a generator is sized by guess and resize; freed,
+    # it fills the free list of its final length, which that construction
+    # never draws from, so 1000 calls would leave about 1000 blocks held.
+    # A fresh interpreter makes the free lists, and so the count, repeatable.
+    code = """
+import tracemalloc
+from toricstab.polynomials import PolySystem, RationalPoly, derivative
+p = RationalPoly([1, 2, 3, 4])
+ops = [lambda: -p, lambda: p * 3, lambda: (p * 3).monic(), lambda: derivative(p),
+       lambda: PolySystem("coefficient", [p, p], iter([3, 3]))]
+for op in ops:
+    tracemalloc.start()
+    for _ in range(1000):
+        op()
+    snap = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    mine = snap.filter_traces([tracemalloc.Filter(True, "*toricstab/polynomials.py")])
+    print(sum(s.count for s in mine.statistics("filename")))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    held = [int(x) for x in proc.stdout.split()]
+    assert len(held) == 5 and max(held) < 50, held

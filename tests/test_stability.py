@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricstab import (
     CapExceededError,
@@ -10,12 +12,15 @@ from toricstab import (
     dim_config,
     e1_support,
     min_unknown_band,
+    r_min,
     stability_dim,
     stability_dim_n1,
     stability_dim_projective,
     stability_report,
     truncation_dim,
 )
+from toricstab.complexes import E1_CELL_CAP
+from toricstab.oracles import _band_minimum
 
 FAMILY = ("cp(1)", "cp(2)", "cp(3)", "hirzebruch(1)", "hirzebruch(2)", "hirzebruch(3)")
 
@@ -185,6 +190,14 @@ class TestE1Support:
                 else:
                     assert k == sup.d_prime + 1 and not vanishes, (k, s)
 
+    def test_window_cap(self, h1):
+        # d' = 2, so the window has 4 (s_max + 1) cells
+        assert len(e1_support((5, 7, 5, 12), h1, 2, s_max=16383).cells) == E1_CELL_CAP
+        with pytest.raises(CapExceededError, match="this one has 65540"):
+            e1_support((5, 7, 5, 12), h1, 2, s_max=16384)
+        with pytest.raises(CapExceededError):
+            e1_support((600, 600, 600, 1200), h1, 2)
+
     def test_zero_below_diagonal_band(self):
         rng = random.Random(16)
         for _ in range(10):
@@ -207,29 +220,36 @@ class TestBand:
 
     def test_minimum_attained_at_first_band(self, h1):
         band = min_unknown_band((5, 7, 5, 12), h1, 2)
-        assert band.per_t[1][0] == band.value
-        assert all(band.per_t[t][0] >= band.value for t in band.per_t)
+        assert band.per_t == {1: 10, 2: 11}
+        assert band.per_t[1] == band.value
+        assert all(band.per_t[t] >= band.value for t in band.per_t)
 
     def test_empty_band(self, h1):
         band = min_unknown_band((1, 1, 1, 2), h1, 2)
         assert band.empty and band.value is None
 
-    def test_cap(self, h1):
-        with pytest.raises(CapExceededError):
-            min_unknown_band((40, 40, 40, 80), h1, 2)
+    def test_large_d_prime_returns_closed_form(self, h1):
+        # d' = 40, far past what enumerating the tuples could reach
+        band = min_unknown_band((80, 80, 80, 160), h1, 2)
+        assert band.value == 200 == stability_dim((80, 80, 80, 160), h1, 2) + 2
+        # band t is non-empty while t(t + 1)/2 <= d' + 1 = 41
+        assert band.per_t == {t: 200 + t - 1 for t in range(1, 9)}
 
-    def test_brute_force_matches_closed_form(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            fan = builtin_fan(rng.choice(FAMILY))
-            n = rng.randint(2, 3)
-            d_prime = rng.randint(1, 8)
-            d_min = n * d_prime + rng.randint(0, n - 1)
-            degrees = [d_min + rng.randint(0, 4) for _ in range(fan.ray_count)]
-            degrees[0] = d_min
-            band = min_unknown_band(degrees, fan, n)
-            assert all(b == c for b, c in band.per_t.values())
-            assert band.value == stability_dim(degrees, fan, n) + 2
+    def test_to_dict_maps_band_to_value(self, h1):
+        band = min_unknown_band((5, 7, 5, 12), h1, 2)
+        assert band.to_dict() == {"value": 10, "empty": False, "per_t": {"1": 10, "2": 11}}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FAMILY), st.integers(1, 12), st.integers(2, 4), st.data())
+    def test_brute_force_matches_closed_form(self, name, d_prime, n, data):
+        fan = builtin_fan(name)
+        d_min = n * d_prime + data.draw(st.integers(0, n - 1))
+        degrees = [d_min + data.draw(st.integers(0, 4)) for _ in range(fan.ray_count)]
+        degrees[data.draw(st.integers(0, fan.ray_count - 1))] = d_min
+        band = min_unknown_band(degrees, fan, n)
+        for t in range(1, d_prime + 2):
+            assert band.per_t.get(t) == _band_minimum(d_prime, t, n, r_min(fan)), t
+        assert band.value == stability_dim(degrees, fan, n) + 2
 
 
 class TestTruncationDim:
