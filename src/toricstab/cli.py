@@ -1,10 +1,11 @@
 """toricctl: JSON-speaking command-line front end for the library kernels.
 
 Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid fan,
-4 shape mismatch, 5 enumeration cap exceeded or output too large to
-print.  All reports embed the tool version, a digest of the canonicalized
-input, and the formula the verdict rests on.  Randomized suites surface
-their seed; TORICCTL_SEED overrides it.
+4 shape mismatch or undefined value, 5 enumeration cap exceeded (power
+facets, e1 window, jet coefficients, dualization step) or output too
+large to print, 6 internal error.  All reports embed the tool version, a
+digest of the canonicalized input, and the formula the verdict rests on.
+Randomized suites surface their seed; TORICCTL_SEED overrides it.
 """
 
 import argparse
@@ -54,6 +55,17 @@ EXIT_PARSE = 2
 EXIT_INVALID_FAN = 3
 EXIT_SHAPE = 4
 EXIT_CAP = 5
+EXIT_INTERNAL = 6
+
+# typed library errors and their exit codes; the first matching row wins,
+# and any other exception is an internal error
+EXIT_CODES = (
+    ((FanJsonError, SystemJsonError, FanStructureError), EXIT_PARSE),
+    (UnsupportedFanError, EXIT_INVALID_FAN),
+    (UndefinedValueError, EXIT_SHAPE),
+    (CapExceededError, EXIT_CAP),
+    (Exception, EXIT_INTERNAL),
+)
 
 PROVENANCE = {
     "fan analyze": "r_min = min size of a ray set spanning no cone; degree-null: sum_k d_k * n_k = 0",
@@ -113,12 +125,7 @@ def _load_json(path):
 
 def _load_fan(path, require_valid=True):
     raw = _load_json(path)
-    try:
-        fan = fan_from_json(raw)
-    except FanJsonError as exc:
-        _fail(EXIT_PARSE, exc.message, pointer=exc.pointer)
-    except FanStructureError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    fan = fan_from_json(raw)
     report = validate_fan(fan)
     if require_valid and not report.ok:
         _fail(EXIT_INVALID_FAN, "fan violates the fan axioms",
@@ -128,14 +135,13 @@ def _load_fan(path, require_valid=True):
 
 def _load_system(path):
     raw = _load_json(path)
-    try:
-        return system_from_json(raw), raw
-    except SystemJsonError as exc:
-        _fail(EXIT_PARSE, exc.message, pointer=exc.pointer)
+    return system_from_json(raw), raw
 
 
-def _one_based(collections):
-    return sorted(sorted(i + 1 for i in c) for c in collections)
+def _primitives(prims):
+    """The 1-based primitive collections and their least size (None when there is none)."""
+    return {"indexing": "1-based", "r_min": min((len(p) for p in prims), default=None),
+            "primitive_collections": sorted(sorted(i + 1 for i in c) for c in prims)}
 
 
 def _effective_seed(args):
@@ -179,27 +185,18 @@ def cmd_fan_analyze(args):
     out["smooth"] = is_smooth(fan)
     out["complete"] = is_complete(fan)
     out["spans_lattice"] = spans_lattice(fan)
-    out["complex"] = underlying_complex(fan).to_json()
-    prims = primitive_collections(fan)
-    out["indexing"] = "1-based"
-    out["primitive_collections"] = _one_based(prims)
-    out["r_min"] = min((len(p) for p in prims), default=None)
+    complex_ = underlying_complex(fan)
+    out["complex"] = complex_.to_json()
+    out.update(_primitives(primitive_collections(complex_)))
     vector = find_degree_vector(fan)
     out["degree_vector"] = list(vector) if vector is not None else None
     out["degree_search_exhausted"] = vector is None and bool(nullspace_int(fan.ray_matrix()))
     out["cox_rank"] = cox_group_rank(fan) if out["spans_lattice"] else None
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees, fan)
-        try:
-            out["stability"] = _stability(degrees, fan, args.n)
-            if args.e1:
-                if args.n < 2:
-                    _fail(EXIT_SHAPE, "the vanishing table requires n >= 2")
-                out["e1"] = e1_support(degrees, fan, args.n).to_dict()
-        except UndefinedValueError as exc:
-            _fail(EXIT_SHAPE, str(exc))
-        except CapExceededError as exc:
-            _fail(EXIT_CAP, str(exc))
+        out["stability"] = _stability(degrees, fan, args.n)
+        if args.e1:
+            out["e1"] = e1_support(degrees, fan, args.n).to_dict()
     elif args.e1:
         _fail(EXIT_SHAPE, "--e1 needs --degrees")
     _emit(out)
@@ -216,10 +213,7 @@ def cmd_fan_validate(args):
 
 def cmd_fan_power(args):
     fan, raw, _ = _load_fan(args.path)
-    try:
-        power = fan_power(fan, args.n)
-    except CapExceededError as exc:
-        _fail(EXIT_CAP, str(exc))
+    power = fan_power(fan, args.n)
     out = _meta("fan power", _canonical_hash(raw))
     out["n"] = args.n
     out["fan"] = fan_to_json(power)
@@ -232,11 +226,7 @@ def cmd_fan_power(args):
 def _load_complex_like(path):
     raw = _load_json(path)
     if isinstance(raw, dict) and "rays" in raw:
-        try:
-            fan = fan_from_json(raw)
-        except (FanJsonError, FanStructureError) as exc:
-            _fail(EXIT_PARSE, str(exc))
-        return underlying_complex(fan), raw
+        return underlying_complex(fan_from_json(raw)), raw
     if isinstance(raw, dict) and "max_faces" in raw:
         try:
             return SimplicialComplex.from_json(raw), raw
@@ -247,10 +237,7 @@ def _load_complex_like(path):
 
 def cmd_complex_power(args):
     complex_, raw = _load_complex_like(args.path)
-    try:
-        power = complex_power(complex_, args.n)
-    except CapExceededError as exc:
-        _fail(EXIT_CAP, str(exc))
+    power = complex_power(complex_, args.n)
     out = _meta("complex power", _canonical_hash(raw))
     out["n"] = args.n
     out["complex"] = power.to_json()
@@ -260,11 +247,8 @@ def cmd_complex_power(args):
 
 def cmd_complex_primitives(args):
     complex_, raw = _load_complex_like(args.path)
-    prims = primitive_collections(complex_)
     out = _meta("complex primitives", _canonical_hash(raw))
-    out["indexing"] = "1-based"
-    out["primitive_collections"] = _one_based(prims)
-    out["r_min"] = min((len(p) for p in prims), default=None)
+    out.update(_primitives(primitive_collections(complex_)))
     _emit(out)
     return EXIT_OK
 
@@ -364,10 +348,7 @@ def cmd_stability_report(args):
     fan, raw, _ = _load_fan(args.fan)
     degrees = _parse_degrees(args.degrees, fan)
     out = _meta("stability report", _canonical_hash(raw))
-    try:
-        out.update(_stability(degrees, fan, args.n))
-    except UndefinedValueError as exc:
-        _fail(EXIT_SHAPE, str(exc))
+    out.update(_stability(degrees, fan, args.n))
     _emit(out)
     return EXIT_OK
 
@@ -391,14 +372,7 @@ def _render_table(support):
 def cmd_stability_e1(args):
     fan, raw, _ = _load_fan(args.fan)
     degrees = _parse_degrees(args.degrees, fan)
-    if args.n < 2:
-        _fail(EXIT_SHAPE, "the vanishing table requires n >= 2")
-    try:
-        support = e1_support(degrees, fan, args.n, s_max=args.s_max)
-    except UndefinedValueError as exc:
-        _fail(EXIT_SHAPE, str(exc))
-    except CapExceededError as exc:
-        _fail(EXIT_CAP, str(exc))
+    support = e1_support(degrees, fan, args.n, s_max=args.s_max)
     if args.table:
         print(_render_table(support))
         return EXIT_OK
@@ -510,17 +484,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except UnsupportedFanError as exc:
-        _fail(EXIT_INVALID_FAN, str(exc))
     except BrokenPipeError:
         return EXIT_OK
-    return EXIT_OK
+    except Exception as exc:
+        code = next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+        if code == EXIT_INTERNAL:
+            _fail(code, f"internal error: {exc}", exception=type(exc).__name__)
+        extra = {"pointer": exc.pointer} if hasattr(exc, "pointer") else {}
+        _fail(code, getattr(exc, "message", str(exc)), **extra)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,12 @@ class UnsupportedFanError(ValueError):
 class CapExceededError(ValueError):
     """An enumeration was requested beyond its documented cap."""
 
+    @classmethod
+    def check(cls, count, cap, limit):
+        """Raise when count passes cap; limit reads "<what> capped at {cap} <unit>"."""
+        if count > cap:
+            raise cls(f"{limit.format(cap=cap)}, this one has {count}")
+
 
 # Largest facet count complex_power builds; time and memory grow with the
 # count.  (P^1)^8 with n = 2 has 2^16 facets and builds in about 0.5 s.
@@ -30,6 +36,14 @@ POWER_FACET_CAP = 1 << 16
 # cells, one dict entry each.  Uncapped, 800k cells took 8.7 s and 931 MB
 # on a 2-vCPU host.
 E1_CELL_CAP = 1 << 16
+
+# Largest coefficient count n (deg + 1) polynomials.jet builds for one
+# polynomial; toricctl prints two degree-2 jets at the cap in 0.8 s, 96 MB.
+JET_COEFFICIENT_CAP = 1 << 16
+
+# Largest number of sets one step of minimal_non_faces grows; toricctl lists
+# the 3^10 minimal non-faces of 10 missing disjoint triples in 0.9 s, 129 MB.
+DUALIZATION_CAP = 1 << 16
 
 
 class SimplicialComplex:
@@ -118,7 +132,9 @@ def minimal_non_faces(complex_):
     complements.  They are built one facet at a time (Berge's incremental
     dualization): a transversal that already meets the new complement stays,
     one that misses it grows by each vertex of the complement, and a grown
-    set is kept unless it contains a transversal that stayed.
+    set is kept unless it contains a transversal that stayed.  A step that
+    would grow more than DUALIZATION_CAP sets, counted before any is built,
+    raises CapExceededError.
     """
     if complex_._minimal_cache is not None:
         return complex_._minimal_cache
@@ -132,7 +148,10 @@ def minimal_non_faces(complex_):
     transversals = [frozenset()]
     for edge in complements:
         kept = [t for t in transversals if t & edge]
-        grown = [t | {v} for t in transversals if not t & edge for v in edge]
+        missed = [t for t in transversals if not t & edge]
+        CapExceededError.check(len(missed) * len(edge), DUALIZATION_CAP,
+                               "dualization capped at {cap} sets per step")
+        grown = [t | {v} for t in missed for v in edge]
         transversals = kept + [g for g in grown if not any(t <= g for t in kept)]
     complex_._minimal_cache = frozenset(transversals)
     return complex_._minimal_cache
@@ -175,10 +194,7 @@ def complex_power(complex_, n):
         raise ValueError("n must be positive")
     r = complex_.vertex_count
     count = sum(n ** (r - len(f)) for f in complex_.max_faces)
-    if count > POWER_FACET_CAP:
-        raise CapExceededError(
-            f"power complex capped at {POWER_FACET_CAP} facets, this one has {count}"
-        )
+    CapExceededError.check(count, POWER_FACET_CAP, "power complex capped at {cap} facets")
     everything = frozenset(range(r * n))
     max_faces = []
     for f in complex_.max_faces:

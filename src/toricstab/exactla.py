@@ -12,6 +12,8 @@ from math import gcd, lcm
 
 # A Mersenne prime: ranks modulo P certify full rank over Q (one-sided).
 P = (1 << 61) - 1
+# Pivots before lp_feasible raises SimplexError; Bland's rule never cycles.
+SIMPLEX_MAX_ITER = 100_000
 
 
 def _integer_rows(rows):
@@ -216,7 +218,7 @@ class SimplexError(RuntimeError):
     pass
 
 
-def lp_feasible(a_rows, b, max_iter=100_000):
+def lp_feasible(a_rows, b):
     """A point of {x >= 0 : A x = b} by exact phase-one simplex, or None.
 
     Integer pivoting (Edmonds; Avis's lrs): each row of [A | b] is scaled
@@ -238,7 +240,7 @@ def lp_feasible(a_rows, b, max_iter=100_000):
     basis = [ncols + i for i in range(nrows)]  # artificials carry large indices
     d = 1
 
-    for _ in range(max_iter):
+    for _ in range(SIMPLEX_MAX_ITER):
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
             if obj[-1] != 0:

@@ -225,7 +225,7 @@ def is_complete(fan):
     """
     m = fan.dim
     if m == 1:
-        dirs = {ray[0] > 0 for ray in fan.rays if any(ray)}
+        dirs = {fan.rays[k][0] > 0 for k in set().union(*fan.generating_cones) if fan.rays[k][0]}
         return dirs == {True, False}
     if m == 2:
         sectors = {}

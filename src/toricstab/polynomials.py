@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import PointInProduct, primitive_collections
+from .complexes import JET_COEFFICIENT_CAP, CapExceededError, PointInProduct, primitive_collections
 
 ROOT_CLUSTER_TOL = 1e-6
 ABERTH_TOL = 1e-12
@@ -331,6 +331,8 @@ class JetTuple:
 def jet(poly, n):
     if n < 1:
         raise ValueError("jet order must be positive")
+    CapExceededError.check(n * (poly.degree + 1), JET_COEFFICIENT_CAP,
+                           "jet capped at {cap} coefficients per polynomial")
     entries = [poly]
     for j in range(1, n):
         entries.append(poly + derivative(poly, j))
@@ -593,7 +595,7 @@ class MembershipResult:
         return self.member
 
 
-def is_member(system, fan, n, tol=ROOT_CLUSTER_TOL):
+def is_member(system, fan, n):
     """Whether no primitive collection shares a root of multiplicity >= n.
 
     Coefficient form decides exactly through the gcd of f_i, f_i', ...,
@@ -609,9 +611,9 @@ def is_member(system, fan, n, tol=ROOT_CLUSTER_TOL):
     back to `mult_part` and `gcd_monic` on that collection only, so the
     verdict, the collection and the factor are those of Euclid over Q(i).
 
-    Root form clusters the declared roots at the given relative tolerance.
-    On failure the result carries the offending collection and the common
-    factor or root.
+    Root form clusters the declared roots at relative tolerance
+    ROOT_CLUSTER_TOL.  On failure the result carries the offending
+    collection and the common factor or root.
     """
     n = int(n)
     if n < 1:
@@ -657,12 +659,13 @@ def is_member(system, fan, n, tol=ROOT_CLUSTER_TOL):
                 )
         return MembershipResult(member=True, representation="coefficient")
 
-    clusters = [p.clusters(tol) for p in system.polys]
+    clusters = [p.clusters() for p in system.polys]
     heavy = [[(c, m) for c, m in cl if m >= n] for cl in clusters]
     for sigma in prims:
         idx = sorted(sigma)
         for alpha, _ in heavy[idx[0]]:
-            if all(any(_close(alpha, beta, tol) for beta, _ in heavy[i]) for i in idx[1:]):
+            if all(any(_close(alpha, beta, ROOT_CLUSTER_TOL) for beta, _ in heavy[i])
+                   for i in idx[1:]):
                 return MembershipResult(
                     member=False,
                     representation="root",

@@ -9,7 +9,7 @@ underlying groups are out of scope, only the vanishing ranges are certified.
 from dataclasses import dataclass
 from math import isqrt
 
-from .complexes import E1_CELL_CAP, CapExceededError, r_min
+from .complexes import E1_CELL_CAP, CapExceededError, UndefinedValueError, r_min
 from .fans import degree_is_null
 
 ZERO = "zero"
@@ -19,11 +19,12 @@ TAIL_UNKNOWN = "tail_unknown"
 
 def stability_dim(degrees, fan, n):
     """(2 n r_min - 3) * floor(d_min / n) - 2, the stable comparison range for n >= 2."""
-    n = int(n)
+    return _stability_dim(r_min(fan), min(int(d) for d in degrees), int(n))
+
+
+def _stability_dim(rm, d_min, n):
     if n < 2:
         raise ValueError("stability_dim needs n >= 2; use stability_dim_n1 for n = 1")
-    rm = r_min(fan)
-    d_min = min(int(d) for d in degrees)
     return (2 * n * rm - 3) * (d_min // n) - 2
 
 
@@ -50,10 +51,13 @@ def stability_dim_projective(d, m, n):
 
 def connectivity_bound(fan, n):
     """2 n r_min - 5; the space of admissible systems is this connected for n >= 2."""
-    n = int(n)
+    return _connectivity(r_min(fan), int(n))
+
+
+def _connectivity(rm, n):
     if n < 2:
         raise ValueError("connectivity bound requires n >= 2")
-    return 2 * n * r_min(fan) - 5
+    return 2 * n * rm - 5
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ def stability_report(degrees, fan, n):
         r_min=rm,
         d_min=d_min,
         d_prime=d_min // n,
-        stability_dim=stability_dim(degrees, fan, n),
-        connectivity=connectivity_bound(fan, n),
+        stability_dim=_stability_dim(rm, d_min, n),
+        connectivity=_connectivity(rm, n),
         degree_null=degree_is_null(fan, degrees),
         n=n,
         degrees=degrees,
@@ -137,22 +141,20 @@ def e1_support(degrees, fan, n, s_max=None):
     2nrk - s falls outside [0, dim of the k-point configuration stratum];
     the truncation column k = d' + 1 vanishes up to the known edge and is
     unknown above it.  A window of more than E1_CELL_CAP cells, counted
-    before any is built, raises CapExceededError.
+    before any is built, raises CapExceededError; n < 2, UndefinedValueError.
     """
     n = int(n)
     if n < 2:
-        raise ValueError("the vanishing table requires n >= 2")
-    degrees = tuple(int(d) for d in degrees)
+        raise UndefinedValueError("the vanishing table requires n >= 2")
     rm = r_min(fan)
     r = fan.ray_count
-    d_min = min(degrees)
+    d_min = min(int(d) for d in degrees)
     d_prime = d_min // n
     if s_max is None:
-        s_max = stability_dim(degrees, fan, n) + 2 * n * rm + 4
+        s_max = _stability_dim(rm, d_min, n) + 2 * n * rm + 4
     s_min = 0
     count = (d_prime + 2) * (s_max - s_min + 1)
-    if count > E1_CELL_CAP:
-        raise CapExceededError(f"the e1 window is capped at {E1_CELL_CAP} cells, this one has {count}")
+    CapExceededError.check(count, E1_CELL_CAP, "the e1 window is capped at {cap} cells")
     cells = {}
     for k in range(0, d_prime + 2):
         for s in range(s_min, s_max + 1):
@@ -217,10 +219,11 @@ def min_unknown_band(degrees, fan, n):
     if n < 2:
         raise ValueError("the band minima require n >= 2")
     rm = r_min(fan)
-    d_prime = min(int(d) for d in degrees) // n
+    d_min = min(int(d) for d in degrees)
+    d_prime = d_min // n
     if d_prime == 0:
         return BandResult(value=None, per_t={}, empty=True)
-    value = (2 * n * rm - 3) * d_prime
+    value = _stability_dim(rm, d_min, n) + 2
     t_max = (isqrt(8 * d_prime + 9) - 1) // 2  # the largest t with t(t + 1)/2 <= d' + 1
     per_t = {t: value + t - 1 for t in range(1, t_max + 1)}
     return BandResult(value=value, per_t=per_t, empty=False)

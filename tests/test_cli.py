@@ -1,3 +1,4 @@
+import copy
 import json
 import pathlib
 import subprocess
@@ -5,8 +6,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from toricstab.cli import EXIT_PARSE, main
+from toricstab import cli, complexes
+from toricstab.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from toricstab.oracles import run_band, run_vandermonde
 
 
@@ -423,7 +427,8 @@ def _write_fan_and_system(tmp_path, doc):
     polynomial per ray; return both paths."""
     fan_path = tmp_path / "fan.json"
     fan_path.write_text(json.dumps(doc))
-    count = len(doc.get("rays", [0, 0]))
+    rays = doc.get("rays")
+    count = len(rays) if isinstance(rays, list) and rays else 2
     system = {"degrees": [1] * count,
               "polys": [[[str(k + 1), "0"], ["1", "0"]] for k in range(count)]}
     system_path = tmp_path / "system.json"
@@ -578,3 +583,132 @@ def test_e1_window_at_cap_prints(capsys, fixtures_dir, monkeypatch):
     code, out, _ = run_cli(argv, capsys)
     # a header, one row per s in [0, 16383], a legend
     assert code == 0 and len(out.splitlines()) == 16384 + 2
+
+
+def test_jet_above_coefficient_cap_exits_5_quickly(fixtures_dir, capsys):
+    # degree 2: n = 21846 asks for 65,538 coefficients per polynomial
+    argv = ["poly", "jet", "--system", str(fixtures_dir / "system_planted_cp1.json")]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + ["--n", "21846"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and out == ""
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and "capped at 65536 coefficients" in envelope["error"]
+    code, out, _ = run_cli(argv + ["--n", "21845"], capsys)
+    assert code == 0 and len(json.loads(out)["jets"][0]) == 21845
+
+
+def _missing_triples_document(tmp_path, k):
+    """A complex on [3k] whose facets each miss one of k disjoint triples; its
+    3^k minimal non-faces pick one vertex from each triple."""
+    facets = [[v for v in range(3 * k) if v // 3 != i] for i in range(k)]
+    path = tmp_path / f"triples{k}.json"
+    path.write_text(json.dumps({"vertices": 3 * k, "max_faces": facets}))
+    return str(path)
+
+
+def test_dualization_above_cap_exits_5_quickly(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["complex", "primitives", _missing_triples_document(tmp_path, 11)],
+                             capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and out == ""
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and "dualization capped at 65536" in envelope["error"]
+    code, out, _ = run_cli(["complex", "primitives", _missing_triples_document(tmp_path, 10)],
+                           capsys)
+    assert code == 0 and len(json.loads(out)["primitive_collections"]) == 3 ** 10
+
+
+def test_unexpected_exception_exits_internal_with_envelope(fixtures_dir, capsys, monkeypatch):
+    def broken(fan):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setattr(cli, "validate_fan", broken)
+    code, out, err = run_cli(["fan", "validate", str(fixtures_dir / "cp1.json")], capsys)
+    assert code == EXIT_INTERNAL == 6 and out == ""
+    assert "Traceback" not in err
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and envelope["exception"] == "RuntimeError"
+    assert "injected defect" in envelope["error"]
+
+
+def test_analyze_with_e1_dualizes_at_most_three_times(fixtures_dir, capsys, monkeypatch):
+    calls = []
+    dualize = complexes.minimal_non_faces
+
+    def counted(complex_):
+        calls.append(complex_)
+        return dualize(complex_)
+
+    monkeypatch.setattr(complexes, "minimal_non_faces", counted)
+    argv = ["fan", "analyze", str(fixtures_dir / "hirzebruch1.json"),
+            "--degrees", "5,7,5,12", "--e1"]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) <= 3
+
+
+# mutation sweep: fixture documents with one to three nodes replaced, deleted
+# or (array elements) duplicated, through every command that reads them
+_FAN_FIXTURES = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures")
+                       .glob("*.json") if not p.name.startswith("system_"))
+_SYSTEM_FIXTURES = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures")
+                          .glob("system_*.json"))
+_REPLACEMENTS = [0, -1, 10 ** 30, 1.5, True, None, "", "1/2", float("nan"), [], {}]
+
+
+def _node_paths(doc, path=()):
+    """The key paths of every node below the document root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _node_paths(value, path + (key,))
+
+
+def _mutate(doc, data):
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        op = data.draw(st.sampled_from(["replace", "delete", "duplicate"]), label="op")
+        paths = [p for p in _node_paths(doc)
+                 if op != "duplicate" or isinstance(_at(doc, p[:-1]), list)]
+        if not paths:
+            continue
+        path = data.draw(st.sampled_from(paths), label="node")
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if op == "replace":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_REPLACEMENTS), label="value"))
+        elif op == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_end_in_a_documented_exit_code(data, fixtures_dir, tmp_path, capsys):
+    name = data.draw(st.sampled_from(_FAN_FIXTURES + _SYSTEM_FIXTURES), label="fixture")
+    doc = _mutate(json.loads((fixtures_dir / name).read_text()), data)
+    if name in _SYSTEM_FIXTURES:
+        system = tmp_path / "mutated.json"
+        system.write_text(json.dumps(doc))
+        fan, system, degrees = str(fixtures_dir / "cp1.json"), str(system), "2,2"
+    else:
+        fan, system, degrees = _write_fan_and_system(tmp_path, doc)
+    commands = list(_fan_reading_commands(fan, system, degrees).values()) + [
+        ["fan", "analyze", fan, "--degrees", degrees, "--e1"],
+        ["poly", "jet", "--system", system, "--n", "2"],
+        ["poly", "stabilize", "--system", system, "--a", "1,0"],
+    ]
+    for argv in commands:
+        code, _, err = run_cli(argv, capsys)
+        assert code in range(6), (argv, doc, err)
+        assert "Traceback" not in err
+        if err:
+            assert json.loads(err)["tool"] == "toricctl"

@@ -23,7 +23,7 @@ from toricstab import (
     r_min,
     underlying_complex,
 )
-from toricstab.complexes import POWER_FACET_CAP
+from toricstab.complexes import DUALIZATION_CAP, POWER_FACET_CAP
 from toricstab.fans import Fan
 
 
@@ -194,6 +194,23 @@ class TestPowerCap:
         p = complex_power(p1_power_complex(6), 2)
         assert time.perf_counter() - start < 0.5
         assert len(p.max_faces) == 2 ** 12
+
+
+def missing_triples(k):
+    """The complex on [3k] whose facets each miss one of k disjoint triples;
+    its minimal non-faces are the 3^k sets with one vertex from each triple."""
+    everything = frozenset(range(3 * k))
+    return SimplicialComplex(3 * k, [everything - {3 * i, 3 * i + 1, 3 * i + 2}
+                                     for i in range(k)])
+
+
+class TestDualizationCap:
+    def test_step_above_the_cap_raises_before_growing(self):
+        assert 3 ** 10 <= DUALIZATION_CAP < 3 ** 11
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"this one has {3 ** 11}"):
+            minimal_non_faces(missing_triples(11))
+        assert time.perf_counter() - start < 1.0
 
 
 # -- brute-force references ----------------------------------------------------

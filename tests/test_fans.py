@@ -97,6 +97,12 @@ class TestIsComplete:
         sub = fan_from_max_cones(2, rays, [(0,), (1,), (2,), (3,)])
         assert is_complete(sub) is False
 
+    def test_line_rays_with_one_half_line_cone(self):
+        # both directions are rays, but only the cone [0] is in the fan
+        fan = fan_from_max_cones(1, [(1,), (-1,)], [(0,)])
+        assert validate_fan(fan).ok
+        assert is_complete(fan) is False
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_projective_space_fans(self, m):
         assert is_complete(builtin_fan(f"cp({m})")) is True

@@ -49,3 +49,22 @@ def test_library_raises_only_typed_errors():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_main_maps_typed_errors_to_exit_codes():
+    # cli.main maps the library's typed errors through one table, so no
+    # other function in cli.py catches one of them
+    typed = {"FanJsonError", "SystemJsonError", "FanStructureError", "UnsupportedFanError",
+             "UndefinedValueError", "CapExceededError"}
+    tree = ast.parse((ROOT / "src" / "toricstab" / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for handler in ast.walk(func):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                names = {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(handler.type) if isinstance(n, ast.Attribute)}
+                if names & typed:
+                    offenders.append(f"{func.name}:{handler.lineno}")
+    assert offenders == []

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from toricstab import polynomials
 from toricstab import (
+    CapExceededError,
     GaussianRational,
     MembershipResult,
     PolySystem,
@@ -38,6 +39,7 @@ from toricstab import (
     underlying_complex,
     witness_roots,
 )
+from toricstab.complexes import JET_COEFFICIENT_CAP
 from toricstab.exactla import P
 from toricstab.oracles import make_generic_system, make_planted_system
 from toricstab.polynomials import SystemJsonError
@@ -132,6 +134,14 @@ class TestJet:
     def test_monic_entries_for_monic_input(self):
         f = poly(2, -1, 3, 1)
         assert all(e.is_monic and e.degree == 3 for e in jet(f, 3).entries)
+
+    def test_coefficient_count_above_the_cap_raises_before_building(self):
+        f = poly(0, 0, 1)  # 3 coefficients per entry
+        n = JET_COEFFICIENT_CAP // 3 + 1
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"this one has {3 * n}"):
+            jet(f, n)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestMultPart:

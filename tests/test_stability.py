@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from toricstab import (
     CapExceededError,
+    UndefinedValueError,
     builtin_fan,
     bundle_rank,
     connectivity_bound,
@@ -197,6 +198,10 @@ class TestE1Support:
             e1_support((5, 7, 5, 12), h1, 2, s_max=16384)
         with pytest.raises(CapExceededError):
             e1_support((600, 600, 600, 1200), h1, 2)
+
+    def test_n_one_is_undefined(self, h1):
+        with pytest.raises(UndefinedValueError, match="requires n >= 2"):
+            e1_support((5, 7, 5, 12), h1, 1)
 
     def test_zero_below_diagonal_band(self):
         rng = random.Random(16)
