@@ -411,7 +411,7 @@ def fan_from_json(obj):
         if key not in obj:
             raise FanJsonError(f"missing required key {key!r}", f"/{key}")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FanJsonError("dim must be a positive integer", "/dim")
     rays = obj["rays"]
     if not isinstance(rays, list) or not rays:
@@ -421,7 +421,7 @@ def fan_from_json(obj):
         if not isinstance(ray, list) or len(ray) != dim:
             raise FanJsonError(f"ray must be an array of {dim} integers", f"/rays/{i}")
         for j, x in enumerate(ray):
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise FanJsonError("ray entries must be integers", f"/rays/{i}/{j}")
         parsed_rays.append(tuple(ray))
     cones = obj["max_cones"]
@@ -432,7 +432,7 @@ def fan_from_json(obj):
         if not isinstance(cone, list):
             raise FanJsonError("cone must be an array of ray indices", f"/max_cones/{i}")
         for j, k in enumerate(cone):
-            if not isinstance(k, int) or not (0 <= k < len(parsed_rays)):
+            if type(k) is not int or not (0 <= k < len(parsed_rays)):
                 raise FanJsonError(
                     f"ray index must be an integer in 0..{len(parsed_rays) - 1}",
                     f"/max_cones/{i}/{j}",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import perm
 
 from .exactla import echelon, rank, solve_affine
-from .polynomials import GaussianRational, RationalPoly
+from .polynomials import RationalPoly
 
 
 def _integer_block(points, order, degree):
@@ -163,8 +163,7 @@ def hermite_solution(spec):
     solution = solve_affine(rows, rhs)
     if solution is None:
         raise HermiteInconsistencyError("inconsistent Hermite system")
-    coeffs = [GaussianRational(c) for c in solution] + [GaussianRational(1)]
-    return RationalPoly(coeffs)
+    return RationalPoly(solution + [1])
 
 
 def bundle_rank(degrees, k, n, r):

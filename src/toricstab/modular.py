@@ -4,9 +4,10 @@ P = 2^61 - 1 is the prime of `exactla.rank`.  It is 3 mod 4, so -1 is not a
 square mod P and F_P[i] is the field F_(P^2).  Polynomials are ascending
 lists of (re, im) int pairs, the last entry nonzero: residues in [0, P) over
 F_P[i], unbounded ints over the Gaussian integers.  `polynomials.is_member`
-passes its monic coefficient polynomials in (anything with a `coeffs`
-sequence of values with Fraction `re` and `im`) and gets the exact monic gcd
-back as (re, im) Fraction pairs, or None where only Euclid over Q(i) can
+passes its monic `RationalPoly`s in, whose `pairs` over `den` are read as
+they are: their residues need one inverse of `den` modulo P, and the
+Gaussian-integer `pairs` are their multiple by `den`.  It gets the exact
+monic gcd back as a `RationalPoly`, or None where only Euclid over Q(i) can
 decide.
 """
 
@@ -14,16 +15,10 @@ import math
 from fractions import Fraction
 
 from .exactla import P
+from .polynomials import GaussianRational, RationalPoly
 
 # Wang's bound: a residue has at most one preimage a/b with |a|, |b| <= it
 RECONSTRUCTION_BOUND = math.isqrt(P // 2)
-
-
-def _residue(q):
-    """The Fraction q modulo P; pow raises ValueError when P divides its denominator."""
-    if q.denominator == 1:
-        return q.numerator % P
-    return q.numerator * pow(q.denominator, -1, P) % P
 
 
 def _derivative(f):
@@ -69,9 +64,10 @@ def mult_part_mod_p(poly, n):
     """gcd(f, f', ..., f^(n-1)) modulo P of a monic poly, or None when P
     divides a denominator; `polynomials.mult_part` over F_P[i]."""
     try:
-        g = deriv = [(_residue(c.re), _residue(c.im)) for c in poly.coeffs]
+        inverse = pow(poly.den, -1, P)
     except ValueError:
         return None
+    g = deriv = [(x * inverse % P, y * inverse % P) for x, y in poly.pairs]
     for _ in range(1, n):
         if len(g) == 1:
             break
@@ -94,13 +90,6 @@ def _reconstruct(residue):
     if abs(t1) > RECONSTRUCTION_BOUND:
         return None
     return Fraction(r1, t1)
-
-
-def _integer_pairs(pairs):
-    """(re, im) Fraction pairs times the lcm of their denominators, as int pairs."""
-    den = math.lcm(*[q.denominator for pair in pairs for q in pair])
-    return [(re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-            for re, im in pairs]
 
 
 def _divides(g, f):
@@ -138,8 +127,8 @@ def _divides(g, f):
 
 
 def certified_gcd(polys, parts, n):
-    """The monic gcd over Q(i) of every f^(k), f in polys and k < n, as
-    (re, im) Fraction pairs, or None when the certificate cannot decide.
+    """The monic gcd over Q(i) of every f^(k), f in polys and k < n, as a
+    `RationalPoly`, or None when the certificate cannot decide.
 
     parts holds each f's `mult_part_mod_p`.  A constant gcd modulo P proves
     the gcd over Q(i) constant.  Otherwise the gcd modulo P is reconstructed
@@ -154,15 +143,16 @@ def certified_gcd(polys, parts, n):
             break
         g = _gcd_mod_p(g, h)
     if len(g) == 1:
-        return [(Fraction(1), Fraction(0))]
-    pairs = [(_reconstruct(a), _reconstruct(b)) for a, b in g]
-    if any(q is None for pair in pairs for q in pair):
+        return RationalPoly([1])
+    values = [(_reconstruct(a), _reconstruct(b)) for a, b in g]
+    if any(q is None for pair in values for q in pair):
         return None
-    candidate = _integer_pairs(pairs)
+    # monic, so its pairs lead with the positive int den
+    candidate = RationalPoly([GaussianRational(re, im) for re, im in values])
     for poly in polys:
-        f = _integer_pairs([(c.re, c.im) for c in poly.coeffs])
+        f = poly.pairs
         for _ in range(n):
-            if not _divides(candidate, f):
+            if not _divides(candidate.pairs, f):
                 return None
             f = _derivative(f)
-    return pairs
+    return candidate

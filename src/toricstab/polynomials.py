@@ -1,9 +1,11 @@
 """Exact univariate polynomial systems and the bounded-multiplicity membership test.
 
-Coefficient-form polynomials live over the Gaussian rationals, the largest
-exactly representable subfield the gcd and jet computations need.  Root-form
-polynomials are float multisets and are an input representation, never
-computed from coefficients.
+Coefficient-form polynomials are `RationalPoly`s over Q(i): ascending
+(re, im) Gaussian-integer pairs over one positive denominator, in lowest
+terms, so products, division, derivatives and gcds all run on ints.
+`GaussianRational` is the value at the boundary only: JSON pairs, roots and
+evaluation points.  Root-form polynomials are float multisets and are an
+input representation, never computed from coefficients.
 
 Membership in coefficient form is certified modulo P = 2^61 - 1, the prime
 `exactla.rank` uses.  P is 3 mod 4, so F_P[i] is the field F_(P^2), and the
@@ -35,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .complexes import JET_COEFFICIENT_CAP, CapExceededError, PointInProduct, primitive_collections
 
@@ -66,11 +69,14 @@ def _rational(value):
 
 
 class GaussianRational:
-    """a + b*i with exact rational a, b."""
+    """a + b*i with exact rational a, b: the value type of JSON pairs, roots
+    and evaluation points.  Arithmetic on Q(i) happens in `RationalPoly`."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("Gaussian rational parts must be ints or Fractions")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -89,81 +95,10 @@ class GaussianRational:
     def to_complex(self):
         return complex(self.re, self.im)
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __pow__(self, exponent):
-        exponent = int(exponent)
-        if exponent < 0:
-            return (GaussianRational(1) / self) ** (-exponent)
-        out = GaussianRational(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -171,138 +106,195 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         if self.im == 0:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
 
 
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
+def _integer_pairs(values):
+    """(pairs, den): GaussianRationals as (re, im) int pairs over the lcm of
+    their denominators."""
+    den = math.lcm(*[q.denominator for c in values for q in (c.re, c.im)])
+    return [(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+            for c in values], den
+
+
+def _product(a, b):
+    """The product of two non-empty Gaussian-integer pair lists."""
+    re, im = [0] * (len(a) + len(b) - 1), [0] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            re[i + j] += ar * br - ai * bi
+            im[i + j] += ar * bi + ai * br
+    return list(zip(re, im))
+
+
+def _times_conjugate(pairs, lead):
+    """The Gaussian-integer pairs times the conjugate of lead."""
+    lr, li = lead
+    return [(x * lr + y * li, y * lr - x * li) for x, y in pairs]
 
 
 class RationalPoly:
-    """Univariate polynomial with GaussianRational coefficients, ascending order."""
+    """Univariate polynomial over Q(i): ascending coefficients pairs[k] / den.
 
-    __slots__ = ("coeffs",)
+    `pairs` holds (re, im) int pairs, the last one nonzero; `den` is
+    positive and shares no factor with all of them, so equal polynomials
+    have equal data.  Every operation runs on these ints; `coeffs` builds
+    GaussianRationals for printing.
+    """
+
+    __slots__ = ("pairs", "den")
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        """From ascending ints, Fractions or GaussianRationals; a float raises TypeError."""
+        self._store(*_integer_pairs(
+            [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]))
 
     def __setattr__(self, *_):
         raise AttributeError("RationalPoly is immutable")
 
     @classmethod
-    def zero(cls):
-        return cls(())
+    def _from_pairs(cls, pairs, den=1):
+        """The polynomial with coefficients pairs[k] / den, for (re, im) int
+        pairs and a positive int den."""
+        out = cls.__new__(cls)
+        out._store(list(pairs), den)
+        return out
 
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
+    def _store(self, pairs, den):
+        """Keep the list pairs over den in lowest terms, without trailing zeros."""
+        while pairs and pairs[-1] == (0, 0):
+            pairs.pop()
+        g = math.gcd(den, *[x for pair in pairs for x in pair])
+        if g != 1:
+            pairs = [(x // g, y // g) for x, y in pairs]
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_roots(cls, root_mults):
-        """Exact expansion of prod (z - alpha)^mult; result is monic."""
-        out = cls((_ONE,))
+        """Exact expansion of prod (z - alpha)^mult; result is monic.
+
+        alpha = a / d with a Gaussian integer a, and each factor is d z - a over d.
+        """
+        pairs, den = [(1, 0)], 1
         for alpha, mult in root_mults:
-            a = alpha if isinstance(alpha, GaussianRational) else GaussianRational(alpha)
-            factor = cls((-a, _ONE))
+            [(ar, ai)], d = _integer_pairs(
+                [alpha if isinstance(alpha, GaussianRational) else GaussianRational(alpha)])
             for _ in range(int(mult)):
-                out = out * factor
-        return out
+                pairs, den = _product(pairs, [(-ar, -ai), (d, 0)]), den * d
+        return cls._from_pairs(pairs, den)
+
+    @property
+    def coeffs(self):
+        """The ascending coefficients as GaussianRationals."""
+        den = self.den
+        return tuple([GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in self.pairs])
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.pairs) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.pairs
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == _ONE
+        return bool(self.pairs) and self.pairs[-1] == (self.den, 0)
 
     def __eq__(self, other):
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.pairs == other.pairs and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.pairs, self.den))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return RationalPoly(out)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        pairs = zip_longest(self.pairs, other.pairs, fillvalue=(0, 0))
+        return RationalPoly._from_pairs([(sa * x + sb * u, sa * y + sb * v) for (x, y), (u, v) in pairs], den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RationalPoly([-c for c in self.coeffs])
+        return RationalPoly._from_pairs([(-x, -y) for x, y in self.pairs], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            o = other if isinstance(other, GaussianRational) else GaussianRational(other)
-            return RationalPoly([c * o for c in self.coeffs])
+        """Product with a polynomial, or with an int, Fraction or GaussianRational."""
+        if not isinstance(other, RationalPoly):
+            other = RationalPoly((other,))
         if self.is_zero or other.is_zero:
-            return RationalPoly.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return RationalPoly(out)
+            return RationalPoly(())
+        return RationalPoly._from_pairs(_product(self.pairs, other.pairs), self.den * other.den)
 
     __rmul__ = __mul__
 
     def divmod(self, other):
-        """Exact division with remainder over the coefficient field."""
+        """Exact division with remainder over Q(i).
+
+        Pseudo-division on Gaussian integers by other's pairs times the
+        conjugate of their lead, whose lead is then the integer norm N.  A
+        step whose leading pair N does not divide first scales the remainder
+        and the quotient so far by N.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(self.pairs) - len(other.pairs)
         if dq < 0:
-            return RationalPoly.zero(), self
-        quo = [_ZERO] * (dq + 1)
-        lead = other.coeffs[-1]
+            return RationalPoly(()), self
+        lead = other.pairs[-1]
+        b = _times_conjugate(other.pairs, lead)
+        norm, db = b[-1][0], len(b) - 1
+        rem, quo, scale = list(self.pairs), [(0, 0)] * (dq + 1), 1
         for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return RationalPoly(quo), RationalPoly(rem)
+            cr, ci = rem.pop()
+            if not (cr or ci):
+                continue
+            if cr % norm or ci % norm:
+                rem = [(norm * x, norm * y) for x, y in rem]
+                quo = [(norm * x, norm * y) for x, y in quo]
+                scale *= norm
+            else:
+                cr, ci = cr // norm, ci // norm
+            quo[k] = (cr, ci)
+            for j in range(db):
+                br, bi = b[j]
+                xr, xi = rem[k + j]
+                rem[k + j] = (xr - cr * br + ci * bi, xi - cr * bi - ci * br)
+        # scale * self.den * self = quo * b + rem, and b = other.den * conj(lead) * other
+        quo = [(other.den * x, other.den * y) for x, y in _times_conjugate(quo, lead)]
+        den = scale * self.den
+        return RationalPoly._from_pairs(quo, den), RationalPoly._from_pairs(rem, den)
 
     def monic(self):
+        """The pairs times the conjugate of the lead, over the lead's norm."""
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        return RationalPoly([c / lead for c in self.coeffs])
+        lr, li = lead = self.pairs[-1]
+        return RationalPoly._from_pairs(_times_conjugate(self.pairs, lead), lr * lr + li * li)
 
     def evaluate(self, x):
         """Horner evaluation; exact for GaussianRational x, float otherwise."""
-        if isinstance(x, GaussianRational):
-            acc = _ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        return _horner(self.to_complex_coeffs(), complex(x))
+        if not isinstance(x, GaussianRational):
+            return _horner(self.to_complex_coeffs(), complex(x))
+        if self.is_zero:
+            return GaussianRational()
+        # x = (xr + xi i) / d: the sum of c_k (xr + xi i)^k d^(deg - k) on ints
+        [(xr, xi)], d = _integer_pairs([x])
+        re = im = 0
+        for k, (cr, ci) in enumerate(reversed(self.pairs)):
+            re, im = re * xr - im * xi + cr * d ** k, re * xi + im * xr + ci * d ** k
+        den = self.den * d ** self.degree
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def to_complex_coeffs(self):
-        return [c.to_complex() for c in self.coeffs]
+        return [complex(x / self.den, y / self.den) for x, y in self.pairs]
 
     def __repr__(self):
         return f"RationalPoly({[repr(c) for c in self.coeffs]})"
@@ -314,8 +306,11 @@ def derivative(poly, order=1):
     order = int(order)
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    cs = poly.coeffs
-    return RationalPoly([cs[i] * math.perm(i, order) for i in range(order, len(cs))])
+    out = []
+    for i, (x, y) in enumerate(poly.pairs[order:], order):
+        f = math.perm(i, order)
+        out.append((x * f, y * f))
+    return RationalPoly._from_pairs(out, poly.den)
 
 
 @dataclass(frozen=True)
@@ -377,10 +372,12 @@ def jet_section(values):
     b = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in values]
     if not b:
         raise ValueError("jet values must be non-empty")
-    coeffs = [b[0]]
-    for k in range(1, len(b)):
-        coeffs.append((b[k] - b[0]) * Fraction(1, math.factorial(k)))
-    return RationalPoly(coeffs)
+    pairs, den = _integer_pairs(b)
+    # over den * (n-1)!: b_0 (n-1)!, then (b_k - b_0) (n-1)! / k!
+    (r0, i0), top = pairs[0], math.factorial(len(pairs) - 1)
+    diffs = [(r0, i0)] + [(x - r0, y - i0) for x, y in pairs[1:]]
+    scales = [top // math.factorial(k) for k in range(len(diffs))]
+    return RationalPoly._from_pairs([(s * x, s * y) for s, (x, y) in zip(scales, diffs)], den * top)
 
 
 def n_of(degrees):
@@ -599,17 +596,10 @@ def is_member(system, fan, n):
     """Whether no primitive collection shares a root of multiplicity >= n.
 
     Coefficient form decides exactly through the gcd of f_i, f_i', ...,
-    f_i^(n-1) over each primitive collection, certified modulo P = 2^61 - 1
-    first.  The f_i are monic, so when P divides none of their denominators
-    the monic gcd over Q(i) reduces to a divisor of the gcd modulo P, and a
-    constant gcd modulo P proves the collection harmless: the bound is
-    one-sided, as `exactla.rank` is.  A non-constant gcd modulo P is
-    rationally reconstructed and must divide every f_i^(k), checked by
-    pseudo-division on Gaussian integers; a common divisor of at least the
-    exact gcd's degree is that gcd.  What the certificate cannot decide (a
-    denominator divisible by P, a failed reconstruction or division) falls
-    back to `mult_part` and `gcd_monic` on that collection only, so the
-    verdict, the collection and the factor are those of Euclid over Q(i).
+    f_i^(n-1) over each primitive collection: first by the certificate
+    modulo P = 2^61 - 1 described above, and where it cannot decide by
+    `mult_part` and `gcd_monic` on that collection only, so the verdict, the
+    collection and the factor are those of Euclid over Q(i).
 
     Root form clusters the declared roots at relative tolerance
     ROOT_CLUSTER_TOL.  On failure the result carries the offending
@@ -641,10 +631,8 @@ def is_member(system, fan, n):
 
         for sigma in prims:
             idx = sorted(sigma)
-            pairs = certified_gcd([system.polys[i] for i in idx], [mod_part(i) for i in idx], n)
-            if pairs is not None:
-                g = RationalPoly([GaussianRational(re, im) for re, im in pairs])
-            else:
+            g = certified_gcd([system.polys[i] for i in idx], [mod_part(i) for i in idx], n)
+            if g is None:
                 g = part(idx[0])
                 for i in idx[1:]:
                     if g.degree == 0:

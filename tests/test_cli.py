@@ -479,6 +479,15 @@ def test_fan_reading_commands_never_trace_back(source, command, fixtures_dir, tm
         assert json.loads(err)["tool"] == "toricctl"
 
 
+def test_fan_power_rejects_json_booleans(tmp_path, capsys):
+    # true is not the integer 1 in a fan document
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"dim": True, "rays": [[True], [-1]], "max_cones": [[0], [True]]}))
+    code, out, err = run_cli(["fan", "power", str(path), "--n", "1"], capsys)
+    assert code == EXIT_PARSE and out == ""
+    assert json.loads(err)["pointer"] == "/dim"
+
+
 # system documents that fail the typed checks of system_from_json, with the
 # command that reads them and the JSON pointer of the fault; NaN and Infinity
 # are written as json.dump writes them, which json.load reads back

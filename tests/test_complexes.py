@@ -228,9 +228,18 @@ def brute_minimal_non_faces(k):
     }
 
 
-def block_face(prims, n, s):
-    """Block definition: s holds no full block sigma x [n] over a primitive sigma."""
-    return not any(all(i * n + j in s for i in sigma for j in range(n)) for sigma in prims)
+def bitmask(vertices):
+    return sum(1 << x for x in vertices)
+
+
+def block_masks(prims, n):
+    """Each full block sigma x [n] over a primitive sigma, as a bitmask of the grid."""
+    return [bitmask(i * n + j for i in sigma for j in range(n)) for sigma in prims]
+
+
+def block_face(blocks, mask):
+    """Block definition: the set of the bitmask holds no full block."""
+    return all(block & mask != block for block in blocks)
 
 
 @st.composite
@@ -255,23 +264,27 @@ def test_minimal_non_faces_match_powerset_search(k):
 @example(SimplicialComplex(4, []), 3, random.Random(0))
 @example(SimplicialComplex(5, [{0, 1}, {1, 2}]), 2, random.Random(0))
 def test_complex_power_matches_block_definition(k, n, rng):
-    prims = brute_minimal_non_faces(k)
+    blocks = block_masks(brute_minimal_non_faces(k), n)
     p = complex_power(k, n)
     grid = range(k.vertex_count * n)
     assert p.vertex_count == len(grid)
     # every facet is a face, and adding any grid vertex to it breaks that
     for f in p.max_faces:
-        assert block_face(prims, n, f)
-        assert not any(block_face(prims, n, f | {x}) for x in grid if x not in f)
+        mask = bitmask(f)
+        assert block_face(blocks, mask)
+        # f | {x} holds a full block exactly when x is the one vertex of that
+        # block outside f
+        completing = {block & ~mask for block in blocks}
+        assert all(1 << x in completing for x in grid if x not in f)
     # every face lies in a facet: exhaustively on small grids, and through
     # greedy maximal faces along random vertex orders on all grids
     if len(grid) <= 10:
         for s in subsets(grid):
-            assert p.is_face(s) == block_face(prims, n, s)
+            assert p.is_face(s) == block_face(blocks, bitmask(s))
     for _ in range(5):
         face = frozenset()
         for x in rng.sample(list(grid), len(grid)):
-            if block_face(prims, n, face | {x}):
+            if block_face(blocks, bitmask(face | {x})):
                 face |= {x}
         assert face in p.max_faces
 

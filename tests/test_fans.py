@@ -488,6 +488,16 @@ class TestJson:
             fan_from_json({"dim": 2, "rays": [[1, 0], [1]], "max_cones": [[0]]})
         assert err.value.pointer == "/rays/1"
 
+    @pytest.mark.parametrize("doc, pointer", [
+        ({"dim": True, "rays": [[1], [-1]], "max_cones": [[0], [1]]}, "/dim"),
+        ({"dim": 1, "rays": [[True], [-1]], "max_cones": [[0], [1]]}, "/rays/0/0"),
+        ({"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [True]]}, "/max_cones/1/0"),
+    ])
+    def test_json_booleans_are_not_integers(self, doc, pointer):
+        with pytest.raises(FanJsonError) as err:
+            fan_from_json(doc)
+        assert err.value.pointer == pointer
+
 
 def _reference_validate(dim, rays, listed):
     """Brute-force validator: store every geometric face of the listed cones

@@ -68,3 +68,21 @@ def test_only_main_maps_typed_errors_to_exit_codes():
                 if names & typed:
                     offenders.append(f"{func.name}:{handler.lineno}")
     assert offenders == []
+
+
+def test_gaussian_rationals_have_one_arithmetic():
+    # Q(i)[z] is computed on the int pairs of RationalPoly alone:
+    # GaussianRational is a boundary value, and modular reads only pairs
+    forbidden = {f"__{prefix}{op}__" for op in ("add", "sub", "mul", "truediv", "pow")
+                 for prefix in ("", "r", "i")} | {"__neg__", "conjugate"}
+    tree = ast.parse((ROOT / "src" / "toricstab" / "polynomials.py").read_text(encoding="utf-8"))
+    (gaussian,) = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "GaussianRational"]
+    defined = {node.name for node in gaussian.body if isinstance(node, ast.FunctionDef)}
+    defined |= {target.id for node in gaussian.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert defined & forbidden == set()
+    tree = ast.parse((ROOT / "src" / "toricstab" / "modular.py").read_text(encoding="utf-8"))
+    reads = [f"{node.attr}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "re", "im")]
+    assert reads == []
