@@ -2,7 +2,7 @@
 
 Everything in this module is certified arithmetic: Fractions or
 arbitrary-precision integers, never floats.  These kernels back the fan
-predicates (Smith form, kernel bases, cone feasibility) and the rank
+predicates (basis extension, kernel bases, cone feasibility) and the rank
 certification of the Hermite constraint matrices.
 """
 
@@ -157,61 +157,28 @@ def nullspace_int(rows):
     return basis
 
 
-def smith_normal_form(rows):
-    """Invariant factors of an integer matrix (non-negative, each dividing the next)."""
-    if not rows or not rows[0]:
-        return []
-    m = [[int(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    factors = []
-    t = 0
-    while t < min(nrows, ncols):
-        piv = _smallest_nonzero(m, t)
-        if piv is None:
-            break
-        while True:
-            i0, j0 = _smallest_nonzero(m, t)
-            m[t], m[i0] = m[i0], m[t]
-            for row in m:
-                row[t], row[j0] = row[j0], row[t]
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    q = m[i][t] // p
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                    if m[i][t]:
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    q = m[t][j] // p
-                    for row in m:
-                        row[j] -= q * row[t]
-                    if m[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry; merge a bad row in
-            bad = next(
-                ((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols)
-                 if m[i][j] % p != 0),
-                None,
-            )
-            if bad is None:
-                break
-            m[t] = [a + b for a, b in zip(m[t], m[bad[0]])]
-        factors.append(abs(m[t][t]))
-        t += 1
-    return factors
+def extends_to_basis(rows):
+    """Whether k integer rows of length m extend to a basis of Z^m.
 
-
-def _smallest_nonzero(m, t):
-    best = None
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0])):
-            if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
+    True exactly when k <= m and the k x k minors have gcd 1.  Euclid on
+    column pairs (unimodular column operations, which keep that gcd) brings
+    the rows to [H | 0] with H lower triangular; det H is then the only
+    nonzero k x k minor, so the test stops at the first |h_ii| != 1.
+    """
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    if len(m) > ncols:
+        return False
+    for i, top in enumerate(m):
+        for j in range(i + 1, ncols):
+            while top[j]:
+                q = top[i] // top[j]
+                # rows above i are already zero in columns i and j
+                for row in m[i:]:
+                    row[i], row[j] = row[j], row[i] - q * row[j]
+        if abs(top[i]) != 1:
+            return False
+    return True
 
 
 class SimplexError(RuntimeError):

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from . import complexes
 from .complexes import UnsupportedFanError
-from .exactla import echelon, lp_feasible, nullspace_int, smith_normal_form
+from .exactla import echelon, extends_to_basis, lp_feasible, nullspace_int
 
 
 class FanStructureError(ValueError):
@@ -260,24 +260,19 @@ def is_complete(fan):
 
 
 def is_smooth(fan):
-    """Every cone's generators extend to a Z-basis (unit invariant factors).
+    """Every cone's generators extend to a Z-basis of the lattice.
 
     Faces of a smooth cone are smooth, so the generating cones decide it.
     """
-    for cone in fan.generating_cones:
-        gens = fan.generators(cone)
-        if len(echelon(gens)[1]) != len(gens):
-            return False
-        factors = smith_normal_form(gens)
-        if any(f != 1 for f in factors):
-            return False
-    return True
+    return all(extends_to_basis(fan.generators(cone)) for cone in fan.generating_cones)
 
 
 def spans_lattice(fan):
-    """Whether the rays span Z^m over Z (simple connectivity of the variety)."""
-    factors = smith_normal_form(list(fan.rays))
-    return len(factors) == fan.dim and all(f == 1 for f in factors)
+    """Whether the rays span Z^m over Z (simple connectivity of the variety).
+
+    The m x m minors of the ray matrix are those of the rays.
+    """
+    return extends_to_basis(fan.ray_matrix())
 
 
 def degree_is_null(fan, degrees):

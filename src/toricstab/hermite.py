@@ -59,11 +59,6 @@ def stacked_system(points, n, degree):
     return [[Fraction(v, scale) for v in row] for row, scale in _stacked_blocks(points, n, degree)]
 
 
-def _stacked_integer_rows(points, n, degree):
-    """stacked_system with every row scaled to integers (same rank)."""
-    return [row for row, _ in _stacked_blocks(points, n, degree)]
-
-
 @dataclass(frozen=True)
 class RankCheck:
     rank: int
@@ -93,7 +88,8 @@ def verify_rank_claim(points, n, degree):
     result flags the regime violation (the rank is then capped by degree).
     """
     k = len(points)
-    r = rank(_stacked_integer_rows(points, n, degree))
+    # the rows of stacked_system scaled to integers (same rank)
+    r = rank([row for row, _ in _stacked_blocks(points, n, degree)])
     return RankCheck(rank=r, expected=n * k, in_regime=degree >= n * k)
 
 
@@ -146,7 +142,7 @@ def hermite_dimension(spec):
     inconsistent exactly when a pivot falls in the column of b.
     """
     nk = spec.order * len(spec.points)
-    if spec.degree >= nk and rank(_stacked_integer_rows(spec.points, spec.order, spec.degree)) == nk:
+    if spec.degree >= nk and verify_rank_claim(spec.points, spec.order, spec.degree).passed:
         return spec.degree - nk
     rows, rhs = _hermite_matrix_rhs(spec)
     _, pivots = echelon([row + [c] for row, c in zip(rows, rhs)])

@@ -411,8 +411,9 @@ class RootPoly:
         """Ascending complex coefficients of the monic expansion."""
         return _expand(a for a, m in self.roots for _ in range(m))
 
-    def clusters(self, tol=ROOT_CLUSTER_TOL):
-        """Root clusters at relative tolerance, as (center, total multiplicity)."""
+    def clusters(self):
+        """Root clusters at relative tolerance ROOT_CLUSTER_TOL, as (center,
+        total multiplicity)."""
         items = list(self.roots)
         parent = list(range(len(items)))
 
@@ -424,7 +425,7 @@ class RootPoly:
 
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                if _close(items[i][0], items[j][0], tol):
+                if _close(items[i][0], items[j][0]):
                     parent[find(i)] = find(j)
         groups = {}
         for i, (a, m) in enumerate(items):
@@ -437,8 +438,8 @@ class RootPoly:
         return out
 
 
-def _close(a, b, tol):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a, b):
+    return abs(a - b) <= ROOT_CLUSTER_TOL * max(1.0, abs(a), abs(b))
 
 
 # -- float helpers -------------------------------------------------------------
@@ -652,7 +653,7 @@ def is_member(system, fan, n):
     for sigma in prims:
         idx = sorted(sigma)
         for alpha, _ in heavy[idx[0]]:
-            if all(any(_close(alpha, beta, ROOT_CLUSTER_TOL) for beta, _ in heavy[i])
+            if all(any(_close(alpha, beta) for beta, _ in heavy[i])
                    for i in idx[1:]):
                 return MembershipResult(
                     member=False,

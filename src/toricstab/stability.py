@@ -9,7 +9,7 @@ underlying groups are out of scope, only the vanishing ranges are certified.
 from dataclasses import dataclass
 from math import isqrt
 
-from .complexes import E1_CELL_CAP, CapExceededError, UndefinedValueError, r_min
+from .complexes import BAND_COUNT_CAP, E1_CELL_CAP, CapExceededError, UndefinedValueError, r_min
 from .fans import degree_is_null
 
 ZERO = "zero"
@@ -214,6 +214,8 @@ def min_unknown_band(degrees, fan, n):
     when t(t + 1)/2 <= d' + 1.  Its minimum is (2 n r_min - 3) d' + t - 1,
     and the overall minimum, at t = 1, is stability_dim + 2.
     oracles.run_band checks both against an enumeration of the tuples.
+    More than BAND_COUNT_CAP bands, counted before any is listed, raises
+    CapExceededError.
     """
     n = int(n)
     if n < 2:
@@ -225,6 +227,7 @@ def min_unknown_band(degrees, fan, n):
         return BandResult(value=None, per_t={}, empty=True)
     value = _stability_dim(rm, d_min, n) + 2
     t_max = (isqrt(8 * d_prime + 9) - 1) // 2  # the largest t with t(t + 1)/2 <= d' + 1
+    CapExceededError.check(t_max, BAND_COUNT_CAP, "the band minima are capped at {cap} bands")
     per_t = {t: value + t - 1 for t in range(1, t_max + 1)}
     return BandResult(value=value, per_t=per_t, empty=False)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -16,10 +17,10 @@ from toricstab.exactla import (
     _integer_rows,
     _rank_mod_p,
     echelon,
+    extends_to_basis,
     lp_feasible,
     nullspace_int,
     rank,
-    smith_normal_form,
     solve_affine,
 )
 
@@ -181,31 +182,85 @@ def test_solve_affine_consistent_and_inconsistent():
     assert solve_affine([[1, 1], [2, 2]], [Fraction(1), Fraction(3)]) is None
 
 
+def _sympy_extends_to_basis(mat):
+    """k <= m and every invariant factor of the k x m matrix is a unit."""
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    k, m = len(mat), len(mat[0])
+    if k > m:
+        return False
+    snf = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
+    return all(abs(snf[i, i]) == 1 for i in range(k))
+
+
+@st.composite
+def _basis_candidates(draw):
+    """A k x m integer matrix, k <= 5, m <= 6, entries in [-6, 6].
+
+    Half are k rows of a unimodular matrix (the identity under random row
+    operations that keep the entries in range), one row optionally scaled,
+    so that both verdicts are common.
+    """
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)) for _ in range(k)]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(st.integers(-2, 2))
+        new = [a + c * b for a, b in zip(u[i], u[j])]
+        if i != j and max(map(abs, new)) <= 6:
+            u[i] = new
+        elif i != j:
+            u[i], u[j] = u[j], u[i]
+    rows = draw(st.permutations(u))[:k]
+    s = draw(st.sampled_from([1, 1, -1, 2, 3, 6]))
+    if max(map(abs, rows[0])) * s <= 6:
+        rows[0] = [s * x for x in rows[0]]
+    return rows
+
+
+def test_extends_to_basis_matches_sympy():
+    verdicts = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(_basis_candidates())
+    def check(mat):
+        got = extends_to_basis(mat)
+        assert got == _sympy_extends_to_basis(mat)
+        verdicts.append(got)
+
+    check()
+    # both verdicts common, so neither branch is tested vacuously
+    assert min(verdicts.count(True), verdicts.count(False)) >= len(verdicts) // 5
+
+
 @pytest.mark.parametrize(
     "mat,expected",
     [
-        ([[1, 0], [1, 2]], [1, 2]),
-        ([[2, 0], [0, 1]], [1, 2]),
-        ([[1, 0], [0, 1]], [1, 1]),
-        ([[6]], [6]),
+        ([[1, 0], [1, 2]], False),
+        ([[2, 0], [0, 1]], False),
+        ([[1, 0], [0, 1]], True),
+        ([[6]], False),
+        ([[2, 3]], True),
+        ([[1, 0, 0], [0, 0, 0]], False),
+        ([[1, 0], [0, 1], [1, 1]], False),
     ],
 )
-def test_smith_normal_form_known(mat, expected):
-    assert smith_normal_form(mat) == expected
+def test_extends_to_basis_known(mat, expected):
+    assert extends_to_basis(mat) is expected
 
 
-def test_smith_normal_form_matches_sympy():
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-    rng = random.Random(99)
-    for _ in range(25):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        ours = smith_normal_form(mat)
-        ref = sympy_snf(sympy.Matrix(mat))
-        ref_diag = [abs(ref[i, i]) for i in range(min(rows, cols)) if ref[i, i] != 0]
-        assert ours == ref_diag
+def test_extends_to_basis_large_input_is_fast():
+    rng = random.Random(12)
+    mat = [[rng.randint(-1000, 1000) for _ in range(40)] for _ in range(12)]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        # True, so the reduction runs to the last row
+        assert extends_to_basis(mat)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.02
 
 
 def test_lp_feasible_gordan_cases():

@@ -1,9 +1,12 @@
+import math
 import random
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from toricstab import (
     Fan,
@@ -153,6 +156,35 @@ class TestSpansLattice:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_projective_space(self, m):
         assert spans_lattice(builtin_fan(f"cp({m})"))
+
+
+def _sympy_unit_invariant_factors(rows, rank):
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    return all(abs(snf[i, i]) == 1 for i in range(rank))
+
+
+def test_smooth_and_spanning_match_sympy_on_random_planar_fans():
+    # cones between angularly consecutive rays less than pi apart; every
+    # third fan draws its rays from the index-2 sublattice {x even}
+    pool = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1]
+    seen = set()
+    for seed in range(80):
+        rng = random.Random(seed)
+        rays = [v for v in pool if seed % 3 or v[0] % 2 == 0]
+        rays = sorted(rng.sample(rays, rng.randint(2, 6)), key=lambda v: math.atan2(v[1], v[0]))
+        cones = [(i, (i + 1) % len(rays)) for i in range(len(rays))
+                 if rays[i][0] * rays[(i + 1) % len(rays)][1]
+                 - rays[i][1] * rays[(i + 1) % len(rays)][0] > 0]
+        covered = {i for cone in cones for i in cone}
+        cones += [(i,) for i in range(len(rays)) if i not in covered]
+        fan = fan_from_max_cones(2, rays, cones)
+        smooth = all(_sympy_unit_invariant_factors([rays[i] for i in cone], len(cone))
+                     for cone in cones)
+        spans = _sympy_unit_invariant_factors(rays, 2)
+        assert is_smooth(fan) == smooth, seed
+        assert spans_lattice(fan) == spans, seed
+        seen.add((smooth, spans))
+    assert {(True, True), (False, True), (False, False)} <= seen
 
 
 class TestDegreeNull:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from toricstab import (
     stability_report,
     truncation_dim,
 )
-from toricstab.complexes import E1_CELL_CAP
+from toricstab.complexes import BAND_COUNT_CAP, E1_CELL_CAP
 from toricstab.oracles import _band_minimum
 
 FAMILY = ("cp(1)", "cp(2)", "cp(3)", "hirzebruch(1)", "hirzebruch(2)", "hirzebruch(3)")
@@ -239,6 +240,20 @@ class TestBand:
         assert band.value == 200 == stability_dim((80, 80, 80, 160), h1, 2) + 2
         # band t is non-empty while t(t + 1)/2 <= d' + 1 = 41
         assert band.per_t == {t: 200 + t - 1 for t in range(1, 9)}
+
+    def test_band_cap(self):
+        cp1 = builtin_fan("cp(1)")
+        # t_max = 2^16 needs d' + 1 >= 2^16 (2^16 + 1)/2
+        d_prime = BAND_COUNT_CAP * (BAND_COUNT_CAP + 1) // 2 - 1
+        assert len(min_unknown_band((2 * d_prime, 2 * d_prime), cp1, 2).per_t) == BAND_COUNT_CAP
+        d_prime += BAND_COUNT_CAP + 1
+        with pytest.raises(CapExceededError, match=f"this one has {BAND_COUNT_CAP + 1}"):
+            min_unknown_band((2 * d_prime, 2 * d_prime), cp1, 2)
+        # d' = 10^13 would list 4.47M bands uncapped
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            min_unknown_band((2 * 10 ** 13, 2 * 10 ** 13), cp1, 2)
+        assert time.perf_counter() - start < 0.05
 
     def test_to_dict_maps_band_to_value(self, h1):
         band = min_unknown_band((5, 7, 5, 12), h1, 2)
