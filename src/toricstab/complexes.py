@@ -79,6 +79,16 @@ class SimplicialComplex:
             maximal.extend(f for f in same_size if not any(f <= g for g in larger))
         self.max_faces = frozenset(maximal)
 
+    @classmethod
+    def _from_facets(cls, vertex_count, facets):
+        """The complex with exactly these facets: an antichain of frozensets
+        of vertices in range, so nothing is checked or filtered."""
+        out = cls.__new__(cls)
+        out._minimal_cache = None
+        out.vertex_count = vertex_count
+        out.max_faces = frozenset(facets)
+        return out
+
     def is_face(self, vertices):
         s = frozenset(vertices)
         return any(s <= f for f in self.max_faces)
@@ -137,9 +147,10 @@ def minimal_non_faces(complex_):
     complements.  They are built one facet at a time (Berge's incremental
     dualization): a transversal that already meets the new complement stays,
     one that misses it grows by each vertex of the complement, and a grown
-    set is kept unless it contains a transversal that stayed.  A step that
-    would grow more than DUALIZATION_CAP sets, counted before any is built,
-    raises CapExceededError.
+    set is kept unless it contains a transversal that stayed.  A stayed set
+    inside t | {v}, with t missing the complement, meets the complement in v
+    alone, so t | {v} is compared only with such sets.  A step that would grow more than DUALIZATION_CAP sets,
+    counted before any is built, raises CapExceededError.
     """
     if complex_._minimal_cache is not None:
         return complex_._minimal_cache
@@ -152,12 +163,21 @@ def minimal_non_faces(complex_):
     )
     transversals = [frozenset()]
     for edge in complements:
-        kept = [t for t in transversals if t & edge]
-        missed = [t for t in transversals if not t & edge]
+        # rest[v] holds s - {v} for the kept s that meet edge in v alone
+        kept, missed, rest = [], [], {}
+        for t in transversals:
+            hit = t & edge
+            if not hit:
+                missed.append(t)
+                continue
+            kept.append(t)
+            if len(hit) == 1:
+                (v,) = hit
+                rest.setdefault(v, []).append(t - hit)
         CapExceededError.check(len(missed) * len(edge), DUALIZATION_CAP,
                                "dualization capped at {cap} sets per step")
-        grown = [t | {v} for t in missed for v in edge]
-        transversals = kept + [g for g in grown if not any(t <= g for t in kept)]
+        transversals = kept + [t | {v} for t in missed for v in edge
+                               if not any(s <= t for s in rest.get(v, ()))]
     complex_._minimal_cache = frozenset(transversals)
     return complex_._minimal_cache
 
@@ -206,7 +226,7 @@ def complex_power(complex_, n):
         outside = [i for i in range(r) if i not in f]
         for choice in product(range(n), repeat=len(outside)):
             max_faces.append(everything - {power_vertex(i, j, n) for i, j in zip(outside, choice)})
-    return SimplicialComplex(r * n, max_faces)
+    return SimplicialComplex._from_facets(r * n, max_faces)
 
 
 def dim_arrangement(fan, n):

@@ -35,6 +35,7 @@ factor, so the package needs nothing beyond the standard library.
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -766,6 +767,45 @@ def system_to_json(system):
     }
 
 
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _json_rational(value):
+    """(numerator, positive denominator) equal to _rational(value).
+
+    JSON ints and "p" or "p/q" strings of ASCII digits are read directly;
+    any other value, or one that could fail there (too many digits, a zero
+    denominator), goes through _rational and raises its error.
+    """
+    if type(value) is int and value.bit_length() <= 3 * MAX_COEFFICIENT_DIGITS:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_COEFFICIENT_DIGITS:
+        match = _PLAIN_RATIONAL.fullmatch(value)
+        if match:
+            num, den = match.groups()
+            den = int(den) if den else 1
+            if den:
+                return int(num), den
+    q = _rational(value)
+    return q.numerator, q.denominator
+
+
+def _poly_from_json(coeffs):
+    """The RationalPoly of JSON [re, im] pairs, read as int pairs over the
+    lcm of their denominators.  An item that is not a list or tuple of two
+    goes through GaussianRational.from_pair, which reads or rejects it."""
+    parts = []
+    for pair in coeffs:
+        if type(pair) in (list, tuple) and len(pair) == 2:
+            parts.append(_json_rational(pair[0]) + _json_rational(pair[1]))
+        else:
+            c = GaussianRational.from_pair(pair)
+            parts.append((c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator))
+    den = math.lcm(*[d for part in parts for d in part[1::2]])
+    return RationalPoly._from_pairs(
+        [(x * (den // dx), y * (den // dy)) for x, dx, y, dy in parts], den)
+
+
 def system_from_json(obj):
     if not isinstance(obj, dict):
         raise SystemJsonError("system document must be an object")
@@ -789,7 +829,7 @@ def system_from_json(obj):
                     f"/polys/{i}",
                 )
             try:
-                poly = RationalPoly([GaussianRational.from_pair(c) for c in coeffs])
+                poly = _poly_from_json(coeffs)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise SystemJsonError(f"bad coefficient: {exc}", f"/polys/{i}") from exc
             if poly.degree != degrees[i] or not poly.is_monic:

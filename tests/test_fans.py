@@ -72,6 +72,10 @@ class TestValidateFan:
         report = validate_fan(fan)
         assert any(v.kind == "intersection" for v in report.violations)
 
+    def test_fan_without_rays_or_cones_lacks_a_cone(self):
+        report = validate_fan(Fan(2, (), ()))
+        assert [v.kind for v in report.violations] == ["zero-cone"]
+
     def test_nonprimitive_ray_flagged(self):
         fan = fan_from_max_cones(2, [(2, 0), (0, 1)], [(0, 1)])
         report = validate_fan(fan)
@@ -377,7 +381,8 @@ class TestFanPower:
         p = fan_power(h1, 3)
         start = time.perf_counter()
         report = validate_fan(p)
-        # dimension 6, 12 rays, 36 non-simplicial cones: one LP per cone and per pair
+        # dimension 6, 12 rays, 36 non-simplicial cones: an escape LP for each
+        # cone and pair that no separating functional certifies
         assert time.perf_counter() - start < 0.5
         assert not report.ok
 
@@ -397,6 +402,86 @@ def test_power_fan_is_built_from_power_facets(points, n):
     lifted = fan_power(fan, n)
     assert underlying_complex(lifted) == power
     assert fan_to_json(lifted)["max_cones"] == sorted(sorted(f) for f in power.max_faces)
+
+
+PRIMITIVE_H4 = [(a, b) for a in range(-4, 5) for b in range(-4, 5)
+                if (a, b) != (0, 0) and math.gcd(a, b) == 1]
+
+
+@st.composite
+def separation_fans(draw):
+    """Fans in dimension 2 or 3: a valid base (sectors between angularly
+    consecutive planar rays, or octants of R^3 with one optionally starred),
+    a random subset of its cones, and optionally extra rays (zero, duplicate
+    or not primitive ones included) and extra cones on any rays, which
+    overlap, nest or are not simplicial."""
+    m = draw(st.sampled_from([2, 3]))
+    if m == 2:
+        rays = sorted(set(draw(st.lists(st.sampled_from(PRIMITIVE_H4), min_size=2, max_size=9))),
+                      key=lambda v: math.atan2(v[1], v[0]))
+        r = len(rays)
+        cones = [(i, (i + 1) % r) for i in range(r) if _cross(rays[i], rays[(i + 1) % r]) > 0]
+    else:
+        rays = [v for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for v in (e, tuple(-x for x in e))]
+        cones = [(i, j, k) for i in (0, 1) for j in (2, 3) for k in (4, 5)]
+        if draw(st.booleans()):
+            star = draw(st.sampled_from(cones))
+            weights = draw(st.tuples(*[st.integers(1, 3)] * 3))
+            rays.append(primitive_ray([sum(w * rays[k][j] for w, k in zip(weights, star))
+                                       for j in range(3)]))
+            cones.remove(star)
+            cones += [tuple(c) + (len(rays) - 1,) for c in combinations(star, 2)]
+    cones = [c for c in cones if draw(st.booleans())]
+    rays += draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), max_size=2))
+    index = st.integers(0, len(rays) - 1)
+    cones += draw(st.lists(st.lists(index, min_size=1, max_size=4), max_size=3))
+    assume(cones)
+    return Fan(m, rays, cones)
+
+
+@settings(max_examples=150, deadline=None)
+@given(separation_fans())
+def test_separation_certificate_keeps_every_verdict(fan):
+    from unittest import mock
+
+    from toricstab import fans
+
+    cones = sorted(fan.generating_cones, key=lambda c: (len(c), sorted(c)))
+    certified = fans._separator(fan, cones)
+    # a certificate is a proof: each pair it accepts has no escape
+    for a in cones:
+        assert not (certified(a, frozenset()) and fans._escapes(fan, a, frozenset()))
+    for a, b in combinations(cones, 2):
+        assert not (certified(a, b) and fans._escapes(fan, a, b))
+    with mock.patch.object(fans, "_separator", lambda fan, cones: lambda a, b: False):
+        all_lp = validate_fan(fan).to_dict()
+    assert validate_fan(fan).to_dict() == all_lp
+
+
+def test_complete_sixteen_gons_need_few_escape_lps():
+    from unittest import mock
+
+    from toricstab import fans
+
+    calls = []
+    solve = fans.lp_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for seed in range(10):
+        rng = random.Random(seed)
+        while True:
+            rays = sorted(rng.sample(PRIMITIVE_H4, 16), key=lambda v: math.atan2(v[1], v[0]))
+            if all(_cross(rays[i], rays[(i + 1) % 16]) > 0 for i in range(16)):
+                break
+        fan = fan_from_max_cones(2, rays, [(i, (i + 1) % 16) for i in range(16)])
+        with mock.patch.object(fans, "lp_feasible", counted):
+            assert validate_fan(fan).ok
+    # 120 pairs per 16-gon, one LP each without the certificate; single
+    # 16-gons range from 3 to 24 LPs with it, about 13 on average
+    assert len(calls) <= 10 * 20
 
 
 class TestGeometricFaces:

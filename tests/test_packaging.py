@@ -86,3 +86,20 @@ def test_gaussian_rationals_have_one_arithmetic():
     reads = [f"{node.attr}:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "re", "im")]
     assert reads == []
+
+
+def test_fan_geometry_and_exact_kernels_use_no_floats():
+    # certification paths stay exact: no float literal and no float, sqrt or
+    # atan2 call in the fan layer or the exact kernels
+    offenders = []
+    for name in ("fans.py", "exactla.py"):
+        tree = ast.parse((ROOT / "src" / "toricstab" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                offenders.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in ("float", "sqrt", "atan2"):
+                    offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

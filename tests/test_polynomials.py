@@ -441,6 +441,85 @@ class TestSystemJson:
             assert err.value.pointer == "/roots/0/1"
 
 
+_DIGITS = st.text("0123456789", min_size=1, max_size=5)
+_SIGNS = st.sampled_from(["", "-", "+", "--"])
+
+
+@st.composite
+def _rational_texts(draw):
+    """Strings on and near the grammar Fraction reads: whitespace, signs,
+    underscores, fractions with zero or signed denominators, decimals and
+    exponents."""
+    space = st.sampled_from(["", " ", "\t", "\n "])
+    number = draw(st.lists(_DIGITS, min_size=1, max_size=3).map(draw(st.sampled_from(["", "_"])).join))
+    tail = draw(st.sampled_from(["", "/", ".", "e", ".e"]))
+    if tail == "/":
+        tail += draw(_SIGNS) + draw(_DIGITS | st.just("0"))
+    elif tail:
+        tail = tail.replace("e", draw(st.sampled_from(["e", "E"])) + draw(_SIGNS) + draw(_DIGITS))
+        tail = tail.replace(".", "." + draw(st.sampled_from(["", "5", "25"])))
+    return draw(space) + draw(_SIGNS) + number + tail + draw(space)
+
+
+_JSON_PARTS = st.one_of(
+    _rational_texts(),
+    st.text(" +-_/.eE0123456789", max_size=8),
+    st.sampled_from(["9" * 4300, "9" * 4301, "-" + "9" * 4300, "1/" + "3" * 4301,
+                     "9" * 4302 + "/" + "9" * 4301, "7/" + "0" * 3,
+                     "1e4299", "1e4300", "\u0661\u0662", "3/0", "3/-4", "0/5", "-0"]),
+    st.integers(),
+    st.sampled_from([2 ** 12900, -(2 ** 12901), 10 ** 4299, 10 ** 4300, -(10 ** 4400)]),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+)
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "pointer", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_PARTS)
+def test_json_rational_matches_fraction_reading(value):
+    from toricstab.polynomials import _json_rational, _rational
+
+    fast, exact = _outcome(_json_rational, value), _outcome(_rational, value)
+    if exact[0] == "value":
+        num, den = fast[1]
+        assert den > 0 and Fraction(num, den) == exact[1]
+    else:
+        assert fast == exact
+
+
+def _from_pair_system_poly(coeffs):
+    """The coefficient branch of system_from_json on GaussianRational.from_pair."""
+    try:
+        poly = RationalPoly([G.from_pair(c) for c in coeffs])
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise SystemJsonError(f"bad coefficient: {exc}", "/polys/0") from exc
+    if poly.degree != 1 or not poly.is_monic:
+        raise SystemJsonError("polynomial 0 must be monic of degree 1", "/polys/0")
+    return poly
+
+
+_JSON_PAIRS = st.one_of(
+    st.lists(_JSON_PARTS, min_size=2, max_size=2),
+    st.lists(_JSON_PARTS, max_size=3),
+    st.sampled_from([5, "12", None, ("1/2", "3")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAIRS, st.just(["1", "0"]) | _JSON_PAIRS)
+def test_coefficient_parser_matches_from_pair(c0, c1):
+    parsed = _outcome(lambda: system_from_json({"degrees": [1], "polys": [[c0, c1]]}).polys[0])
+    assert parsed == _outcome(_from_pair_system_poly, [c0, c1])
+
+
 # -- float helpers against numpy, a test-only oracle ----------------------------
 
 @pytest.fixture(scope="module")
