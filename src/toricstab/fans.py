@@ -3,7 +3,14 @@
 A fan is stored as primitive integer ray vectors plus the cones it is built
 from, each cone being the frozenset of indices of the rays spanning it.
 Files carry maximal cones; the other faces are implied (the faces of the
-stored cones) and never materialized.  All geometric decisions (strong
+stored cones) and never materialized.
+
+A complete simplicial fan, the kind a non-singular complete toric variety
+has, is recognized first by a local certificate: every facet lies in
+exactly two cones, on opposite sides of it, and one point is covered by
+exactly one cone (the pseudomanifold characterisation of triangulations;
+De Loera, Rambau, Santos, Triangulations, 2010).  Every other fan goes
+through the pairwise checks.  Their geometric decisions (strong
 convexity, face recognition, intersection axiom) ask whether one
 feasibility LP, the escape LP, is infeasible.  An integer separating
 functional built from weighted ray sums answers most of them first; the
@@ -168,6 +175,50 @@ def _separator(fan, cones):
     return certified
 
 
+def _complete_simplicial(fan):
+    """True only when the generating cones form a complete simplicial fan.
+
+    The certificate (integer only) asks that m >= 2, that every cone have m
+    rays, that every facet (m - 1 rays of a cone) lie in exactly two cones
+    whose apexes are strictly on opposite sides of it, and that the probe p,
+    the sum of one cone's rays, lie strictly outside every other cone: some
+    facet of each has p strictly on the far side from its apex.  Sides are
+    read against the facet's normal, the one-dimensional integer kernel of
+    its rays; its sign cancels, since apexes and p face the same normal.
+
+    Crossing a facet then keeps the number of cones covering a point, so
+    that number is constant off the union of the (m - 2)-faces, which does
+    not disconnect R^m for m >= 2.  Near p it is 1, so the cones tile R^m
+    and meet in common faces (the pseudomanifold characterisation of
+    triangulations: De Loera, Rambau, Santos, Triangulations, 2010).  False
+    proves nothing: the pairwise checks decide such fans.
+    """
+    m, rays = fan.dim, fan.rays
+    cones = list(fan.generating_cones)
+    if m < 2 or not cones or any(len(c) != m for c in cones):
+        return False
+    apexes = {}
+    for cone in cones:
+        for k in cone:
+            apexes.setdefault(cone - {k}, []).append(k)
+    normals = {}
+    for facet, pair in apexes.items():
+        if len(pair) != 2:
+            return False
+        basis = nullspace_int([rays[k] for k in facet])
+        if len(basis) != 1:
+            return False
+        u = normals[facet] = basis[0]
+        if _dot(u, rays[pair[0]]) * _dot(u, rays[pair[1]]) >= 0:
+            return False
+    probe = [sum(rays[k][j] for k in cones[0]) for j in range(m)]
+    for cone in cones[1:]:
+        if not any(_dot(normals[cone - {k}], probe) * _dot(normals[cone - {k}], rays[k]) < 0
+                   for k in cone):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -196,7 +247,11 @@ def validate_fan(fan):
     """Check the fan axioms and report every violation found.
 
     Out-of-range ray indices raise FanStructureError before any axiom is
-    considered.  An empty violation list certifies a valid fan.
+    considered.  An empty violation list certifies a valid fan.  After the
+    ray checks, generating cones that `_complete_simplicial` certifies as a
+    complete simplicial fan need no further check; any other fan has each
+    cone and each pair of cones checked, and only that path names cone
+    violations.
     """
     _check_structure(fan.dim, fan.rays, fan.generating_cones)
     report = ValidationReport()
@@ -214,6 +269,8 @@ def validate_fan(fan):
 
     if not fan.generating_cones:
         report.add("zero-cone", "fan must contain at least one nonzero cone")
+    if _complete_simplicial(fan):
+        return report
 
     def order(c):
         return len(c), sorted(c)
@@ -268,17 +325,27 @@ def _sector(fan, cone):
 def is_complete(fan):
     """Whether the cones cover all of R^m.
 
-    Exact for m <= 2 (sector sweep) and for pure full-dimensional
-    simplicial fans in m >= 3 (facet pairing).  Mixed-dimensional or
-    non-simplicial fans in m >= 3 return None ("unknown").
+    A valid fan whose maximal cones all have m rays and rank m is complete
+    exactly when they pass `_complete_simplicial` (facet pairing and one
+    covered point), so True comes from that certificate in every m >= 2.
+    Failing it, m = 2 is decided by a sector sweep, and m >= 3 gives False
+    for such pure simplicial fans and None ("unknown") for
+    mixed-dimensional or non-simplicial ones.
     """
     m = fan.dim
     if m == 1:
         dirs = {fan.rays[k][0] > 0 for k in set().union(*fan.generating_cones) if fan.rays[k][0]}
         return dirs == {True, False}
+    maximal = fan.maximal_cones()
+    # the certificate reads the generating cones and declines a listed
+    # face of another cone, so it is given the maximal ones
+    if maximal != fan.generating_cones:
+        fan = Fan(m, fan.rays, maximal)
+    if _complete_simplicial(fan):
+        return True
     if m == 2:
         sectors = {}
-        for cone in fan.maximal_cones():
+        for cone in maximal:
             if _cone_rank(fan, cone) != 2:
                 return False
             pair = _sector(fan, cone)
@@ -295,17 +362,9 @@ def is_complete(fan):
                 return False
         return current == start and len(sectors) >= 2
 
-    maximal = fan.maximal_cones()
-    if not maximal:
-        return False
-    for cone in maximal:
-        if len(cone) != m or not _is_simplicial(fan, cone):
-            return None
-    facet_count = {}
-    for cone in maximal:
-        for facet in combinations(sorted(cone), m - 1):
-            facet_count[frozenset(facet)] = facet_count.get(frozenset(facet), 0) + 1
-    return all(c == 2 for c in facet_count.values())
+    if any(len(cone) != m or not _is_simplicial(fan, cone) for cone in maximal):
+        return None
+    return False
 
 
 def is_smooth(fan):

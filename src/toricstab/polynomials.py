@@ -51,6 +51,7 @@ ABERTH_START_ANGLE = 0.7
 ABERTH_ROUNDING = 4 * 2.0 ** -53
 # Python's default limit on the digits of an int converted from or to str
 MAX_COEFFICIENT_DIGITS = 4300
+_PAIR_ERROR = "coefficient must be a [re, im] pair"
 
 
 def _rational(value):
@@ -86,8 +87,9 @@ class GaussianRational:
 
     @classmethod
     def from_pair(cls, pair):
-        if len(pair) != 2:
-            raise ValueError("coefficient must be a [re, im] pair")
+        """The value of a JSON [re, im] array (a list or tuple of two)."""
+        if type(pair) not in (list, tuple) or len(pair) != 2:
+            raise ValueError(_PAIR_ERROR)
         return cls(_rational(pair[0]), _rational(pair[1]))
 
     def to_pair(self):
@@ -793,14 +795,12 @@ def _json_rational(value):
 def _poly_from_json(coeffs):
     """The RationalPoly of JSON [re, im] pairs, read as int pairs over the
     lcm of their denominators.  An item that is not a list or tuple of two
-    goes through GaussianRational.from_pair, which reads or rejects it."""
+    raises ValueError, as GaussianRational.from_pair does."""
     parts = []
     for pair in coeffs:
-        if type(pair) in (list, tuple) and len(pair) == 2:
-            parts.append(_json_rational(pair[0]) + _json_rational(pair[1]))
-        else:
-            c = GaussianRational.from_pair(pair)
-            parts.append((c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator))
+        if type(pair) not in (list, tuple) or len(pair) != 2:
+            raise ValueError(_PAIR_ERROR)
+        parts.append(_json_rational(pair[0]) + _json_rational(pair[1]))
     den = math.lcm(*[d for part in parts for d in part[1::2]])
     return RationalPoly._from_pairs(
         [(x * (den // dx), y * (den // dy)) for x, dx, y, dy in parts], den)

@@ -502,6 +502,12 @@ _BAD_SYSTEMS = {
     "Infinity coordinate": ({"roots": [[[0.0, float("inf"), 1]]]}, "stabilize", "/roots/0/0"),
     "boolean coordinate": ({"roots": [[[True, False, 1]], [[1.0, 0.0, 1]]]}, "stabilize",
                            "/roots/0/0"),
+    # a coefficient is a [re, im] array: not an object with two keys, and
+    # not a two-character string read as ("1", "2")
+    "object coefficient": ({"degrees": [1, 1], "polys": [[["0", "0"], ["1", "0"]],
+                                                         [{"a": 1, "b": 2}, ["1", "0"]]]},
+                           "jet", "/polys/1"),
+    "string coefficient": ({"degrees": [1], "polys": [["12", ["1", "0"]]]}, "jet", "/polys/0"),
 }
 
 

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 import sympy
@@ -117,6 +117,12 @@ class TestIsComplete:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_affine_fans(self, m):
         assert is_complete(builtin_fan(f"affine({m})")) is False
+
+    @pytest.mark.parametrize("name,face", [("cp(2)", (0,)), ("cp(3)", (0, 1))])
+    def test_listed_faces_leave_a_complete_fan_complete(self, name, face):
+        fan = builtin_fan(name)
+        listed = fan_from_max_cones(fan.dim, fan.rays, list(fan.generating_cones) + [face])
+        assert validate_fan(listed).ok and is_complete(listed) is True
 
     def test_mixed_dimension_in_three_dims_unknown(self):
         fan = fan_from_max_cones(
@@ -410,17 +416,20 @@ PRIMITIVE_H4 = [(a, b) for a in range(-4, 5) for b in range(-4, 5)
 
 @st.composite
 def separation_fans(draw):
-    """Fans in dimension 2 or 3: a valid base (sectors between angularly
-    consecutive planar rays, or octants of R^3 with one optionally starred),
-    a random subset of its cones, and optionally extra rays (zero, duplicate
-    or not primitive ones included) and extra cones on any rays, which
-    overlap, nest or are not simplicial."""
+    """Fans in dimension 2 or 3: a base (sectors between angularly
+    consecutive planar rays, or between every second ray of an odd cycle,
+    which wind twice around the origin; or octants of R^3 with one
+    optionally starred), all or a random subset of its cones, and
+    optionally extra rays (zero, duplicate or not primitive ones included)
+    and extra cones on any rays, which overlap, nest or are not
+    simplicial."""
     m = draw(st.sampled_from([2, 3]))
     if m == 2:
         rays = sorted(set(draw(st.lists(st.sampled_from(PRIMITIVE_H4), min_size=2, max_size=9))),
                       key=lambda v: math.atan2(v[1], v[0]))
         r = len(rays)
-        cones = [(i, (i + 1) % r) for i in range(r) if _cross(rays[i], rays[(i + 1) % r]) > 0]
+        step = draw(st.sampled_from([1, 2])) if r % 2 and r >= 5 else 1
+        cones = [(i, (i + step) % r) for i in range(r) if _cross(rays[i], rays[(i + step) % r]) > 0]
     else:
         rays = [v for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for v in (e, tuple(-x for x in e))]
         cones = [(i, j, k) for i in (0, 1) for j in (2, 3) for k in (4, 5)]
@@ -431,7 +440,8 @@ def separation_fans(draw):
                                        for j in range(3)]))
             cones.remove(star)
             cones += [tuple(c) + (len(rays) - 1,) for c in combinations(star, 2)]
-    cones = [c for c in cones if draw(st.booleans())]
+    if draw(st.booleans()):
+        cones = [c for c in cones if draw(st.booleans())]
     rays += draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), max_size=2))
     index = st.integers(0, len(rays) - 1)
     cones += draw(st.lists(st.lists(index, min_size=1, max_size=4), max_size=3))
@@ -453,9 +463,13 @@ def test_separation_certificate_keeps_every_verdict(fan):
         assert not (certified(a, frozenset()) and fans._escapes(fan, a, frozenset()))
     for a, b in combinations(cones, 2):
         assert not (certified(a, b) and fans._escapes(fan, a, b))
-    with mock.patch.object(fans, "_separator", lambda fan, cones: lambda a, b: False):
+    with mock.patch.object(fans, "_separator", lambda fan, cones: lambda a, b: False), \
+            mock.patch.object(fans, "_complete_simplicial", lambda fan: False):
         all_lp = validate_fan(fan).to_dict()
     assert validate_fan(fan).to_dict() == all_lp
+    # a complete simplicial fan has nothing for the pairwise checks to find
+    if fans._complete_simplicial(fan):
+        assert all(v["kind"] == "ray" for v in all_lp["violations"])
 
 
 def test_complete_sixteen_gons_need_few_escape_lps():
@@ -470,18 +484,183 @@ def test_complete_sixteen_gons_need_few_escape_lps():
         calls.append(args)
         return solve(*args)
 
+    for fan in _seeded_sixteen_gons():
+        # the pairwise path alone: the separator, then the LP where it misses
+        with mock.patch.object(fans, "lp_feasible", counted), \
+                mock.patch.object(fans, "_complete_simplicial", lambda fan: False):
+            assert validate_fan(fan).ok
+    # 120 pairs per 16-gon, one LP each without the separator; single
+    # 16-gons range from 3 to 24 LPs with it, about 13 on average
+    assert len(calls) <= 10 * 20
+
+
+def _seeded_sixteen_gons():
     for seed in range(10):
         rng = random.Random(seed)
         while True:
             rays = sorted(rng.sample(PRIMITIVE_H4, 16), key=lambda v: math.atan2(v[1], v[0]))
             if all(_cross(rays[i], rays[(i + 1) % 16]) > 0 for i in range(16)):
                 break
-        fan = fan_from_max_cones(2, rays, [(i, (i + 1) % 16) for i in range(16)])
+        yield fan_from_max_cones(2, rays, [(i, (i + 1) % 16) for i in range(16)])
+
+
+def _pairwise_report(fan):
+    """validate_fan with the complete-fan certificate switched off."""
+    from unittest import mock
+
+    from toricstab import fans
+
+    with mock.patch.object(fans, "_complete_simplicial", lambda fan: False):
+        return validate_fan(fan).to_dict()
+
+
+def _odd_cycle(r, step):
+    rays = _cycle_rays(r)
+    return fan_from_max_cones(2, rays, [(i, (i + step) % r) for i in range(r)])
+
+
+def _stellar_octahedral(cone_count, seed):
+    """A complete simplicial fan in R^3: the octants, each step starring a
+    random cone at a positive combination of its rays."""
+    rng = random.Random(seed)
+    rays = [v for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for v in (e, tuple(-x for x in e))]
+    cones = [frozenset((i, j, k)) for i in (0, 1) for j in (2, 3) for k in (4, 5)]
+    while len(cones) < cone_count:
+        star = rng.choice(cones)
+        weights = {k: rng.randint(1, 2) for k in star}
+        ray = primitive_ray([sum(w * rays[k][j] for k, w in weights.items()) for j in range(3)])
+        if ray in rays:
+            continue
+        rays.append(ray)
+        cones.remove(star)
+        cones += [frozenset(f) | {len(rays) - 1} for f in combinations(star, 2)]
+    return fan_from_max_cones(3, rays, cones)
+
+
+_DECLINED = {
+    "cp(1)": builtin_fan("cp(1)"),
+    "no cones": Fan(2, ((1, 0), (0, 1)), ()),
+    "fewer than m rays": fan_from_max_cones(
+        2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0), (0,)]),
+    "zero ray": fan_from_max_cones(
+        2, [(1, 0), (0, 1), (-1, -1), (0, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "one vector twice": fan_from_max_cones(
+        2, [(1, 0), (0, 1), (-1, -1), (1, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "pentagram": _odd_cycle(5, 2),
+    # each cone's ray sum lies on a ray of the other fan, so on a facet of a
+    # cone covering it, not strictly outside
+    "two complete fans on disjoint rays": fan_from_max_cones(
+        2, [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)],
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    "boundary facet": fan_from_max_cones(
+        2, [(1, 0), (0, 1), (-1, 1), (0, -1)], [(0, 1), (1, 2), (2, 3)]),
+    "r-gon plus an overlapping cone": fan_from_max_cones(
+        2, _cycle_rays(7), [(i, (i + 1) % 7) for i in range(7)] + [(0, 2)]),
+}
+
+
+class TestCompleteSimplicialCertificate:
+    @pytest.mark.parametrize("name", sorted(_DECLINED))
+    def test_declines_and_leaves_the_pairwise_report(self, name):
+        from toricstab import fans
+
+        fan = _DECLINED[name]
+        assert not fans._complete_simplicial(fan)
+        assert validate_fan(fan).to_dict() == _pairwise_report(fan)
+
+    def test_pentagram_wraps_twice(self):
+        # every facet lies in two cones on opposite sides, but each point
+        # is covered twice, so the pairwise checks find the overlaps
+        report = validate_fan(_odd_cycle(5, 2))
+        assert {v.kind for v in report.violations} == {"intersection"}
+
+    def test_complete_fans_need_no_escape_lp(self):
+        from unittest import mock
+
+        from toricstab import fans
+
+        calls = []
+        solve = fans.lp_feasible
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        complete = list(_seeded_sixteen_gons()) + [builtin_fan(f"cp({m})") for m in (2, 3, 4)]
         with mock.patch.object(fans, "lp_feasible", counted):
+            for fan in complete:
+                assert validate_fan(fan).ok and is_complete(fan) is True
+        assert calls == []
+
+    @pytest.mark.parametrize("fan,budget", [
+        # about 20 ms (60-gon) and 200 ms (150 cones) through the pairwise checks
+        (_odd_cycle(60, 1), 0.010),
+        (_stellar_octahedral(150, 3), 0.040),
+    ], ids=["planar 60-gon", "stellar octahedral 150 cones"])
+    def test_complete_fan_validates_fast(self, fan, budget):
+        import time
+
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
             assert validate_fan(fan).ok
-    # 120 pairs per 16-gon, one LP each without the certificate; single
-    # 16-gons range from 3 to 24 LPs with it, about 13 on average
-    assert len(calls) <= 10 * 20
+            times.append(time.perf_counter() - start)
+        assert min(times) < budget
+
+
+@st.composite
+def complete_simplicial_fans(draw):
+    """(fan, built_complete): cp(m) or the orthant fan in m = 2, 3, 4, with
+    up to three stellar subdivisions at a face of 2..m rays, then
+    optionally one defect (a dropped cone, an extra cone of m rays, or a
+    ray moved)."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    if draw(st.booleans()):
+        rays = [tuple(int(i == j) for j in range(m)) for i in range(m)] + [(-1,) * m]
+        cones = [frozenset(c) for c in combinations(range(m + 1), m)]
+    else:
+        rays = [v for i in range(m) for v in (tuple(int(i == j) for j in range(m)),
+                                              tuple(-int(i == j) for j in range(m)))]
+        cones = [frozenset(2 * i + s for i, s in enumerate(signs))
+                 for signs in product((0, 1), repeat=m)]
+    for _ in range(draw(st.integers(0, 3))):
+        cone = sorted(draw(st.sampled_from(cones)))
+        face = draw(st.lists(st.sampled_from(cone), min_size=2, max_size=m, unique=True))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(face), max_size=len(face)))
+        ray = primitive_ray([sum(w * rays[k][j] for w, k in zip(weights, face)) for j in range(m)])
+        if ray in rays:
+            continue
+        rays.append(ray)
+        new = len(rays) - 1
+        starred = [c for c in cones if c >= set(face)]
+        cones = [c for c in cones if not c >= set(face)]
+        cones += [c - {k} | {new} for c in starred for k in face]
+    defect = draw(st.sampled_from([None, None, "drop", "extra", "move"]))
+    if defect == "drop":
+        cones.remove(draw(st.sampled_from(sorted(cones, key=sorted))))
+    elif defect == "extra":
+        cones.append(frozenset(draw(st.lists(st.integers(0, len(rays) - 1), min_size=m,
+                                             max_size=m, unique=True))))
+    elif defect == "move":
+        k = draw(st.integers(0, len(rays) - 1))
+        ray = tuple(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+        assume(any(ray) and primitive_ray(ray) == ray and ray not in rays)
+        rays[k] = ray
+    return Fan(m, rays, cones), defect is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_simplicial_fans())
+def test_certificate_implies_a_valid_complete_fan(case):
+    from toricstab import fans
+
+    fan, built_complete = case
+    certified = fans._complete_simplicial(fan)
+    assert certified or not built_complete
+    pairwise = _pairwise_report(fan)
+    assert validate_fan(fan).to_dict() == pairwise
+    if certified:
+        assert pairwise["valid"] and is_complete(fan) is True
 
 
 class TestGeometricFaces:
