@@ -1,11 +1,12 @@
 """toricctl: JSON-speaking command-line front end for the library kernels.
 
-Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid fan,
-4 shape mismatch or undefined value, 5 enumeration cap exceeded (power
-facets, e1 window, jet coefficients, dualization step) or output too
-large to print, 6 internal error.  All reports embed the tool version, a
-digest of the canonicalized input, and the formula the verdict rests on.
-Randomized suites surface their seed; TORICCTL_SEED overrides it.
+Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid or
+unsupported fan, 4 shape mismatch or undefined value, 5 enumeration cap
+exceeded (power facets, e1 window, jet coefficients, dualization step) or
+output too large to print, 6 internal error.  All reports embed the tool
+version, a digest of the canonicalized input, and the formula the verdict
+rests on.  Randomized suites surface their seed; TORICCTL_SEED overrides
+it.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import sys
 from . import __version__
 from .complexes import (
     CapExceededError,
+    JsonPointerError,
     SimplicialComplex,
     UndefinedValueError,
     UnsupportedFanError,
@@ -26,7 +28,6 @@ from .complexes import (
 )
 from .exactla import nullspace_int
 from .fans import (
-    FanJsonError,
     FanStructureError,
     cox_group_rank,
     fan_from_json,
@@ -34,13 +35,13 @@ from .fans import (
     fan_to_json,
     find_degree_vector,
     is_complete,
+    is_simplicial,
     is_smooth,
     spans_lattice,
     validate_fan,
 )
 from .polynomials import (
     MAX_COEFFICIENT_DIGITS,
-    SystemJsonError,
     is_member,
     jet,
     system_from_json,
@@ -60,7 +61,7 @@ EXIT_INTERNAL = 6
 # typed library errors and their exit codes; the first matching row wins,
 # and any other exception is an internal error
 EXIT_CODES = (
-    ((FanJsonError, SystemJsonError, FanStructureError), EXIT_PARSE),
+    ((JsonPointerError, FanStructureError), EXIT_PARSE),
     (UnsupportedFanError, EXIT_INVALID_FAN),
     (UndefinedValueError, EXIT_SHAPE),
     (CapExceededError, EXIT_CAP),
@@ -130,6 +131,10 @@ def _load_fan(path, require_valid=True):
     if require_valid and not report.ok:
         _fail(EXIT_INVALID_FAN, "fan violates the fan axioms",
               violations=[v.to_dict() for v in report.violations])
+    # K_Sigma, and every bound read from it, is defined for simplicial fans
+    if require_valid and not is_simplicial(fan):
+        cone = min(sorted(c) for c in fan.generating_cones if not is_simplicial(fan, [c]))
+        raise UnsupportedFanError(f"cone {cone} is not simplicial")
     return fan, raw, report
 
 

@@ -18,6 +18,15 @@ class UnsupportedFanError(ValueError):
     """Raised for fans outside the supported class (e.g. a ray spanning no cone)."""
 
 
+class JsonPointerError(ValueError):
+    """A defect in an input document, located by its JSON pointer."""
+
+    def __init__(self, message, pointer=""):
+        super().__init__(f"{message} (at {pointer or '/'})")
+        self.pointer = pointer
+        self.message = message
+
+
 class CapExceededError(ValueError):
     """An enumeration was requested beyond its documented cap."""
 

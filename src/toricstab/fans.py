@@ -24,7 +24,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from . import complexes
-from .complexes import UnsupportedFanError
+from .complexes import JsonPointerError, UnsupportedFanError
 from .exactla import echelon, extends_to_basis, lp_feasible, nullspace_int
 
 
@@ -32,11 +32,8 @@ class FanStructureError(ValueError):
     """Structural defect (bad index, malformed shape) detected before axiom checks."""
 
 
-class FanJsonError(ValueError):
-    def __init__(self, message, pointer=""):
-        super().__init__(f"{message} (at {pointer or '/'})")
-        self.pointer = pointer
-        self.message = message
+class FanJsonError(JsonPointerError):
+    """A defect in a fan document."""
 
 
 def primitive_ray(v):
@@ -105,10 +102,6 @@ def _cone_rank(fan, cone):
     if not cone:
         return 0
     return len(echelon(fan.generators(cone))[1])
-
-
-def _is_simplicial(fan, cone):
-    return _cone_rank(fan, cone) == len(cone)
 
 
 def _escapes(fan, a, b):
@@ -280,7 +273,7 @@ def validate_fan(fan):
     cones = sorted(fan.generating_cones, key=order)
     certified = _separator(fan, cones)
     for cone in cones:
-        if (not certified(cone, frozenset()) and not _is_simplicial(fan, cone)
+        if (not certified(cone, frozenset()) and not is_simplicial(fan, [cone])
                 and _escapes(fan, cone, frozenset())):
             report.add("strong-convexity", f"cone {sorted(cone)} is not strongly convex")
     for a, b in combinations(cones, 2):
@@ -306,31 +299,27 @@ def fan_from_complex(complex_, rays, dim):
 
 # -- completeness ------------------------------------------------------------
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _sector(fan, cone):
-    """Extreme generator pair (u, v) of a 2-dimensional cone, counterclockwise."""
-    gens = [primitive_ray(g) for g in fan.generators(cone)]
-    for u in gens:
-        for v in gens:
-            if u == v or _cross(u, v) <= 0:
-                continue
-            if all(_cross(u, w) >= 0 and _cross(w, v) >= 0 for w in gens):
-                return u, v
-    return None
+def is_simplicial(fan, cones=None):
+    """Whether the rays of each cone (default: each generating cone, hence
+    every cone of the fan) are linearly independent."""
+    cones = fan.generating_cones if cones is None else cones
+    return all(_cone_rank(fan, cone) == len(cone) for cone in cones)
 
 
 def is_complete(fan):
-    """Whether the cones cover all of R^m.
+    """Whether the cones of a valid fan cover all of R^m.
 
-    A valid fan whose maximal cones all have m rays and rank m is complete
-    exactly when they pass `_complete_simplicial` (facet pairing and one
-    covered point), so True comes from that certificate in every m >= 2.
-    Failing it, m = 2 is decided by a sector sweep, and m >= 3 gives False
-    for such pure simplicial fans and None ("unknown") for
-    mixed-dimensional or non-simplicial ones.
+    m = 1 reads the ray directions.  For m >= 2, True comes from
+    `_complete_simplicial` (facet pairing and one covered point), and None
+    ("unknown") when that fails and some maximal cone is not simplicial.
+    Otherwise the answer is False, exactly:
+    - if every maximal cone has m rays, the certificate decides such fans;
+    - else some maximal cone t has fewer than m rays.  Were R^m covered,
+      the full-dimensional cones alone would cover it, the others being
+      nowhere dense, so a relative-interior point of t would lie in some
+      m-cone s.  Validity makes t & s the index set of the face where they
+      meet, and t is simplicial, so that face holds the point only if
+      t <= s, against the maximality of t.
     """
     m = fan.dim
     if m == 1:
@@ -343,28 +332,7 @@ def is_complete(fan):
         fan = Fan(m, fan.rays, maximal)
     if _complete_simplicial(fan):
         return True
-    if m == 2:
-        sectors = {}
-        for cone in maximal:
-            if _cone_rank(fan, cone) != 2:
-                return False
-            pair = _sector(fan, cone)
-            if pair is None or pair[0] in sectors:
-                return False
-            sectors[pair[0]] = pair[1]
-        if not sectors:
-            return False
-        start = next(iter(sectors))
-        current = start
-        for _ in range(len(sectors)):
-            current = sectors.get(current)
-            if current is None:
-                return False
-        return current == start and len(sectors) >= 2
-
-    if any(len(cone) != m or not _is_simplicial(fan, cone) for cone in maximal):
-        return None
-    return False
+    return False if is_simplicial(fan) else None
 
 
 def is_smooth(fan):

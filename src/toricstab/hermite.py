@@ -107,6 +107,8 @@ class HermiteSpec:
         pts = tuple(Fraction(x) for x in self.points)
         if len(set(pts)) != len(pts):
             raise ValueError("points must be distinct")
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         tg = tuple(tuple(Fraction(v) for v in row) for row in self.targets)
@@ -121,12 +123,10 @@ class HermiteInconsistencyError(RuntimeError):
 
 
 def _hermite_matrix_rhs(spec):
-    rows = []
+    rows = stacked_system(spec.points, spec.order, spec.degree)
     rhs = []
     for order in range(spec.order):
-        block = confluent_vandermonde(spec.points, order, spec.degree)
         for j, x in enumerate(spec.points):
-            rows.append(block[j])
             # the order-th derivative of z^degree vanishes past order = degree
             lead = perm(spec.degree, order) * x ** (spec.degree - order) if order <= spec.degree else 0
             rhs.append(spec.targets[order][j] - lead)

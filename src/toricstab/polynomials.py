@@ -40,7 +40,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .complexes import JET_COEFFICIENT_CAP, CapExceededError, PointInProduct, primitive_collections
+from .complexes import (
+    JET_COEFFICIENT_CAP,
+    CapExceededError,
+    JsonPointerError,
+    PointInProduct,
+    primitive_collections,
+)
 
 ROOT_CLUSTER_TOL = 1e-6
 ABERTH_TOL = 1e-12
@@ -746,11 +752,8 @@ def evaluate_jet(system, n, alpha):
 
 # -- JSON --------------------------------------------------------------------
 
-class SystemJsonError(ValueError):
-    def __init__(self, message, pointer=""):
-        super().__init__(f"{message} (at {pointer or '/'})")
-        self.pointer = pointer
-        self.message = message
+class SystemJsonError(JsonPointerError):
+    """A defect in a polynomial system document."""
 
 
 def _is_count(value):

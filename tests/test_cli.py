@@ -420,6 +420,8 @@ def test_cross_process_determinism(fixtures_dir):
 # through the interior of its only cone
 STRAY_RAY = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1]]}
 INTERIOR_RAY = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1, 2]]}
+SQUARE_CONE = {"dim": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]],
+               "max_cones": [[0, 1, 2, 3]]}
 
 
 def _write_fan_and_system(tmp_path, doc):
@@ -453,11 +455,28 @@ def _fan_reading_commands(fan, system, degrees):
     "command", ["fan analyze", "fan power", "poly check", "stability report", "stability e1"]
 )
 def test_ray_in_no_cone_exits_invalid_fan(command, tmp_path, capsys):
-    fan, system, degrees = _write_fan_and_system(tmp_path, STRAY_RAY)
-    code, out, err = run_cli(_fan_reading_commands(fan, system, degrees)[command], capsys)
-    assert code == 3 and out == ""
-    doc = json.loads(err)
-    assert doc["tool"] == "toricctl" and doc["error"] == "ray 2 spans no cone of the fan"
+    # K_Sigma is read only on fans whose rays all span cones, each of them
+    # simplicial: a stray ray and a non-simplicial cone both exit 3
+    cases = [(STRAY_RAY, "ray 2 spans no cone of the fan"),
+             (INTERIOR_RAY, "cone [0, 1, 2] is not simplicial"),
+             (SQUARE_CONE, "cone [0, 1, 2, 3] is not simplicial")]
+    for source, message in cases:
+        fan, system, degrees = _write_fan_and_system(tmp_path, source)
+        code, out, err = run_cli(_fan_reading_commands(fan, system, degrees)[command], capsys)
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["tool"] == "toricctl" and doc["error"] == message
+
+
+@pytest.mark.parametrize("source", [INTERIOR_RAY, SQUARE_CONE])
+def test_non_simplicial_fan_validates_and_has_a_complex(source, tmp_path, capsys):
+    # one strongly convex cone is a valid fan, and its rays form one facet
+    fan, system, degrees = _write_fan_and_system(tmp_path, source)
+    commands = _fan_reading_commands(fan, system, degrees)
+    code, out, _ = run_cli(commands["fan validate"], capsys)
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, out, _ = run_cli(commands["complex primitives"], capsys)
+    assert code == 0 and json.loads(out)["primitive_collections"] == []
 
 
 _SWEEP_DOCS = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures").glob("*.json"))

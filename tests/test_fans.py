@@ -25,6 +25,7 @@ from toricstab import (
     fan_to_json,
     find_degree_vector,
     is_complete,
+    is_simplicial,
     is_smooth,
     load_fan,
     primitive_ray,
@@ -124,14 +125,21 @@ class TestIsComplete:
         listed = fan_from_max_cones(fan.dim, fan.rays, list(fan.generating_cones) + [face])
         assert validate_fan(listed).ok and is_complete(listed) is True
 
-    def test_mixed_dimension_in_three_dims_unknown(self):
+    def test_mixed_dimension_in_three_dims_is_not_complete(self):
         fan = fan_from_max_cones(
             3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2), ]
         )
-        # pure and simplicial, decidable: a single chart is not complete
+        # pure and simplicial: a single chart is not complete
         assert is_complete(fan) is False
+        # simplicial with a maximal cone of fewer than m rays: never complete
         mixed = fan_from_max_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, -1)], [(0, 1), (2,)])
-        assert is_complete(mixed) is None
+        assert validate_fan(mixed).ok and is_complete(mixed) is False
+
+    def test_non_simplicial_cone_is_unknown(self):
+        square = fan_from_max_cones(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+                                    [(0, 1, 2, 3)])
+        assert validate_fan(square).ok and not is_simplicial(square)
+        assert is_complete(square) is None
 
 
 class TestIsSmooth:
@@ -278,6 +286,93 @@ def _cycle_rays(r):
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _sector(gens):
+    """Extreme generator pair (u, v) of a 2-dimensional cone, counterclockwise."""
+    for u in gens:
+        for v in gens:
+            if _cross(u, v) > 0 and all(_cross(u, w) >= 0 and _cross(w, v) >= 0 for w in gens):
+                return u, v
+    return None
+
+
+def _sweep_is_complete(fan):
+    """Planar reference: every maximal cone is a 2-dimensional sector, no
+    two sectors share a clockwise edge, and stepping from each sector's
+    clockwise edge to its counterclockwise one closes a single cycle
+    through all of them."""
+    sectors = {}
+    for cone in fan.maximal_cones():
+        pair = _sector(fan.generators(cone))
+        if pair is None or pair[0] in sectors:
+            return False
+        sectors[pair[0]] = pair[1]
+    if len(sectors) < 2:
+        return False
+    start = current = next(iter(sectors))
+    for _ in range(len(sectors)):
+        current = sectors.get(current)
+        if current is None:
+            return False
+    return current == start
+
+
+@st.composite
+def planar_simplicial_fans(draw):
+    """Valid planar fans with simplicial maximal cones: the consecutive
+    sectors of an angular ray cycle that span under a half turn, some of
+    them dropped, plus some rays listed as cones of their own."""
+    points = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=1, max_size=9))
+    rays = sorted({primitive_ray(p) for p in points if any(p)},
+                  key=lambda v: math.atan2(v[1], v[0]))
+    assume(rays)
+    r = len(rays)
+    sectors = [(i, (i + 1) % r) for i in range(r) if _cross(rays[i], rays[(i + 1) % r]) > 0]
+    if draw(st.booleans()):
+        sectors = [c for c in sectors if draw(st.sampled_from([True, True, True, False]))]
+    singles = [(k,) for k in draw(st.sets(st.integers(0, r - 1), max_size=r))]
+    assume(sectors or singles)
+    return fan_from_max_cones(2, rays, sectors + singles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planar_simplicial_fans())
+def test_planar_completeness_matches_the_sector_sweep(fan):
+    assert validate_fan(fan).ok
+    assert is_complete(fan) is _sweep_is_complete(fan)
+
+
+def _octant_fan():
+    rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return fan_from_max_cones(3, rays, [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])
+
+
+@st.composite
+def three_dim_subfans(draw):
+    """(fan, complete): all or some facets of cp(3) or of the octant fan,
+    with faces of facets listed as cones of their own."""
+    base = draw(st.sampled_from([builtin_fan("cp(3)"), _octant_fan()]))
+    facets = sorted(base.generating_cones, key=sorted)
+    whole = draw(st.sampled_from([True, False, False]))
+    kept = [c for c in facets if whole or draw(st.booleans())]
+    dropped = [c for c in facets if c not in kept]
+    faces = [frozenset(draw(st.lists(st.sampled_from(sorted(c)), min_size=1, max_size=2,
+                                     unique=True)))
+             for c in facets if draw(st.booleans())]
+    assume(kept or faces)
+    return Fan(3, base.rays, kept + faces), not dropped
+
+
+@settings(max_examples=100, deadline=None)
+@given(three_dim_subfans())
+def test_three_dim_subfans_are_complete_only_when_whole(case):
+    # a subfan of a complete simplicial fan covers R^3 only if it keeps
+    # every facet; a kept lower-dimensional face never fills the gap
+    fan, complete = case
+    assert validate_fan(fan).ok
+    assert is_complete(fan) is complete
 
 
 @settings(max_examples=60, deadline=None)

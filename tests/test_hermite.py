@@ -135,6 +135,12 @@ class TestHermiteDimension:
         spec = HermiteSpec((Fraction(4),), 1, 1, ((Fraction(9),),))
         assert hermite_dimension(spec) == 0
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order):
+        # no constraint leaves the monic solution of degree d undetermined
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            HermiteSpec((Fraction(1), Fraction(2)), order, 3, ())
+
     def test_solution_satisfies_constraints_exactly(self):
         rng = random.Random(12)
         for _ in range(10):

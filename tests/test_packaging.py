@@ -54,8 +54,8 @@ def test_library_raises_only_typed_errors():
 def test_only_main_maps_typed_errors_to_exit_codes():
     # cli.main maps the library's typed errors through one table, so no
     # other function in cli.py catches one of them
-    typed = {"FanJsonError", "SystemJsonError", "FanStructureError", "UnsupportedFanError",
-             "UndefinedValueError", "CapExceededError"}
+    typed = {"JsonPointerError", "FanJsonError", "SystemJsonError", "FanStructureError",
+             "UnsupportedFanError", "UndefinedValueError", "CapExceededError"}
     tree = ast.parse((ROOT / "src" / "toricstab" / "cli.py").read_text(encoding="utf-8"))
     offenders = []
     for func in ast.walk(tree):
@@ -90,9 +90,10 @@ def test_gaussian_rationals_have_one_arithmetic():
 
 def test_fan_geometry_and_exact_kernels_use_no_floats():
     # certification paths stay exact: no float literal and no float, sqrt or
-    # atan2 call in the fan layer or the exact kernels
+    # atan2 call in the fan layer, the exact kernels, the Hermite rank
+    # certificate, the stability bounds or the modular gcd certificate
     offenders = []
-    for name in ("fans.py", "exactla.py"):
+    for name in ("fans.py", "exactla.py", "hermite.py", "stability.py", "modular.py"):
         tree = ast.parse((ROOT / "src" / "toricstab" / name).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, float):
