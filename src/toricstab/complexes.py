@@ -158,21 +158,35 @@ def minimal_non_faces(complex_):
     one that misses it grows by each vertex of the complement, and a grown
     set is kept unless it contains a transversal that stayed.  A stayed set
     inside t | {v}, with t missing the complement, meets the complement in v
-    alone, so t | {v} is compared only with such sets.  A step that would grow more than DUALIZATION_CAP sets,
-    counted before any is built, raises CapExceededError.
+    alone, so t | {v} is compared only with such sets.  A step that would
+    grow more than DUALIZATION_CAP sets, counted before any is built, raises
+    CapExceededError.
+
+    Sets are int bitmasks (bit v for vertex v) until the result is built.
+    The complements are taken by size, then lexicographically; for facets
+    that is decreasing size, then increasing mirror(F), the sum of 2^(r - v)
+    over v in F: the first vertex where two complements differ is the
+    highest bit where their facets' mirrors differ.
     """
     if complex_._minimal_cache is not None:
         return complex_._minimal_cache
-    everything = frozenset(range(complex_.vertex_count))
+    r = complex_.vertex_count
+    top = 1 << r
     # lexicographic order keeps consecutive complements alike, and with them
     # the partial families small: on the square of (P^1)^5 they peak at 9
     # sets, against 2282 in hash order
-    complements = sorted(
-        (everything - f for f in complex_.max_faces), key=lambda e: (len(e), sorted(e))
-    )
-    transversals = [frozenset()]
-    for edge in complements:
-        # rest[v] holds s - {v} for the kept s that meet edge in v alone
+    keyed = []
+    for f in complex_.max_faces:
+        mask = mirror = 0
+        for v in f:
+            mask |= 1 << v
+            mirror |= top >> v
+        keyed.append((-len(f), mirror, mask))
+    keyed.sort()
+    transversals = [0]
+    for _, _, mask in keyed:
+        edge = top - 1 - mask
+        # rest[b] holds s - b for the kept s that meet edge in bit b alone
         kept, missed, rest = [], [], {}
         for t in transversals:
             hit = t & edge
@@ -180,15 +194,32 @@ def minimal_non_faces(complex_):
                 missed.append(t)
                 continue
             kept.append(t)
-            if len(hit) == 1:
-                (v,) = hit
-                rest.setdefault(v, []).append(t - hit)
-        CapExceededError.check(len(missed) * len(edge), DUALIZATION_CAP,
+            if not hit & (hit - 1):
+                rest.setdefault(hit, []).append(t ^ hit)
+        CapExceededError.check(len(missed) * edge.bit_count(), DUALIZATION_CAP,
                                "dualization capped at {cap} sets per step")
-        transversals = kept + [t | {v} for t in missed for v in edge
-                               if not any(s <= t for s in rest.get(v, ()))]
-    complex_._minimal_cache = frozenset(transversals)
+        while edge:
+            b = edge & -edge
+            edge ^= b
+            stayed = rest.get(b, ())
+            for t in missed:
+                for s in stayed:
+                    if s & t == s:
+                        break
+                else:
+                    kept.append(t | b)
+        transversals = kept
+    complex_._minimal_cache = frozenset(map(_vertex_set, transversals))
     return complex_._minimal_cache
+
+
+def _vertex_set(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def primitive_collections(fan_or_complex):

@@ -54,8 +54,10 @@ def echelon(rows, reduced=False):
     prev = 1
     for col in range(ncols):
         rk = len(pivots)
-        piv = next((i for i in range(rk, nrows) if m[i][col]), None)
-        if piv is None:
+        for piv in range(rk, nrows):
+            if m[piv][col]:
+                break
+        else:
             continue
         m[rk], m[piv] = m[piv], m[rk]
         top = m[rk]
@@ -160,23 +162,39 @@ def nullspace_int(rows):
 def extends_to_basis(rows):
     """Whether k integer rows of length m extend to a basis of Z^m.
 
-    True exactly when k <= m and the k x k minors have gcd 1.  Euclid on
-    column pairs (unimodular column operations, which keep that gcd) brings
-    the rows to [H | 0] with H lower triangular; det H is then the only
-    nonzero k x k minor, so the test stops at the first |h_ii| != 1.
+    True exactly when k <= m and the k x k minors have gcd 1: the index in
+    Z^k of the lattice L spanned by the columns.  Bareiss elimination finds
+    k independent columns or shows there are none, and its last pivot is
+    their minor D up to sign, so |D| = 1 answers at once, and so does
+    k = m, where D is the only minor.  Otherwise D Z^k lies in L (by the
+    adjugate), so every entry may be reduced mod D
+    (Domich, Kannan, Trotter 1987; Cohen, Alg. 2.4.8).  Row by row, Euclid
+    on column pairs (unimodular column operations) leaves h_ii in column i
+    and zeros to its right; the row's diagonal entry in the Hermite form of
+    L is gcd(h_ii, D), and the test stops at the first one that is not 1.
+    Column i is never read again, so it is not brought to the form.
     """
-    m = [list(row) for row in rows]
-    ncols = len(m[0]) if m else 0
-    if len(m) > ncols:
+    k = len(rows)
+    if not k:
+        return True
+    ncols = len(rows[0])
+    if k > ncols:
         return False
+    last, pivots = echelon(rows)
+    if len(pivots) < k:
+        return False
+    d = abs(last[k - 1][pivots[-1]])
+    if d == 1 or k == ncols:
+        return d == 1
+    m = [[x % d for x in row] for row in rows]
     for i, top in enumerate(m):
         for j in range(i + 1, ncols):
             while top[j]:
                 q = top[i] // top[j]
                 # rows above i are already zero in columns i and j
                 for row in m[i:]:
-                    row[i], row[j] = row[j], row[i] - q * row[j]
-        if abs(top[i]) != 1:
+                    row[i], row[j] = row[j], (row[i] - q * row[j]) % d
+        if gcd(top[i], d) != 1:
             return False
     return True
 

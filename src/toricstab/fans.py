@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from . import complexes
 from .complexes import JsonPointerError, UnsupportedFanError
@@ -124,7 +125,7 @@ def _escapes(fan, a, b):
 
 
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _separator(fan, cones):
@@ -190,10 +191,12 @@ def _complete_simplicial(fan):
     cones = list(fan.generating_cones)
     if m < 2 or not cones or any(len(c) != m for c in cones):
         return False
+    # each cone's (facet, apex) pairs, built once for the pairing and the probe
+    sides = [[(cone - {k}, k) for k in cone] for cone in cones]
     apexes = {}
-    for cone in cones:
-        for k in cone:
-            apexes.setdefault(cone - {k}, []).append(k)
+    for pairs in sides:
+        for facet, k in pairs:
+            apexes.setdefault(facet, []).append(k)
     normals = {}
     for facet, pair in apexes.items():
         if len(pair) != 2:
@@ -204,10 +207,10 @@ def _complete_simplicial(fan):
         u = normals[facet] = basis[0]
         if _dot(u, rays[pair[0]]) * _dot(u, rays[pair[1]]) >= 0:
             return False
-    probe = [sum(rays[k][j] for k in cones[0]) for j in range(m)]
-    for cone in cones[1:]:
-        if not any(_dot(normals[cone - {k}], probe) * _dot(normals[cone - {k}], rays[k]) < 0
-                   for k in cone):
+    probe = [sum(column) for column in zip(*(rays[k] for k in cones[0]))]
+    for pairs in sides[1:]:
+        if not any(_dot(normals[facet], probe) * _dot(normals[facet], rays[k]) < 0
+                   for facet, k in pairs):
             return False
     return True
 
@@ -254,7 +257,7 @@ def validate_fan(fan):
         if all(x == 0 for x in ray):
             report.add("ray", f"ray {i} is the zero vector")
             continue
-        if primitive_ray(ray) != ray:
+        if gcd(*ray) != 1:
             report.add("ray", f"ray {i} = {ray} is not primitive")
         if ray in seen:
             report.add("ray", f"ray {i} duplicates ray {seen[ray]}")
@@ -325,13 +328,15 @@ def is_complete(fan):
     if m == 1:
         dirs = {fan.rays[k][0] > 0 for k in set().union(*fan.generating_cones) if fan.rays[k][0]}
         return dirs == {True, False}
-    maximal = fan.maximal_cones()
-    # the certificate reads the generating cones and declines a listed
-    # face of another cone, so it is given the maximal ones
-    if maximal != fan.generating_cones:
-        fan = Fan(m, fan.rays, maximal)
     if _complete_simplicial(fan):
         return True
+    # the certificate declines a listed face of another cone, so it is
+    # retried on the maximal cones when they differ
+    maximal = fan.maximal_cones()
+    if maximal != fan.generating_cones:
+        fan = Fan(m, fan.rays, maximal)
+        if _complete_simplicial(fan):
+            return True
     return False if is_simplicial(fan) else None
 
 
@@ -384,30 +389,6 @@ def cox_group_rank(fan):
     if not spans_lattice(fan):
         raise UnsupportedFanError("rays do not span the lattice")
     return fan.ray_count - fan.dim
-
-
-def cox_group_sample(fan, parameters):
-    """An element (mu_1, ..., mu_r) of the homogeneous-coordinate torus.
-
-    mu_k = prod_j t_j^Q[j][k] with Q an integer basis of the kernel of the
-    ray matrix; the defining relations prod_k mu_k^{(n_k)_j} = 1 then hold
-    identically.
-    """
-    if not spans_lattice(fan):
-        raise UnsupportedFanError("rays do not span the lattice")
-    params = [complex(t) for t in parameters]
-    if any(t == 0 for t in params):
-        raise ValueError("parameters must be nonzero")
-    basis = nullspace_int(fan.ray_matrix())
-    if len(params) != len(basis):
-        raise ValueError(f"expected {len(basis)} parameters, got {len(params)}")
-    out = []
-    for k in range(fan.ray_count):
-        mu = complex(1)
-        for t, vec in zip(params, basis):
-            mu *= t ** vec[k]
-        out.append(mu)
-    return out
 
 
 def fan_power(fan, n):

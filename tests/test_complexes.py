@@ -23,6 +23,7 @@ from toricstab import (
     r_min,
     underlying_complex,
 )
+from toricstab import complexes
 from toricstab.complexes import DUALIZATION_CAP, POWER_FACET_CAP
 from toricstab.fans import Fan
 
@@ -256,6 +257,72 @@ def random_complexes(draw):
 @example(SimplicialComplex(5, [{0, 1}, {1, 2}]))
 def test_minimal_non_faces_match_powerset_search(k):
     assert minimal_non_faces(k) == brute_minimal_non_faces(k)
+
+
+def frozenset_berge(k):
+    """Berge's dualization on frozensets, step for step as minimal_non_faces
+    runs it on bitmasks: complements by (size, sorted list), the same grown
+    set count checked against complexes.DUALIZATION_CAP at each step."""
+    everything = frozenset(range(k.vertex_count))
+    complements = sorted((everything - f for f in k.max_faces), key=lambda e: (len(e), sorted(e)))
+    transversals = [frozenset()]
+    for edge in complements:
+        kept, missed, rest = [], [], {}
+        for t in transversals:
+            hit = t & edge
+            if not hit:
+                missed.append(t)
+                continue
+            kept.append(t)
+            if len(hit) == 1:
+                (v,) = hit
+                rest.setdefault(v, []).append(t - hit)
+        CapExceededError.check(len(missed) * len(edge), complexes.DUALIZATION_CAP,
+                               "dualization capped at {cap} sets per step")
+        transversals = kept + [t | {v} for t in missed for v in edge
+                               if not any(s <= t for s in rest.get(v, ()))]
+    return frozenset(transversals)
+
+
+def dualization_run(kernel, k, cap):
+    """The grown-set count of every step a kernel checks under cap, and its
+    result or the message it raised."""
+    counts = []
+    check = CapExceededError.check.__func__
+
+    def spy(cls, count, cap, limit):
+        counts.append(count)
+        return check(cls, count, cap, limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "DUALIZATION_CAP", cap)
+        mp.setattr(CapExceededError, "check", classmethod(spy))
+        try:
+            out = kernel(k)
+        except CapExceededError as exc:
+            out = str(exc)
+    return counts, out
+
+
+@st.composite
+def many_facet_complexes(draw):
+    # facets of random sizes on up to 12 vertices: same-size facets are
+    # common, so a change of processing order shows in the step counts
+    r = draw(st.integers(4, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(2, 10))
+    return SimplicialComplex(r, [rng.sample(range(r), rng.randint(1, r - 1)) for _ in range(count)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_complexes(), many_facet_complexes()), st.integers(0, 80))
+@example(missing_triples(3), 26)
+@example(missing_triples(3), 27)
+@example(SimplicialComplex(5, [{0, 1}, {1, 2}]), 0)
+def test_bitmask_dualization_matches_frozenset_berge(k, cap):
+    # the same family, or a raise at the same step with the same count
+    fresh = SimplicialComplex._from_facets(k.vertex_count, k.max_faces)
+    assert dualization_run(minimal_non_faces, fresh, cap) == dualization_run(frozenset_berge, k, cap)
 
 
 @settings(max_examples=150, deadline=None)

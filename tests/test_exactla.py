@@ -78,7 +78,7 @@ def _primitive(v):
 
 def _reference_nullspace(mat):
     # sympy builds one kernel vector per free column of the rref: 1 at the
-    # free column, minus that column at the pivots, the basis cox_group_sample uses
+    # free column, minus that column at the pivots, the basis nullspace_int builds
     return [_primitive(list(v)) for v in sympy.Matrix(mat).nullspace()]
 
 

@@ -89,9 +89,9 @@ def test_gaussian_rationals_have_one_arithmetic():
 
 
 def test_fan_geometry_and_exact_kernels_use_no_floats():
-    # certification paths stay exact: no float literal and no float, sqrt or
-    # atan2 call in the fan layer, the exact kernels, the Hermite rank
-    # certificate, the stability bounds or the modular gcd certificate
+    # certification paths stay exact: no float literal and no float, complex,
+    # sqrt or atan2 call in the fan layer, the exact kernels, the Hermite
+    # rank certificate, the stability bounds or the modular gcd certificate
     offenders = []
     for name in ("fans.py", "exactla.py", "hermite.py", "stability.py", "modular.py"):
         tree = ast.parse((ROOT / "src" / "toricstab" / name).read_text(encoding="utf-8"))
@@ -101,6 +101,6 @@ def test_fan_geometry_and_exact_kernels_use_no_floats():
             elif isinstance(node, ast.Call):
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called in ("float", "sqrt", "atan2"):
+                if called in ("float", "complex", "sqrt", "atan2"):
                     offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
