@@ -2,11 +2,11 @@
 
 Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid or
 unsupported fan, 4 shape mismatch or undefined value, 5 enumeration cap
-exceeded (power facets, e1 window, jet coefficients, dualization step) or
-output too large to print, 6 internal error.  All reports embed the tool
-version, a digest of the canonicalized input, and the formula the verdict
-rests on.  Randomized suites surface their seed; TORICCTL_SEED overrides
-it.
+exceeded (power facets, e1 window, jet coefficients, dualization step,
+vandermonde shape) or output too large to print, 6 internal error.  All
+reports embed the tool version, a digest of the canonicalized input, and
+the formula the verdict rests on.  Randomized suites surface their seed;
+TORICCTL_SEED overrides it.
 """
 
 import argparse
@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+# polynomials and stability are imported inside the commands that run
+# them, so a toricctl call loads only the modules its command needs
 from . import __version__
 from .complexes import (
     CapExceededError,
@@ -40,15 +42,6 @@ from .fans import (
     spans_lattice,
     validate_fan,
 )
-from .polynomials import (
-    MAX_COEFFICIENT_DIGITS,
-    is_member,
-    jet,
-    system_from_json,
-    system_to_json,
-    stabilize,
-)
-from .stability import e1_support, stability_dim_n1, stability_report
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -139,6 +132,8 @@ def _load_fan(path, require_valid=True):
 
 
 def _load_system(path):
+    from .polynomials import system_from_json
+
     raw = _load_json(path)
     return system_from_json(raw), raw
 
@@ -173,6 +168,8 @@ def _parse_degrees(text, fan):
 
 def _stability(degrees, fan, n):
     """The stability dict: the n = 1 dimension and its kind, or the full report."""
+    from .stability import stability_dim_n1, stability_report
+
     if n == 1:
         value, kind = stability_dim_n1(degrees, fan)
         return {"n": 1, "stability_dim": value, "kind": kind, "degrees": list(degrees)}
@@ -201,6 +198,8 @@ def cmd_fan_analyze(args):
         degrees = _parse_degrees(args.degrees, fan)
         out["stability"] = _stability(degrees, fan, args.n)
         if args.e1:
+            from .stability import e1_support
+
             out["e1"] = e1_support(degrees, fan, args.n).to_dict()
     elif args.e1:
         _fail(EXIT_SHAPE, "--e1 needs --degrees")
@@ -263,6 +262,8 @@ def cmd_complex_primitives(args):
 def _coefficient_pairs(poly):
     """The [re, im] strings of poly's coefficients; exit 5 for a caller who
     asks for an integer beyond the digits Python prints."""
+    from .polynomials import MAX_COEFFICIENT_DIGITS
+
     try:
         return [c.to_pair() for c in poly.coeffs]
     except ValueError:
@@ -270,6 +271,8 @@ def _coefficient_pairs(poly):
 
 
 def cmd_poly_check(args):
+    from .polynomials import is_member
+
     fan, fan_raw, _ = _load_fan(args.fan)
     system, sys_raw = _load_system(args.system)
     if system.r != fan.ray_count:
@@ -296,6 +299,8 @@ def cmd_poly_check(args):
 
 
 def cmd_poly_stabilize(args):
+    from .polynomials import stabilize, system_to_json
+
     system, raw = _load_system(args.system)
     if system.form != "root":
         _fail(EXIT_SHAPE, "stabilize needs a root-form system file")
@@ -317,6 +322,8 @@ def cmd_poly_stabilize(args):
 
 
 def cmd_poly_jet(args):
+    from .polynomials import jet
+
     system, raw = _load_system(args.system)
     if system.form != "coefficient":
         _fail(EXIT_SHAPE, "jet needs a coefficient-form system file")
@@ -375,6 +382,8 @@ def _render_table(support):
 
 
 def cmd_stability_e1(args):
+    from .stability import e1_support
+
     fan, raw, _ = _load_fan(args.fan)
     degrees = _parse_degrees(args.degrees, fan)
     support = e1_support(degrees, fan, args.n, s_max=args.s_max)

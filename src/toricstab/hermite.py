@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
 
-from .exactla import echelon, rank, solve_affine
-from .polynomials import RationalPoly
+from .exactla import rank, solve_affine
 
 
 def _integer_block(points, order, degree):
@@ -137,24 +136,27 @@ def hermite_dimension(spec):
     """Dimension of the affine space of monic solutions (degree - n*k in regime).
 
     With degree >= n*k a certified full row rank n*k makes the system
-    consistent, so one rank certificate decides it.  Otherwise one Bareiss
-    pass on the augmented matrix [A | b] gives rank(A), and the system is
-    inconsistent exactly when a pivot falls in the column of b.
+    consistent, so one rank certificate decides it.  Otherwise the system
+    is inconsistent exactly when rank [A | b] > rank A.  Below the regime A
+    has full column rank and a random b lies outside its columns, so both
+    ranks are usually certified modulo P, and Bareiss runs only when one is not.
     """
     nk = spec.order * len(spec.points)
     if spec.degree >= nk and verify_rank_claim(spec.points, spec.order, spec.degree).passed:
         return spec.degree - nk
     rows, rhs = _hermite_matrix_rhs(spec)
-    _, pivots = echelon([row + [c] for row, c in zip(rows, rhs)])
-    if pivots and pivots[-1] == spec.degree:
+    rank_a = rank(rows)
+    if rank([row + [c] for row, c in zip(rows, rhs)]) > rank_a:
         raise HermiteInconsistencyError(
             "inconsistent Hermite system; impossible for distinct points with degree >= n*k"
         )
-    return spec.degree - len(pivots)
+    return spec.degree - rank_a
 
 
 def hermite_solution(spec):
     """One exact monic solution of the constraint system."""
+    from .polynomials import RationalPoly  # the rank certificates never load it
+
     rows, rhs = _hermite_matrix_rhs(spec)
     solution = solve_affine(rows, rhs)
     if solution is None:

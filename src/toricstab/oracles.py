@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .complexes import (
+    CapExceededError,
     PointInProduct,
     in_arrangement,
     in_polyhedral_product,
@@ -20,16 +21,9 @@ from .complexes import (
 )
 from .fans import builtin_fan
 from .hermite import HermiteInconsistencyError, HermiteSpec, hermite_dimension, verify_rank_claim
-from .polynomials import (
-    GaussianRational,
-    PolySystem,
-    RationalPoly,
-    is_member,
-    jet,
-    jet_section,
-    stabilize,
-)
-from .stability import min_unknown_band, stability_dim
+
+# polynomials and stability are imported inside the suites that use them,
+# so `toricctl oracle vandermonde` loads neither
 
 
 @dataclass
@@ -69,6 +63,18 @@ class SuiteResult:
         return out
 
 
+# Distinct fractions p/q with |p| <= 50 and 1 <= q <= 50: the pool that
+# run_vandermonde draws its points from.
+POINT_POOL = 3095
+
+# Largest stacked matrix a run_vandermonde trial certifies: n*k rows of d
+# cells, each entry of about 5.6 d bits.  At the caps a trial takes at most
+# about 3 s on a 2-vCPU host (256 points, n = 1, d = 128); uncapped, 360 000
+# cells took 61 s a trial, and k = n = 1, d = 8192 took 3.3 s.
+VANDERMONDE_CELL_CAP = 1 << 15
+VANDERMONDE_DEGREE_CAP = 1 << 10
+
+
 def _distinct_fractions(rng, count, height=50):
     out = []
     seen = set()
@@ -81,13 +87,22 @@ def _distinct_fractions(rng, count, height=50):
 
 
 def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
-    """Full-row-rank and solution-dimension certification, exact arithmetic."""
+    """Full-row-rank and solution-dimension certification, exact arithmetic.
+
+    A trial with more points than POINT_POOL, more cells than
+    VANDERMONDE_CELL_CAP or a degree above VANDERMONDE_DEGREE_CAP raises
+    CapExceededError before it draws its points.
+    """
     rng = random.Random(seed)
     result = SuiteResult("vandermonde", seed, trials)
     for trial in range(trials):
         kk = k if k is not None else rng.randint(1, 5)
         nn = n if n is not None else rng.randint(1, 4)
-        dd = d if d is not None else rng.randint(nn * kk, 30)
+        dd = d if d is not None else rng.randint(nn * kk, max(nn * kk, 30))
+        CapExceededError.check(kk, POINT_POOL, "vandermonde points are capped at {cap}")
+        CapExceededError.check(dd, VANDERMONDE_DEGREE_CAP, "the vandermonde degree is capped at {cap}")
+        CapExceededError.check(nn * kk * dd, VANDERMONDE_CELL_CAP,
+                               "the vandermonde matrix is capped at {cap} cells")
         points = _distinct_fractions(rng, kk)
         check = verify_rank_claim(points, nn, dd)
         targets = tuple(
@@ -124,6 +139,8 @@ def _band_minimum(d_prime, t, n, rm):
 
 def run_band(seed, trials=50):
     """Brute-force band minima against the closed form, across random inputs."""
+    from .stability import min_unknown_band, stability_dim
+
     rng = random.Random(seed)
     fans = {name: builtin_fan(name) for name in _BAND_FAMILY}
     result = SuiteResult("band", seed, trials)
@@ -202,6 +219,8 @@ def run_complement(seed, samples=1000, n=2):
 
 def run_jetsection(seed, trials=100, n_max=6):
     """Exact round trip of the canonical jet section through the jet map."""
+    from .polynomials import GaussianRational, jet, jet_section
+
     rng = random.Random(seed)
     result = SuiteResult("jetsection", seed, trials)
     zero = GaussianRational(0)
@@ -229,6 +248,8 @@ _MEMBER_FAMILY = ("cp(1)", "cp(2)", "hirzebruch(1)", "hirzebruch(2)")
 def _root_pool(rng, count, exclude=()):
     """Distinct Gaussian rationals with small height; pairwise gaps >= 1/16
     so float clustering at 1e-6 can never merge distinct values."""
+    from .polynomials import GaussianRational
+
     out = []
     seen = set(exclude)
     while len(out) < count:
@@ -243,6 +264,8 @@ def _root_pool(rng, count, exclude=()):
 
 
 def _both_forms(root_lists):
+    from .polynomials import PolySystem, RationalPoly
+
     coeff = PolySystem.coefficient_system(
         [RationalPoly.from_roots(rl) for rl in root_lists]
     )
@@ -285,6 +308,8 @@ def make_generic_system(fan, n, rng):
 
 def run_membership(seed, planted=200, generic=200):
     """Agreement of the exact-gcd and root-cluster membership tests."""
+    from .polynomials import is_member
+
     rng = random.Random(seed)
     fans = {name: builtin_fan(name) for name in _MEMBER_FAMILY}
     result = SuiteResult("membership", seed, planted + generic)
@@ -321,6 +346,8 @@ def _strip_system(fan, n, rng, planted):
     preserve them exactly), so root clusters can only form where roots
     were planted equal in the first place.
     """
+    from .polynomials import GaussianRational, PolySystem
+
     r = fan.ray_count
     im_pool = [Fraction(p, 4) for p in range(-16, 17)]
     rng.shuffle(im_pool)
@@ -348,6 +375,8 @@ def _strip_system(fan, n, rng, planted):
 
 def run_stabilization(seed, trials=100):
     """Degree law, verdict preservation, and composed-shift law for stabilization."""
+    from .polynomials import is_member, stabilize
+
     rng = random.Random(seed)
     fans = {name: builtin_fan(name) for name in _MEMBER_FAMILY}
     result = SuiteResult("stabilization", seed, trials)

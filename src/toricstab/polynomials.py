@@ -623,8 +623,7 @@ def is_member(system, fan, n):
         raise ValueError(f"system has {system.r} polynomials, fan has {fan.ray_count} rays")
 
     if system.form == "coefficient":
-        # imported on first use: toricctl commands that never test
-        # membership then do not load it at start-up
+        # imported here, not at module level: modular imports polynomials
         from .modular import certified_gcd, mult_part_mod_p
 
         parts, mod_parts = {}, {}

@@ -1,15 +1,17 @@
 import copy
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricstab import cli, complexes
+from toricstab import cli, complexes, oracles
 from toricstab.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from toricstab.oracles import run_band, run_vandermonde
 
@@ -396,6 +398,43 @@ def test_oracle_without_trials_is_vacuous():
         doc = result.to_dict()
         assert not result.ok and doc["ok"] is False and doc["vacuous"] is True
     assert "vacuous" not in run_vandermonde(5, trials=1, k=2, n=1, d=3).to_dict()
+
+
+def test_vandermonde_point_pool_counts_the_distinct_fractions():
+    pool = {Fraction(p, q) for p in range(-50, 51) for q in range(1, 51)}
+    assert oracles.POINT_POOL == len(pool)
+
+
+@pytest.mark.parametrize("shape", [
+    ["--k", "3100", "--n", "1", "--d", "3100"],  # more points than the pool holds
+    ["--k", "200", "--n", "1", "--d", "200"],  # 40,000 cells in the regime
+    ["--k", "300", "--n", "1", "--d", "120"],  # 36,000 cells below it (d < n*k)
+    ["--k", "2", "--n", "1", "--d", "1025"],  # a degree past its cap
+], ids=lambda shape: "x".join(shape[1::2]))
+def test_vandermonde_over_cap_exits_5_quickly(shape):
+    # a fresh process with a timeout, since the uncapped point draw never ends
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parent.parent)}
+    argv = [sys.executable, "-m", "toricstab.cli", "oracle", "vandermonde", "--trials", "1"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv + shape, env=env, capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert "capped" in json.loads(proc.stderr)["error"]
+
+
+def test_vandermonde_partly_fixed_shapes_run():
+    # a fixed k or n draws d from [n*k, max(n*k, 30)], never an empty range
+    assert run_vandermonde(3, trials=4, k=10).ok
+    assert run_vandermonde(3, trials=4, n=9).ok
+
+
+def test_vandermonde_below_regime_under_the_cap_is_fast():
+    # 128 x 64 stacked rows: Bareiss on [A | b] took 36 s a trial, two ranks
+    # modulo P take well under a second
+    start = time.perf_counter()
+    result = run_vandermonde(1, trials=1, k=32, n=4, d=64)
+    assert time.perf_counter() - start < 5.0
+    assert result.failures[0]["detail"]["dim"] is None
 
 
 def test_console_script_installed():

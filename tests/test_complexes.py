@@ -250,8 +250,18 @@ def random_complexes(draw):
     return SimplicialComplex(r, draw(st.lists(vertex_sets, max_size=6)))
 
 
+@st.composite
+def many_facet_complexes(draw):
+    # facets of random sizes on up to 12 vertices: same-size facets are
+    # common, so a change of processing order shows in the step counts
+    r = draw(st.integers(4, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(2, 10))
+    return SimplicialComplex(r, [rng.sample(range(r), rng.randint(1, r - 1)) for _ in range(count)])
+
+
 @settings(max_examples=150, deadline=None)
-@given(random_complexes())
+@given(st.one_of(random_complexes(), many_facet_complexes()))
 @example(SimplicialComplex(0, []))
 @example(SimplicialComplex(4, []))
 @example(SimplicialComplex(5, [{0, 1}, {1, 2}]))
@@ -302,16 +312,6 @@ def dualization_run(kernel, k, cap):
         except CapExceededError as exc:
             out = str(exc)
     return counts, out
-
-
-@st.composite
-def many_facet_complexes(draw):
-    # facets of random sizes on up to 12 vertices: same-size facets are
-    # common, so a change of processing order shows in the step counts
-    r = draw(st.integers(4, 12))
-    rng = draw(st.randoms(use_true_random=False))
-    count = draw(st.integers(2, 10))
-    return SimplicialComplex(r, [rng.sample(range(r), rng.randint(1, r - 1)) for _ in range(count)])
 
 
 @settings(max_examples=300, deadline=None)

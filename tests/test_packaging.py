@@ -1,6 +1,7 @@
 """The package runs on the standard library alone; numpy is a test oracle."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -8,27 +9,93 @@ import sys
 
 import pytest
 
+import toricstab
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+# the names `from toricstab import *` exported when the package imported
+# every module eagerly; the lazy table must keep them all
+EXPORTS = {
+    "complexes": ["CapExceededError", "JsonPointerError", "PointInProduct", "SimplicialComplex",
+                  "UndefinedValueError", "UnsupportedFanError", "complex_power",
+                  "dim_arrangement", "dim_config", "in_arrangement", "in_polyhedral_product",
+                  "minimal_non_faces", "primitive_collections", "r_min", "underlying_complex"],
+    "fans": ["Fan", "FanJsonError", "FanStructureError", "ValidationReport", "builtin_fan",
+             "cox_group_rank", "degree_is_null", "fan_from_complex", "fan_from_json",
+             "fan_from_max_cones", "fan_power", "fan_to_json", "find_degree_vector",
+             "is_complete", "is_simplicial", "is_smooth", "load_fan", "primitive_ray",
+             "spans_lattice", "validate_fan"],
+    "hermite": ["HermiteSpec", "RankCheck", "bundle_rank", "confluent_vandermonde",
+                "hermite_dimension", "hermite_solution", "stacked_system", "verify_rank_claim"],
+    "polynomials": ["GaussianRational", "JetTuple", "MembershipResult", "PolySystem",
+                    "RationalPoly", "RootPoly", "derivative", "evaluate_jet", "gcd_monic",
+                    "is_member", "jet", "jet_section", "mult_part", "n_of", "phi_map",
+                    "stabilize", "system_from_json", "system_to_json", "witness_roots"],
+    "stability": ["BandResult", "E1Support", "StabilityReport", "connectivity_bound",
+                  "e1_support", "min_unknown_band", "stability_dim", "stability_dim_n1",
+                  "stability_dim_projective", "stability_report", "truncation_dim"],
+}
+
+
+def _loaded_after(code):
+    """The toricstab modules, and numpy, that a fresh interpreter holds after
+    running code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code += ("\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('toricstab')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("toricstab.") for m in proc.stdout.splitlines()[-1].split()}
+
+
+def _loaded_by_command(argv):
+    return _loaded_after(
+        "import contextlib, io\n"
+        "from toricstab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n")
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import toricstab") == {"toricstab"}
+
+
+def test_exports_resolve_to_their_modules():
+    expected = {name: (module, name) for module, names in EXPORTS.items() for name in names}
+    expected["exact_rank"] = ("exactla", "rank")
+    assert sorted(toricstab.__all__) == sorted(expected)
+    assert set(toricstab.__all__) <= set(dir(toricstab))
+    for name, (module, attr) in expected.items():
+        assert getattr(toricstab, name) is getattr(importlib.import_module(f"toricstab.{module}"), attr)
+    with pytest.raises(AttributeError):
+        toricstab.no_such_name
 
 
 def test_cli_import_loads_neither_numpy_nor_oracles():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = ("import toricstab.cli, sys; print('numpy' in sys.modules); "
-            "print('toricstab.oracles' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    # the start-up path of toricctl: the exit-code table's error types and
+    # the fan layer, nothing else
+    assert _loaded_after("import toricstab.cli") == {
+        "toricstab", "cli", "complexes", "exactla", "fans"}
 
 
 def test_cli_import_leaves_the_membership_certificate_unloaded():
-    # is_member imports it on first use, off the start-up path of toricctl
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import toricstab.cli, sys; print('toricstab.modular' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    # commands that test no membership load neither polynomials nor the
+    # modular certificate (is_member imports it on first use); only the
+    # stability commands load stability
+    h1 = str(FIXTURES / "hirzebruch1.json")
+    commands = [
+        ["fan", "analyze", h1],
+        ["fan", "validate", str(FIXTURES / "bad_line.json")],
+        ["complex", "primitives", str(FIXTURES / "hirzebruch2.json")],
+        ["oracle", "vandermonde", "--trials", "2", "--k", "2", "--n", "2", "--d", "6"],
+        ["stability", "report", "--fan", h1, "--degrees", "5,7,5,12", "--n", "2"],
+    ]
+    for argv in commands:
+        loaded = _loaded_by_command(argv)
+        assert not loaded & {"polynomials", "modular", "numpy"}, argv
+        assert ("stability" in loaded) == (argv[0] == "stability"), argv
 
 
 def test_no_runtime_dependencies():
