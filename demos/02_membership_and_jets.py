@@ -2,7 +2,7 @@
 
 A system fails exactly when some primitive collection of polynomials shares
 a root of multiplicity >= n.  The verdict is exact in coefficient form
-(Gaussian-rational gcds) and cluster-based in root form; the two agree.
+(Gaussian-rational gcds) and in root form (sets of exact roots); the two agree.
 """
 
 from toricstab import (

@@ -3,7 +3,7 @@
 Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid or
 unsupported fan, 4 shape mismatch or undefined value, 5 enumeration cap
 exceeded (power facets, e1 window, jet coefficients, dualization step,
-vandermonde shape) or output too large to print, 6 internal error.  All
+vandermonde shape or run) or output too large to print, 6 internal error.  All
 reports embed the tool version, a digest of the canonicalized input, and
 the formula the verdict rests on.  Randomized suites surface their seed;
 TORICCTL_SEED overrides it.
@@ -68,7 +68,8 @@ PROVENANCE = {
     "complex power": "faces are the vertex sets containing no full block sigma x [n] over a minimal non-face sigma",
     "complex primitives": "primitive collections = minimal non-faces; r_min = min cardinality",
     "poly check": "member iff no primitive collection shares a root of multiplicity >= n",
-    "poly stabilize": "roots move into Re < sum(degrees); shifts append anchor roots, degrees rise by the shift",
+    "poly stabilize": "roots move into Re < N = sum(degrees) by Re z -> h(Re z), h(x) = x for x <= N - 1 "
+                      "and N - 1/(x - N + 2) above; shifts append anchor roots, degrees rise by the shift",
     "poly jet": "jet entries f, f + f', ..., f + f^(n-1)",
     "oracle vandermonde": "rank(stacked derivative constraint matrix) = n*k and solution dim = d - n*k",
     "oracle band": "min band value of s - k equals stability_dim + 2",
@@ -290,7 +291,11 @@ def cmd_poly_check(args):
         if verdict.witness_factor is not None:
             witness["common_factor"] = _coefficient_pairs(verdict.witness_factor)
         if verdict.witness_root is not None:
-            witness["common_root"] = [verdict.witness_root.real, verdict.witness_root.imag]
+            try:
+                root = verdict.witness_root.to_complex()
+            except OverflowError:
+                _fail(EXIT_CAP, "the common root is beyond float range to print")
+            witness["common_root"] = [root.real, root.imag]
         out["witness"] = witness
     if args.n > max(system.degrees):
         out["note"] = "contractible regime: n exceeds every degree, every system is a member"
@@ -299,7 +304,7 @@ def cmd_poly_check(args):
 
 
 def cmd_poly_stabilize(args):
-    from .polynomials import stabilize, system_to_json
+    from .polynomials import MAX_COEFFICIENT_DIGITS, stabilize, system_to_json
 
     system, raw = _load_system(args.system)
     if system.form != "root":
@@ -316,7 +321,10 @@ def cmd_poly_stabilize(args):
     out["a"] = shifts
     out["degrees_before"] = list(system.degrees)
     out["degrees_after"] = list(shifted.degrees)
-    out["system"] = system_to_json(shifted)
+    try:
+        out["system"] = system_to_json(shifted)
+    except ValueError:
+        _fail(EXIT_CAP, f"a root has more than {MAX_COEFFICIENT_DIGITS} digits to print")
     _emit(out)
     return EXIT_OK
 

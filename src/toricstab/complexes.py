@@ -283,12 +283,17 @@ def dim_config(fan, n, k):
 
 @dataclass(frozen=True)
 class PointInProduct:
-    """A point of (C^n)^r given by its r coordinate blocks."""
+    """A point of (C^n)^r given by its r coordinate blocks.
+
+    The values are kept as given: exact GaussianRationals where the point
+    is exact, and a block is zero only when each of its values is exactly
+    zero.
+    """
 
     blocks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(complex(z) for z in b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         lengths = {len(b) for b in self.blocks}
         if len(lengths) > 1:
             raise ValueError("all blocks must have equal length")
@@ -297,30 +302,26 @@ class PointInProduct:
     def block_count(self):
         return len(self.blocks)
 
-    def zero_support(self, tol=0.0):
-        """Indices of zero blocks; tol=0 is the exact test for constructed points."""
-        out = set()
-        for i, b in enumerate(self.blocks):
-            if all(abs(z) <= tol for z in b):
-                out.add(i)
-        return frozenset(out)
+    def zero_support(self):
+        """Indices of the blocks whose values are all exactly zero."""
+        return frozenset(i for i, b in enumerate(self.blocks) if not any(b))
 
 
-def in_polyhedral_product(point, complex_, tol=0.0):
+def in_polyhedral_product(point, complex_):
     """True iff the zero-block support of the point is a face."""
     if point.block_count != complex_.vertex_count:
         raise ValueError(
             f"point has {point.block_count} blocks, complex has {complex_.vertex_count} vertices"
         )
-    return complex_.is_face(point.zero_support(tol))
+    return complex_.is_face(point.zero_support())
 
 
-def in_arrangement(point, fan_or_complex, tol=0.0):
+def in_arrangement(point, fan_or_complex):
     """True iff the zero-block support contains a primitive collection."""
     k = _as_complex(fan_or_complex)
     if point.block_count != k.vertex_count:
         raise ValueError(
             f"point has {point.block_count} blocks, complex has {k.vertex_count} vertices"
         )
-    supp = point.zero_support(tol)
+    supp = point.zero_support()
     return any(p <= supp for p in minimal_non_faces(k))

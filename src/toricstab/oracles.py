@@ -73,6 +73,11 @@ POINT_POOL = 3095
 # cells took 61 s a trial, and k = n = 1, d = 8192 took 3.3 s.
 VANDERMONDE_CELL_CAP = 1 << 15
 VANDERMONDE_DEGREE_CAP = 1 << 10
+# Largest total of cells over a run's trials, each unfixed dimension counted
+# at its largest draw.  The default run of 500 trials counts at most
+# 500 * 5 * 4 * 30 = 300 000 cells and takes about 1 s; without this cap
+# 500 trials at the per-trial caps would take about half an hour.
+VANDERMONDE_RUN_CELL_CAP = 1 << 19
 
 
 def _distinct_fractions(rng, count, height=50):
@@ -89,15 +94,21 @@ def _distinct_fractions(rng, count, height=50):
 def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
     """Full-row-rank and solution-dimension certification, exact arithmetic.
 
-    A trial with more points than POINT_POOL, more cells than
-    VANDERMONDE_CELL_CAP or a degree above VANDERMONDE_DEGREE_CAP raises
-    CapExceededError before it draws its points.
+    A run whose trials could hold more than VANDERMONDE_RUN_CELL_CAP cells
+    in all raises CapExceededError before its first trial.  A trial with
+    more points than POINT_POOL, more cells than VANDERMONDE_CELL_CAP or a
+    degree above VANDERMONDE_DEGREE_CAP raises it before it draws its points.
     """
+    k_max = k if k is not None else 5
+    n_max = n if n is not None else 4
+    d_max = d if d is not None else max(n_max * k_max, 30)
+    CapExceededError.check(trials * k_max * n_max * d_max, VANDERMONDE_RUN_CELL_CAP,
+                           "a vandermonde run is capped at {cap} cells over its trials")
     rng = random.Random(seed)
     result = SuiteResult("vandermonde", seed, trials)
     for trial in range(trials):
-        kk = k if k is not None else rng.randint(1, 5)
-        nn = n if n is not None else rng.randint(1, 4)
+        kk = k if k is not None else rng.randint(1, k_max)
+        nn = n if n is not None else rng.randint(1, n_max)
         dd = d if d is not None else rng.randint(nn * kk, max(nn * kk, 30))
         CapExceededError.check(kk, POINT_POOL, "vandermonde points are capped at {cap}")
         CapExceededError.check(dd, VANDERMONDE_DEGREE_CAP, "the vandermonde degree is capped at {cap}")
@@ -209,8 +220,8 @@ def run_complement(seed, samples=1000, n=2):
                         for _ in range(n)
                     ))
             point = PointInProduct(tuple(blocks))
-            inside = in_polyhedral_product(point, k, tol=1e-12)
-            hit = in_arrangement(point, k, tol=1e-12)
+            inside = in_polyhedral_product(point, k)
+            hit = in_arrangement(point, k)
             result.record(trial, inside != hit, {"fan": r, "support": sorted(support)})
             trial += 1
     result.trials = trial
@@ -246,8 +257,7 @@ _MEMBER_FAMILY = ("cp(1)", "cp(2)", "hirzebruch(1)", "hirzebruch(2)")
 
 
 def _root_pool(rng, count, exclude=()):
-    """Distinct Gaussian rationals with small height; pairwise gaps >= 1/16
-    so float clustering at 1e-6 can never merge distinct values."""
+    """Distinct Gaussian rationals with small height."""
     from .polynomials import GaussianRational
 
     out = []
@@ -269,10 +279,7 @@ def _both_forms(root_lists):
     coeff = PolySystem.coefficient_system(
         [RationalPoly.from_roots(rl) for rl in root_lists]
     )
-    root = PolySystem.root_system(
-        [tuple((a.to_complex(), m) for a, m in rl) for rl in root_lists]
-    )
-    return coeff, root
+    return coeff, PolySystem.root_system(root_lists)
 
 
 def make_planted_system(fan, n, rng):
@@ -307,7 +314,7 @@ def make_generic_system(fan, n, rng):
 
 
 def run_membership(seed, planted=200, generic=200):
-    """Agreement of the exact-gcd and root-cluster membership tests."""
+    """Agreement of the exact-gcd and root-set membership tests."""
     from .polynomials import is_member
 
     rng = random.Random(seed)
@@ -341,20 +348,23 @@ def run_membership(seed, planted=200, generic=200):
 def _strip_system(fan, n, rng, planted):
     """Root-form system for stabilization trials.
 
-    Real parts stay in [-4, 4] so two half-plane compressions remain in
-    float range; imaginary parts are globally distinct (the compressions
-    preserve them exactly), so root clusters can only form where roots
-    were planted equal in the first place.
+    Real parts range over [-64, 64] in quarters, so roots fall on both sides
+    of the bend at N - 1 of the stabilization map, at every depth, and
+    imaginary parts take three values, so a map that merged real parts
+    would merge roots.  The roots are distinct, so a root repeats only
+    where it was planted.
     """
     from .polynomials import GaussianRational, PolySystem
 
     r = fan.ray_count
-    im_pool = [Fraction(p, 4) for p in range(-16, 17)]
-    rng.shuffle(im_pool)
-    im_iter = iter(im_pool)
+    seen = set()
 
     def fresh():
-        return GaussianRational(Fraction(rng.randint(-16, 16), 4), next(im_iter))
+        while True:
+            z = GaussianRational(Fraction(rng.randint(-256, 256), 4), Fraction(rng.randint(-1, 1), 4))
+            if z not in seen:
+                seen.add(z)
+                return z
 
     sigma = ()
     alpha = None
@@ -369,7 +379,7 @@ def _strip_system(fan, n, rng, planted):
             roots = [(alpha, n)] + [(fresh(), 1) for _ in range(d - n)]
         else:
             roots = [(fresh(), 1) for _ in range(rng.randint(1, n + 2))]
-        root_lists.append(tuple((z.to_complex(), m) for z, m in roots))
+        root_lists.append(roots)
     return PolySystem.root_system(root_lists)
 
 
@@ -399,13 +409,8 @@ def run_stabilization(seed, trials=100):
             once.degrees == tuple(d + x for d, x in zip(system.degrees, a))
             and twice.degrees == tuple(d + x + y for d, x, y in zip(system.degrees, a, b))
             and is_member(once, fan, n).member == before
+            and is_member(twice, fan, n).member == before
         )
-        # a common root survives the compression exactly, so the rejected
-        # verdict is robust at any stabilization depth; the accepted verdict
-        # is only tolerance-safe through one round (anchors of weight >= n
-        # from different polynomials can collapse under a second compression)
-        if not before:
-            ok = ok and not is_member(twice, fan, n).member
         result.record(trial, ok, None if ok else {
             "fan": name, "n": n, "a": a, "b": b, "before": before,
         })

@@ -3,9 +3,12 @@
 Coefficient-form polynomials are `RationalPoly`s over Q(i): ascending
 (re, im) Gaussian-integer pairs over one positive denominator, in lowest
 terms, so products, division, derivatives and gcds all run on ints.
-`GaussianRational` is the value at the boundary only: JSON pairs, roots and
-evaluation points.  Root-form polynomials are float multisets and are an
-input representation, never computed from coefficients.
+`GaussianRational` is the value at the boundary: JSON pairs, roots and
+evaluation points.  Root-form polynomials are `RootPoly`s, multisets of
+exact Gaussian-rational roots; they are an input representation, never
+computed from coefficients, and equal roots merge by exact equality.
+`stabilize` moves roots by the rational homeomorphism `phi_map`, so a root
+form stays exact at every stabilization depth.
 
 Membership in coefficient form is certified modulo P = 2^61 - 1, the prime
 `exactla.rank` uses.  P is 3 mod 4, so F_P[i] is the field F_(P^2), and the
@@ -22,14 +25,13 @@ its degree is the exact gcd.  Where the certificate cannot decide (a
 denominator divisible by P, a failed reconstruction or division) that
 collection falls back to `mult_part` and `gcd_monic`, Euclid over Q(i).
 
-Floats are plain Python complex numbers, and no verdict rests on them.  The
-float helpers serve the root form and the witnesses: `_expand` multiplies out
-a root multiset one factor (z - a) at a time, `_horner` and
-`_formal_derivative` evaluate and differentiate ascending coefficient lists,
-and `_aberth_roots` finds the roots of a polynomial with simple roots by the
-Aberth-Ehrlich iteration (Aberth 1973), started on the circle of Cauchy's
-root bound.  `witness_roots` feeds it the exact squarefree part of a witness
-factor, so the package needs nothing beyond the standard library.
+Floats are plain Python complex numbers, and no verdict rests on them.  They
+serve the witnesses and display alone: `_horner` and `_formal_derivative`
+evaluate and differentiate ascending coefficient lists, and `_aberth_roots`
+finds the roots of a polynomial with simple roots by the Aberth-Ehrlich
+iteration (Aberth 1973), started on the circle of Cauchy's root bound.
+`witness_roots` feeds it the exact squarefree part of a witness factor, so
+the package needs nothing beyond the standard library.
 """
 
 import cmath
@@ -48,7 +50,6 @@ from .complexes import (
     primitive_collections,
 )
 
-ROOT_CLUSTER_TOL = 1e-6
 ABERTH_TOL = 1e-12
 ABERTH_MAX_ITER = 100
 ABERTH_START_ANGLE = 0.7
@@ -58,6 +59,7 @@ ABERTH_ROUNDING = 4 * 2.0 ** -53
 # Python's default limit on the digits of an int converted from or to str
 MAX_COEFFICIENT_DIGITS = 4300
 _PAIR_ERROR = "coefficient must be a [re, im] pair"
+_ZERO = Fraction(0)
 
 
 def _rational(value):
@@ -92,6 +94,14 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     @classmethod
+    def _of(cls, re, im):
+        """re + im*i for two Fractions, which are kept as they are."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "re", re)
+        object.__setattr__(out, "im", im)
+        return out
+
+    @classmethod
     def from_pair(cls, pair):
         """The value of a JSON [re, im] array (a list or tuple of two)."""
         if type(pair) not in (list, tuple) or len(pair) != 2:
@@ -110,7 +120,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # the int parts of the lowest-terms Fractions hash faster than Fraction does
+        re, im = self.re, self.im
+        return hash((re.numerator, re.denominator, im.numerator, im.denominator))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -119,6 +131,21 @@ class GaussianRational:
         if self.im == 0:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
+
+
+def _exact(value):
+    """The GaussianRational of a GaussianRational, or of an int, float, Fraction
+    or complex read part by part; a float is the dyadic rational it stores."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, complex):
+        return GaussianRational._of(_fraction(value.real), _fraction(value.imag))
+    return GaussianRational._of(_fraction(value), _ZERO)
+
+
+def _fraction(x):
+    """Fraction(x); a float goes through its integer ratio, which is faster."""
+    return Fraction(*x.as_integer_ratio()) if isinstance(x, float) else Fraction(x)
 
 
 def _integer_pairs(values):
@@ -394,75 +421,46 @@ def n_of(degrees):
 
 
 def phi_map(degrees, w):
-    """Canonical homeomorphism of C onto the half plane Re < sum(degrees)."""
+    """Homeomorphism of C onto the half plane Re < N, N = sum(degrees), exact on Q(i).
+
+    The real part goes through h(x) = x for x <= N - 1 and N - 1/(x - N + 2)
+    above: continuous, increasing and onto (-inf, N), rational, so it never
+    overflows.  The imaginary part is kept.
+    """
     total = n_of(degrees)
-    z = complex(w)
-    return complex(total - math.exp(-z.real), z.imag)
+    z = _exact(w)
+    if z.re <= total - 1:
+        return z
+    return GaussianRational._of(total - 1 / (z.re - total + 2), z.im)
 
 
 @dataclass(frozen=True)
 class RootPoly:
-    """Monic polynomial given by its root multiset (float roots, int multiplicities)."""
+    """Monic polynomial given by its root multiset: (GaussianRational, int
+    multiplicity) pairs, equal roots merged in order of first appearance.
+
+    Roots may be given as anything `_exact` reads, so complex floats count
+    as the dyadic rationals they store.
+    """
 
     roots: tuple
 
     def __post_init__(self):
-        rs = tuple((complex(a), int(m)) for a, m in self.roots)
-        if any(m < 1 for _, m in rs):
-            raise ValueError("multiplicities must be >= 1")
-        object.__setattr__(self, "roots", rs)
+        merged = {}
+        for a, m in self.roots:
+            m = int(m)
+            if m < 1:
+                raise ValueError("multiplicities must be >= 1")
+            a = _exact(a)
+            merged[a] = merged.get(a, 0) + m
+        object.__setattr__(self, "roots", tuple(merged.items()))
 
     @property
     def degree(self):
         return sum(m for _, m in self.roots)
 
-    def expanded_complex_coeffs(self):
-        """Ascending complex coefficients of the monic expansion."""
-        return _expand(a for a, m in self.roots for _ in range(m))
-
-    def clusters(self):
-        """Root clusters at relative tolerance ROOT_CLUSTER_TOL, as (center,
-        total multiplicity)."""
-        items = list(self.roots)
-        parent = list(range(len(items)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if _close(items[i][0], items[j][0]):
-                    parent[find(i)] = find(j)
-        groups = {}
-        for i, (a, m) in enumerate(items):
-            groups.setdefault(find(i), []).append((a, m))
-        out = []
-        for members in groups.values():
-            total = sum(m for _, m in members)
-            center = sum(a * m for a, m in members) / total
-            out.append((center, total))
-        return out
-
-
-def _close(a, b):
-    return abs(a - b) <= ROOT_CLUSTER_TOL * max(1.0, abs(a), abs(b))
-
 
 # -- float helpers -------------------------------------------------------------
-
-def _expand(roots):
-    """Ascending complex coefficients of prod (z - a) over the given roots."""
-    coeffs = [1 + 0j]
-    for a in roots:
-        shifted = [0j] + coeffs
-        for k, c in enumerate(coeffs):
-            shifted[k] -= a * c
-        coeffs = shifted
-    return coeffs
-
 
 def _horner(coeffs, z):
     """Value at z of the polynomial with ascending coefficients coeffs."""
@@ -596,7 +594,7 @@ class MembershipResult:
     representation: str
     witness_collection: tuple = None
     witness_factor: RationalPoly = None
-    witness_root: complex = None
+    witness_root: GaussianRational = None
 
     def __bool__(self):
         return self.member
@@ -611,9 +609,11 @@ def is_member(system, fan, n):
     `mult_part` and `gcd_monic` on that collection only, so the verdict, the
     collection and the factor are those of Euclid over Q(i).
 
-    Root form clusters the declared roots at relative tolerance
-    ROOT_CLUSTER_TOL.  On failure the result carries the offending
-    collection and the common factor or root.
+    Root form intersects, over each primitive collection, the sets of
+    declared roots of multiplicity >= n, exactly.  Both forms try the
+    collections by size and then by their sorted indices.  On failure the
+    result carries the offending collection and the common factor, or the
+    first common root in the order of the collection's first polynomial.
     """
     n = int(n)
     if n < 1:
@@ -656,19 +656,17 @@ def is_member(system, fan, n):
                 )
         return MembershipResult(member=True, representation="coefficient")
 
-    clusters = [p.clusters() for p in system.polys]
-    heavy = [[(c, m) for c, m in cl if m >= n] for cl in clusters]
+    heavy = [frozenset(a for a, m in p.roots if m >= n) for p in system.polys]
     for sigma in prims:
         idx = sorted(sigma)
-        for alpha, _ in heavy[idx[0]]:
-            if all(any(_close(alpha, beta) for beta, _ in heavy[i])
-                   for i in idx[1:]):
-                return MembershipResult(
-                    member=False,
-                    representation="root",
-                    witness_collection=tuple(idx),
-                    witness_root=alpha,
-                )
+        common = heavy[idx[0]].intersection(*[heavy[i] for i in idx[1:]])
+        if common:
+            return MembershipResult(
+                member=False,
+                representation="root",
+                witness_collection=tuple(idx),
+                witness_root=next(a for a, _ in system.polys[idx[0]].roots if a in common),
+            )
     return MembershipResult(member=True, representation="root")
 
 
@@ -682,7 +680,7 @@ def witness_roots(result):
     if result.member:
         return []
     if result.witness_root is not None:
-        return [result.witness_root]
+        return [result.witness_root.to_complex()]
     g = result.witness_factor
     squarefree = g.divmod(gcd_monic(g, derivative(g)))[0]
     return _aberth_roots(squarefree.to_complex_coeffs())
@@ -708,17 +706,9 @@ def stabilize(system, shifts):
     total = n_of(degrees)
     new_polys = []
     for i, poly in enumerate(system.polys):
-        moved = []
-        for alpha, m in poly.roots:
-            try:
-                moved.append((phi_map(degrees, alpha), m))
-            except OverflowError:
-                raise ValueError(
-                    f"polynomial {i}: root {alpha} is too far left for phi_map "
-                    "(exp(-Re) overflows a float)"
-                ) from None
+        moved = [(phi_map(degrees, alpha), m) for alpha, m in poly.roots]
         if a[i]:
-            moved.append((complex(total + i + 1), a[i]))
+            moved.append((GaussianRational(total + i + 1), a[i]))
         new_polys.append(RootPoly(tuple(moved)))
     return PolySystem("root", tuple(new_polys), tuple(d + x for d, x in zip(degrees, a)))
 
@@ -728,25 +718,10 @@ def evaluate_jet(system, n, alpha):
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    blocks = []
-    if system.form == "coefficient":
-        for poly in system.polys:
-            values = jet(poly, n).evaluate(alpha)
-            blocks.append(tuple(
-                v.to_complex() if isinstance(v, GaussianRational) else complex(v)
-                for v in values
-            ))
-    else:
-        z = complex(alpha)
-        for poly in system.polys:
-            deriv = poly.expanded_complex_coeffs()
-            base = _horner(deriv, z)
-            entry = [base]
-            for _ in range(1, n):
-                deriv = _formal_derivative(deriv)
-                entry.append(base + _horner(deriv, z))
-            blocks.append(tuple(entry))
-    return PointInProduct(tuple(blocks))
+    polys = system.polys
+    if system.form == "root":
+        polys = [RationalPoly.from_roots(p.roots) for p in polys]
+    return PointInProduct(tuple(jet(poly, n).evaluate(alpha) for poly in polys))
 
 
 # -- JSON --------------------------------------------------------------------
@@ -767,7 +742,7 @@ def system_to_json(system):
             "polys": [[c.to_pair() for c in p.coeffs] for p in system.polys],
         }
     return {
-        "roots": [[[a.real, a.imag, m] for a, m in p.roots] for p in system.polys],
+        "roots": [[[*a.to_pair(), m] for a, m in p.roots] for p in system.polys],
     }
 
 
@@ -848,20 +823,25 @@ def system_from_json(obj):
         for i, rl in enumerate(roots):
             if not isinstance(rl, list) or not rl:
                 raise SystemJsonError("each polynomial needs at least one root", f"/roots/{i}")
-            try:
-                triples = [(complex(a, b), m) for a, b, m in rl]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SystemJsonError(f"bad root triple: {exc}", f"/roots/{i}") from exc
-            for j, ((alpha, m), (a, b, _)) in enumerate(zip(triples, rl)):
-                if type(a) not in (int, float) or type(b) not in (int, float):
-                    raise SystemJsonError("root coordinates must be numbers", f"/roots/{i}/{j}")
-                if not cmath.isfinite(alpha):
-                    raise SystemJsonError("root coordinates must be finite", f"/roots/{i}/{j}")
+            triples = []
+            for j, triple in enumerate(rl):
+                if type(triple) is not list or len(triple) != 3:
+                    raise SystemJsonError("bad root triple: a root is [re, im, multiplicity]",
+                                          f"/roots/{i}")
+                a, b, m = triple
+                if type(a) not in (int, float, str) or type(b) not in (int, float, str):
+                    raise SystemJsonError("root coordinates must be numbers or rational strings",
+                                          f"/roots/{i}/{j}")
                 if not _is_count(m):
                     raise SystemJsonError(
                         f"root multiplicity must be an integer >= 1, got {json.dumps(m)}",
                         f"/roots/{i}/{j}",
                     )
+                try:
+                    re_part, im_part = Fraction(*_json_rational(a)), Fraction(*_json_rational(b))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise SystemJsonError(f"bad root coordinate: {exc}", f"/roots/{i}/{j}") from exc
+                triples.append((GaussianRational._of(re_part, im_part), m))
             lists.append(tuple(triples))
         return PolySystem.root_system(lists)
     raise SystemJsonError("system document needs either 'polys' or 'roots'")

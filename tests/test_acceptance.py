@@ -80,7 +80,7 @@ def test_criterion_4_membership_oracle_equivalence():
     start = time.monotonic()
     suite = run_membership(SEED, planted=200, generic=200)
     elapsed = time.monotonic() - start
-    _report(4, "gcd and root-cluster membership agreement (400)", suite.ok, elapsed, 30.0)
+    _report(4, "gcd and root-set membership agreement (400)", suite.ok, elapsed, 30.0)
 
 
 def test_criterion_5_power_structure_coherence():

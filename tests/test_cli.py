@@ -617,15 +617,62 @@ def test_jet_beyond_printable_digits_exits_cap(tmp_path, capsys):
     assert code == 0 and json.loads(out)["jets"][0][0][1] == [big, "0"]
 
 
-def test_stabilize_root_beyond_phi_map_range_exits_4(tmp_path, capsys):
+def test_stabilize_far_left_root_stays_exact(tmp_path, capsys):
+    # the stabilization map is the identity left of N - 1, however far left
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"roots": [[[0.0, 0.0, 1]], [[-800.0, 0.0, 1]]]}))
     code, out, err = run_cli(["poly", "stabilize", "--system", str(path), "--a", "1,0"], capsys)
-    assert code == 4 and out == ""
-    assert "Traceback" not in err
-    envelope = json.loads(err)
-    assert envelope["tool"] == "toricctl"
-    assert "polynomial 1" in envelope["error"] and "-800" in envelope["error"]
+    assert code == 0 and err == ""
+    assert json.loads(out)["system"]["roots"][1] == [["-800", "0", 1]]
+
+
+def test_roots_beyond_printing_exit_cap(fixtures_dir, tmp_path, capsys):
+    # a 4300-digit root parses, but its image under the stabilization map
+    # has more digits than Python prints; a root of 10^400 has no float pair
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"roots": [[["9" * 4300, 0, 1]], [[0, 0, 1]]]}))
+    code, out, err = run_cli(["poly", "stabilize", "--system", str(path), "--a", "1,0"], capsys)
+    assert code == 5 and out == "" and "4300" in json.loads(err)["error"]
+    path.write_text(json.dumps({"roots": [[["1e400", 0, 2]], [["1e400", 0, 2]]]}))
+    code, out, err = run_cli(["poly", "check", "--fan", str(fixtures_dir / "cp1.json"),
+                              "--system", str(path), "--n", "2"], capsys)
+    assert code == 5 and out == "" and "float range" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("degree", [6, 12])
+def test_stabilized_member_stays_member_at_every_depth(degree, fixtures_dir, tmp_path, capsys):
+    # roots 0, ..., d - 1 and -1 + i, ..., -d + i on cp(1): the anchors the
+    # shifts append to the two polynomials stay distinct at every depth
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"roots": [[[k, 0, 1] for k in range(degree)],
+                                          [[-k, 1, 1] for k in range(1, degree + 1)]]}))
+    check = ["poly", "check", "--fan", str(fixtures_dir / "cp1.json"), "--n", "2",
+             "--system", str(path)]
+    for shift in ("2,2", "1,1", "1,1"):
+        code, out, _ = run_cli(check, capsys)
+        assert code == 0 and json.loads(out)["member"]
+        code, out, _ = run_cli(["poly", "stabilize", "--system", str(path), "--a", shift], capsys)
+        assert code == 0
+        path.write_text(json.dumps(json.loads(out)["system"]))
+    code, out, _ = run_cli(check, capsys)
+    assert code == 0 and json.loads(out)["member"]
+
+
+def test_vandermonde_run_over_cap_exits_5_before_a_trial(monkeypatch, capsys):
+    # each trial passes the per-trial caps, but 500 of them would take
+    # about 3 s each
+    def trial(*_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(oracles, "verify_rank_claim", trial)
+    code, out, err = run_cli(["oracle", "vandermonde", "--k", "256", "--n", "1", "--d", "128"],
+                             capsys)
+    assert code == 5 and out == ""
+    assert "capped" in json.loads(err)["error"]
+    monkeypatch.undo()
+    # the benchmark's fixed shape stays under the run cap, as acceptance 3's
+    # default run does
+    assert run_vandermonde(0, trials=6, k=4, n=3, d=24).ok
 
 
 @pytest.mark.parametrize(

@@ -157,10 +157,12 @@ def test_gaussian_rationals_have_one_arithmetic():
 
 def test_fan_geometry_and_exact_kernels_use_no_floats():
     # certification paths stay exact: no float literal and no float, complex,
-    # sqrt or atan2 call in the fan layer, the exact kernels, the Hermite
-    # rank certificate, the stability bounds or the modular gcd certificate
+    # sqrt or atan2 call in the fan layer, the complexes and their zero-block
+    # tests, the exact kernels, the Hermite rank certificate, the stability
+    # bounds or the modular gcd certificate
     offenders = []
-    for name in ("fans.py", "exactla.py", "hermite.py", "stability.py", "modular.py"):
+    for name in ("fans.py", "complexes.py", "exactla.py", "hermite.py", "stability.py",
+                 "modular.py"):
         tree = ast.parse((ROOT / "src" / "toricstab" / name).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, float):

@@ -225,14 +225,16 @@ class TestMembership:
         split = PolySystem.root_system([[(0j, 2)], [(1j, 1), (-1j, 1)]])
         assert is_member(split, cp1, 2).member
 
-    def test_root_form_clusters_nearby_declared_roots(self, cp1):
-        eps = 1e-9
-        fuzzy = PolySystem.root_system(
-            [[(0j, 1), (eps + 0j, 1)], [(0j, 2), (1 + 0j, 1)]]
-        )
-        verdict = is_member(fuzzy, cp1, 2)
-        assert not verdict.member
-        assert abs(verdict.witness_root) < 1e-6
+    def test_root_form_merges_only_equal_roots(self, cp1):
+        # 0 and 1e-9 are distinct roots, however close
+        near = PolySystem.root_system([[(0j, 1), (1e-9 + 0j, 1)], [(0j, 2), (1 + 0j, 1)]])
+        assert near.polys[0].roots == ((ZERO, 1), (G(Fraction(1e-9)), 1))
+        assert is_member(near, cp1, 2).member
+        # 0, 0.0 and "0/1" are one root, whose multiplicities add up
+        spelled = system_from_json({"roots": [[[0, 0, 1], [0.0, "0/1", 1]], [["0/1", 0.0, 2]]]})
+        assert spelled.polys[0].roots == ((ZERO, 2),)
+        verdict = is_member(spelled, cp1, 2)
+        assert not verdict.member and verdict.witness_root == ZERO
 
     def test_ray_count_mismatch(self, h1):
         system = PolySystem.coefficient_system([poly(0, 1)])
@@ -260,29 +262,25 @@ class TestDiscriminantLink:
         rng = random.Random(3)
         for _ in range(10):
             n = rng.randint(2, 3)
-            coeff, _, _ = make_planted_system(h1, n, rng)
+            coeff, root, _ = make_planted_system(h1, n, rng)
             verdict = is_member(coeff, h1, n)
+            alpha = is_member(root, h1, n).witness_root
             assert not verdict.member
-            hits = [
-                in_arrangement(evaluate_jet(coeff, n, alpha), h1, tol=1e-6)
-                for alpha in witness_roots(verdict)
-            ]
-            assert any(hits)
+            assert in_arrangement(evaluate_jet(coeff, n, alpha), h1)
+            assert min(abs(z - alpha.to_complex()) for z in witness_roots(verdict)) < 1e-9
 
     def test_member_jets_avoid_arrangement_at_all_roots(self, h1):
-        np = pytest.importorskip("numpy")
         rng = random.Random(8)
         k = underlying_complex(h1)
         for _ in range(10):
             n = rng.randint(2, 3)
-            coeff, _ = make_generic_system(h1, n, rng)
+            coeff, root = make_generic_system(h1, n, rng)
             assert is_member(coeff, h1, n).member
-            for f in coeff.polys:
-                desc = list(reversed(f.to_complex_coeffs()))
-                for alpha in np.roots(desc):
-                    point = evaluate_jet(coeff, n, complex(alpha))
-                    assert not in_arrangement(point, k, tol=1e-6)
-                    assert in_polyhedral_product(point, k, tol=1e-6)
+            for f in root.polys:
+                for alpha, _ in f.roots:
+                    point = evaluate_jet(coeff, n, alpha)
+                    assert not in_arrangement(point, k)
+                    assert in_polyhedral_product(point, k)
 
 
 class TestNOf:
@@ -294,16 +292,25 @@ class TestNOf:
 
 class TestPhiMap:
     def test_at_origin(self):
-        assert phi_map((5, 7, 5, 12), 0) == complex(28, 0)
+        # N = 29: the identity up to N - 1 = 28, then N - 1/(x - N + 2)
+        assert phi_map((5, 7, 5, 12), 0) == ZERO
+        assert phi_map((5, 7, 5, 12), 28) == G(28)
+        assert phi_map((5, 7, 5, 12), 29) == G(Fraction(57, 2))
 
     def test_image_in_half_plane(self):
         rng = random.Random(17)
         for _ in range(50):
-            w = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            assert phi_map((3, 4), w).real < 7
+            w = complex(rng.uniform(-5, 50), rng.uniform(-5, 5))
+            assert phi_map((3, 4), w).re < 7
+
+    def test_increasing_on_the_real_line(self):
+        xs = [Fraction(k, 4) for k in range(-40, 400)]
+        images = [phi_map((3, 4), x).re for x in xs]
+        assert images == sorted(set(images))
 
     def test_imaginary_part_preserved(self):
-        assert phi_map((2, 2), 3j).imag == 3.0
+        assert phi_map((2, 2), 3j).im == 3
+        assert phi_map((2, 2), 100 + 3j).im == 3
 
 
 class TestStabilize:
@@ -315,7 +322,7 @@ class TestStabilize:
         system = PolySystem.root_system([[(0j, 2)], [(1 + 0j, 2)]])
         out = stabilize(system, (0, 1))
         assert len(out.polys[0].roots) == 1  # moved, nothing appended
-        appended = [m for a, m in out.polys[1].roots if a.real > 4]
+        appended = [m for a, m in out.polys[1].roots if a.re > 4]
         assert appended == [1]
 
     def test_member_verdicts_preserved(self, cp1):
@@ -334,10 +341,11 @@ class TestStabilize:
         with pytest.raises(ValueError):
             stabilize(system, (1, 0))
 
-    def test_root_beyond_float_range_is_named(self):
+    def test_far_left_root_stays_exact(self):
+        # the map is the identity left of N - 1, so no root is too far left
         system = PolySystem.root_system([[(0j, 1)], [(1 + 0j, 1), (-800 + 1j, 2)]])
-        with pytest.raises(ValueError, match=r"polynomial 1: root \(-800\+1j\)"):
-            stabilize(system, (1, 0))
+        out = stabilize(stabilize(system, (1, 0)), (0, 1))
+        assert (G(-800, 1), 2) in out.polys[1].roots
 
 
 class TestJetSection:
@@ -372,7 +380,7 @@ class TestEvaluateJet:
         z2 = RationalPoly.from_roots([(ZERO, 2)])
         system = PolySystem.coefficient_system([z2, z2])
         point = evaluate_jet(system, 2, ZERO)
-        assert point.blocks == ((0j, 0j), (0j, 0j))
+        assert point.blocks == ((ZERO, ZERO), (ZERO, ZERO))
         assert in_arrangement(point, cp1)
 
     def test_nonvanishing_alpha(self, cp1):
@@ -588,7 +596,7 @@ class TestFloatHelpersAgainstNumpy:
         for roots in self._root_multisets(random.Random(47)):
             flat = [a for a, m in roots for _ in range(m)]
             expected = np.atleast_1d(np.poly(flat))[::-1].astype(complex)
-            found = np.array(RootPoly(roots).expanded_complex_coeffs())
+            found = np.array(RationalPoly.from_roots(RootPoly(roots).roots).to_complex_coeffs())
             assert found.shape == expected.shape
             assert np.max(np.abs(found - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -625,6 +633,38 @@ def test_witness_roots_are_roots_of_the_squarefree_part(root_mults):
     found = witness_roots(_failed(factor))
     assert len(found) == len(root_mults)
     assert all(abs(squarefree.evaluate(r)) <= 1e-9 * norm for r in found)
+
+
+# a root re/4 + (im/4) i, spelled as a JSON int or float, as a "p/q" string
+# over 4, or in lowest terms
+_spelled_root = st.tuples(st.integers(-2, 2), st.integers(0, 1), st.integers(1, 3),
+                          st.sampled_from(("number", "over 4", "lowest")))
+
+
+def _spell(quarters, how):
+    if how == "number":
+        return quarters / 4 if quarters % 4 else quarters // 4
+    if how == "over 4":
+        return f"{quarters}/4"
+    return str(Fraction(quarters, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("cp(1)", "cp(2)", "hirzebruch(1)")), st.integers(2, 3), st.data())
+def test_root_form_agrees_with_coefficient_form(name, n, data):
+    fan = builtin_fan(name)
+    spelled = data.draw(st.lists(st.lists(_spelled_root, min_size=1, max_size=4),
+                                 min_size=fan.ray_count, max_size=fan.ray_count))
+    root = system_from_json({"roots": [[[_spell(re, how), _spell(im, how), m]
+                                        for re, im, m, how in rl] for rl in spelled]})
+    coeff = PolySystem.coefficient_system([
+        RationalPoly.from_roots([(G(Fraction(re, 4), Fraction(im, 4)), m) for re, im, m, _ in rl])
+        for rl in spelled])
+    by_root, by_coeff = is_member(root, fan, n), is_member(coeff, fan, n)
+    assert by_root.member == by_coeff.member
+    assert by_root.witness_collection == by_coeff.witness_collection
+    if not by_root.member:
+        assert by_coeff.witness_factor.evaluate(by_root.witness_root) == ZERO
 
 
 # -- the modular membership certificate against the exact Euclid ------------------
@@ -792,6 +832,14 @@ def test_generic_degree_24_system_is_certified_fast(h1):
         assert best < 0.05, f"n = {n}: {best * 1e3:.1f} ms"
 
 
+def _expand(roots):
+    """Ascending complex coefficients of prod (z - a) over the given roots."""
+    coeffs = [1 + 0j]
+    for a in roots:
+        coeffs = [x - a * y for x, y in zip([0j] + coeffs, coeffs + [0j])]
+    return coeffs
+
+
 @pytest.mark.parametrize("seed", [24, 28, 36])
 def test_aberth_stops_at_rounding_level(seed, monkeypatch):
     # these degree-20 polynomials leave corrections stalled above 1e-12
@@ -806,7 +854,7 @@ def test_aberth_stops_at_rounding_level(seed, monkeypatch):
         return real(coeffs, z)
 
     monkeypatch.setattr(polynomials, "_horner", counted)
-    found = polynomials._aberth_roots(polynomials._expand(roots))
+    found = polynomials._aberth_roots(_expand(roots))
     # one evaluation of p' per root and sweep
     assert len(calls) <= 40 * len(roots)
     assert _same_set(found, roots, 1e-6)
