@@ -228,6 +228,16 @@ def primitive_collections(fan_or_complex):
     return minimal_non_faces(k)
 
 
+def collections_inside(complex_, within):
+    """The minimal non-faces inside the vertex set within: those of the complex
+    with facets F | ([r] - within), where a set is a face exactly when its
+    part inside within is a face of complex_."""
+    outside = frozenset(range(complex_.vertex_count)) - frozenset(within)
+    if outside:
+        complex_ = SimplicialComplex(complex_.vertex_count, [f | outside for f in complex_.max_faces])
+    return minimal_non_faces(complex_)
+
+
 def r_min(fan_or_complex):
     prims = primitive_collections(fan_or_complex)
     if not prims:

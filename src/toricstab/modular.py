@@ -8,7 +8,8 @@ passes its monic `RationalPoly`s in, whose `pairs` over `den` are read as
 they are: their residues need one inverse of `den` modulo P, and the
 Gaussian-integer `pairs` are their multiple by `den`.  It gets the exact
 monic gcd back as a `RationalPoly`, or None where only Euclid over Q(i) can
-decide.
+decide.  Euclid modulo P divides through one inverse of each divisor's lead
+and makes only a gcd it reconstructs monic.
 """
 
 import math
@@ -35,12 +36,16 @@ def _monic(f):
 
 
 def _rem(f, g):
-    """Remainder modulo P of a reduced f by the monic g."""
+    """Remainder modulo P of f by any g, through one inverse of g's lead."""
+    a, b = g[-1]
+    inverse = pow(a * a + b * b, -1, P)
+    ia, ib = a * inverse % P, -b * inverse % P
     r = list(f)
     dg = len(g) - 1
     for k in range(len(r) - 1, dg - 1, -1):
         cr, ci = r[k]
         if cr or ci:
+            cr, ci = (cr * ia - ci * ib) % P, (cr * ib + ci * ia) % P
             s = k - dg
             for j in range(dg):
                 gr, gi = g[j]
@@ -53,16 +58,18 @@ def _rem(f, g):
 
 
 def _gcd_mod_p(f, g):
-    """Monic gcd modulo P of a monic f and any g, by Euclid."""
+    """A gcd modulo P of f and g, up to a unit (1 when it is constant), by
+    Euclid on the remainders as they come, none of them made monic."""
     while g:
-        g = _monic(g)
+        if len(g) == 1:
+            return [(1, 0)]
         f, g = g, _rem(f, g)
     return f
 
 
 def mult_part_mod_p(poly, n):
-    """gcd(f, f', ..., f^(n-1)) modulo P of a monic poly, or None when P
-    divides a denominator; `polynomials.mult_part` over F_P[i]."""
+    """gcd(f, f', ..., f^(n-1)) modulo P of a monic poly, up to a unit, or
+    None when P divides a denominator; `polynomials.mult_part` over F_P[i]."""
     try:
         inverse = pow(poly.den, -1, P)
     except ValueError:
@@ -144,7 +151,7 @@ def certified_gcd(polys, parts, n):
         g = _gcd_mod_p(g, h)
     if len(g) == 1:
         return RationalPoly([1])
-    values = [(_reconstruct(a), _reconstruct(b)) for a, b in g]
+    values = [(_reconstruct(a), _reconstruct(b)) for a, b in _monic(g)]
     if any(q is None for pair in values for q in pair):
         return None
     # monic, so its pairs lead with the positive int den

@@ -314,7 +314,8 @@ def make_generic_system(fan, n, rng):
 
 
 def run_membership(seed, planted=200, generic=200):
-    """Agreement of the exact-gcd and root-set membership tests."""
+    """Agreement of the exact-gcd and root-set membership tests.  A planted
+    system's other roots are simple, so both must name its collection."""
     from .polynomials import is_member
 
     rng = random.Random(seed)
@@ -326,10 +327,10 @@ def run_membership(seed, planted=200, generic=200):
         coeff, root, sigma = make_planted_system(fans[name], n, rng)
         verdict_c = is_member(coeff, fans[name], n)
         verdict_r = is_member(root, fans[name], n)
-        ok = (not verdict_c.member) and (not verdict_r.member)
+        ok = verdict_c.witness_collection == verdict_r.witness_collection == sigma
         result.record(trial, ok, None if ok else {
             "fan": name, "n": n, "sigma": sigma,
-            "coefficient": verdict_c.member, "root": verdict_r.member,
+            "coefficient": verdict_c.witness_collection, "root": verdict_r.witness_collection,
         })
     for trial in range(planted, planted + generic):
         name = rng.choice(_MEMBER_FAMILY)

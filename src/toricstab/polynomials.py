@@ -17,7 +17,8 @@ by the pair-list arithmetic of `modular`.  The bound is one-sided: when P
 divides no denominator of the f_i, the monic gcd over Q(i), a monic factor
 of monic f_i, has none either, and it reduces to a divisor of the gcd
 modulo P.  A constant gcd modulo P therefore proves the collection
-harmless.  A non-constant one is rationally reconstructed (Wang 1981; von
+harmless, and for a single f_i it proves that f_i has no root of
+multiplicity >= n.  A non-constant one is rationally reconstructed (Wang 1981; von
 zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 5-6) and verified on
 Gaussian integers: scaled by its denominators, it must leave a zero
 pseudo-remainder on every f_i^(k).  A divisor of the exact gcd of at least
@@ -47,7 +48,8 @@ from .complexes import (
     CapExceededError,
     JsonPointerError,
     PointInProduct,
-    primitive_collections,
+    collections_inside,
+    underlying_complex,
 )
 
 ABERTH_TOL = 1e-12
@@ -603,26 +605,34 @@ class MembershipResult:
 def is_member(system, fan, n):
     """Whether no primitive collection shares a root of multiplicity >= n.
 
-    Coefficient form decides exactly through the gcd of f_i, f_i', ...,
-    f_i^(n-1) over each primitive collection: first by the certificate
-    modulo P = 2^61 - 1 described above, and where it cannot decide by
-    `mult_part` and `gcd_monic` on that collection only, so the verdict, the
-    collection and the factor are those of Euclid over Q(i).
-
-    Root form intersects, over each primitive collection, the sets of
-    declared roots of multiplicity >= n, exactly.  Both forms try the
-    collections by size and then by their sorted indices.  On failure the
+    A system is a member exactly when the polynomials with a root of
+    multiplicity >= n index a face of K_Sigma, so a face test decides most
+    systems and only the primitive collections inside that set can fail.
+    Root form reads the set off its exact roots.  Coefficient form starts
+    from all rays and, while they index no face, drops f_0, f_1, ... as long
+    as the multiplicity part modulo P = 2^61 - 1 is constant, which proves no
+    heavy root; it stops at the first polynomial not so proven.  Both forms
+    then try the collections inside what is left in the order of all
+    collections: by size, then by sorted indices.  Root form intersects the
+    sets of roots of multiplicity >= n.  Coefficient form skips a collection
+    with a constant part modulo P and takes the gcd of f_i, f_i', ...,
+    f_i^(n-1) over the others: by the certificate described above, and where
+    it cannot decide by `mult_part` and `gcd_monic`, so the verdict, the
+    collection and the factor are those of Euclid over Q(i).  On failure the
     result carries the offending collection and the common factor, or the
     first common root in the order of the collection's first polynomial.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    prims = sorted(primitive_collections(fan), key=lambda s: (len(s), sorted(s)))
+    complex_ = underlying_complex(fan)
     if system.r != fan.ray_count:
         raise ValueError(f"system has {system.r} polynomials, fan has {fan.ray_count} rays")
 
-    if system.form == "coefficient":
+    if system.form == "root":
+        heavy = [frozenset(a for a, m in p.roots if m >= n) for p in system.polys]
+        rest = {i for i, h in enumerate(heavy) if h}
+    else:
         # imported here, not at module level: modular imports polynomials
         from .modular import certified_gcd, mult_part_mod_p
 
@@ -633,14 +643,31 @@ def is_member(system, fan, n):
                 parts[i] = mult_part(system.polys[i], n)
             return parts[i]
 
-        def mod_part(i):
+        def light(i):
             if i not in mod_parts:
                 mod_parts[i] = mult_part_mod_p(system.polys[i], n)
-            return mod_parts[i]
+            return mod_parts[i] is not None and len(mod_parts[i]) == 1
 
-        for sigma in prims:
-            idx = sorted(sigma)
-            g = certified_gcd([system.polys[i] for i in idx], [mod_part(i) for i in idx], n)
+        # singletons are faces, so the walk stops before it runs out of rays
+        rest, i = set(range(system.r)), 0
+        while not complex_.is_face(rest) and light(i):
+            rest.discard(i)
+            i += 1
+    if complex_.is_face(rest):
+        return MembershipResult(member=True, representation=system.form)
+
+    for idx in sorted(map(sorted, collections_inside(complex_, rest)), key=lambda s: (len(s), s)):
+        if system.form == "root":
+            common = heavy[idx[0]].intersection(*[heavy[i] for i in idx[1:]])
+            if common:
+                return MembershipResult(
+                    member=False,
+                    representation="root",
+                    witness_collection=tuple(idx),
+                    witness_root=next(a for a, _ in system.polys[idx[0]].roots if a in common),
+                )
+        elif not any(light(i) for i in idx):
+            g = certified_gcd([system.polys[i] for i in idx], [mod_parts[i] for i in idx], n)
             if g is None:
                 g = part(idx[0])
                 for i in idx[1:]:
@@ -654,20 +681,7 @@ def is_member(system, fan, n):
                     witness_collection=tuple(idx),
                     witness_factor=g,
                 )
-        return MembershipResult(member=True, representation="coefficient")
-
-    heavy = [frozenset(a for a, m in p.roots if m >= n) for p in system.polys]
-    for sigma in prims:
-        idx = sorted(sigma)
-        common = heavy[idx[0]].intersection(*[heavy[i] for i in idx[1:]])
-        if common:
-            return MembershipResult(
-                member=False,
-                representation="root",
-                witness_collection=tuple(idx),
-                witness_root=next(a for a, _ in system.polys[idx[0]].roots if a in common),
-            )
-    return MembershipResult(member=True, representation="root")
+    return MembershipResult(member=True, representation=system.form)
 
 
 def witness_roots(result):

@@ -518,6 +518,25 @@ def test_non_simplicial_fan_validates_and_has_a_complex(source, tmp_path, capsys
     assert code == 0 and json.loads(out)["primitive_collections"] == []
 
 
+def test_generic_poly_check_needs_no_dualization(tmp_path, capsys, monkeypatch):
+    # a generic system is decided by face tests alone: with every dualization
+    # step capped at 0 sets, poly check still answers on a 10-gon (it exited
+    # 5 when every call dualized K_Sigma), and a planted system still exits 5
+    monkeypatch.setattr(complexes, "DUALIZATION_CAP", 0)
+    rays = [[1, 0], [2, 1], [1, 1], [1, 2], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]]
+    fan = tmp_path / "10gon.json"
+    fan.write_text(json.dumps({"dim": 2, "rays": rays, "max_cones": [[k, (k + 1) % 10] for k in range(10)]}))
+    generic = tmp_path / "generic.json"
+    generic.write_text(json.dumps({"roots": [[[k, 0, 1], [k, 1, 1]] for k in range(10)]}))
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps({"roots": [[[0, 3, 2]]] * 10}))
+    check = ["poly", "check", "--fan", str(fan), "--n", "2", "--system"]
+    code, out, _ = run_cli(check + [str(generic)], capsys)
+    assert code == 0 and json.loads(out)["member"] is True
+    code, _, _ = run_cli(check + [str(planted)], capsys)
+    assert code == 5
+
+
 _SWEEP_DOCS = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures").glob("*.json"))
 _SWEEP_DOCS += ["stray-ray", "interior-ray"]
 

@@ -24,7 +24,7 @@ from toricstab import (
     underlying_complex,
 )
 from toricstab import complexes
-from toricstab.complexes import DUALIZATION_CAP, POWER_FACET_CAP
+from toricstab.complexes import DUALIZATION_CAP, POWER_FACET_CAP, collections_inside
 from toricstab.fans import Fan
 
 
@@ -267,6 +267,28 @@ def many_facet_complexes(draw):
 @example(SimplicialComplex(5, [{0, 1}, {1, 2}]))
 def test_minimal_non_faces_match_powerset_search(k):
     assert minimal_non_faces(k) == brute_minimal_non_faces(k)
+
+
+@st.composite
+def complexes_and_vertex_sets(draw):
+    """A complex (random, many-facet, or that of cp(1..3) or hirzebruch(1..2))
+    and a vertex set W, all vertices in about one case of four."""
+    k = draw(st.one_of(
+        random_complexes(), many_facet_complexes(),
+        st.sampled_from(["cp(1)", "cp(2)", "cp(3)", "hirzebruch(1)", "hirzebruch(2)"])
+        .map(lambda name: underlying_complex(builtin_fan(name)))))
+    everything = frozenset(range(k.vertex_count))
+    subset = st.frozensets(st.sampled_from(sorted(everything)), max_size=k.vertex_count) \
+        if k.vertex_count else st.just(frozenset())
+    return k, draw(st.one_of(st.just(everything), subset))
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_vertex_sets())
+def test_collections_inside_are_the_primitive_collections_there(case):
+    k, within = case
+    expected = sorted(sorted(s) for s in minimal_non_faces(k) if s <= within)
+    assert sorted(sorted(s) for s in collections_inside(k, within)) == expected
 
 
 def frozenset_berge(k):

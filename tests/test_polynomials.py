@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import polynomials
+from toricstab import complexes, modular, polynomials
 from toricstab import (
     CapExceededError,
     GaussianRational,
@@ -20,9 +20,11 @@ from toricstab import (
     PolySystem,
     RationalPoly,
     RootPoly,
+    UnsupportedFanError,
     builtin_fan,
     derivative,
     evaluate_jet,
+    fan_from_max_cones,
     gcd_monic,
     in_arrangement,
     in_polyhedral_product,
@@ -689,19 +691,49 @@ def _reference_is_member(system, fan, n):
 _CERTIFICATE_FANS = {name: builtin_fan(name)
                      for name in ("cp(1)", "cp(2)", "hirzebruch(1)", "hirzebruch(2)")}
 
+# the 16 primitive directions of height <= 2, in angular order
+_RING = sorted(((x, y) for x in range(-2, 3) for y in range(-2, 3) if math.gcd(x, y) == 1),
+               key=lambda v: math.atan2(v[1], v[0]))
+
+
+def _cycle_fan(rays):
+    """The planar fan with one cone between each pair of angular neighbours."""
+    return fan_from_max_cones(2, rays, [(k, (k + 1) % len(rays)) for k in range(len(rays))])
+
+
+@st.composite
+def _complete_planar_fans(draw):
+    """Complete planar fans with 4-8 rays: ring directions whose angular
+    neighbours are less than a half turn apart."""
+    r = draw(st.integers(4, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    while True:
+        rays = [_RING[k] for k in sorted(rng.sample(range(len(_RING)), r))]
+        if all(rays[k][0] * rays[k - 1][1] < rays[k][1] * rays[k - 1][0] for k in range(r)):
+            return _cycle_fan(rays)
+
+
+_MEMBERSHIP_FANS = st.one_of(st.sampled_from([*_CERTIFICATE_FANS.values(), builtin_fan("cp(3)")]),
+                             _complete_planar_fans())
+
 
 @st.composite
 def _membership_cases(draw):
-    """A fan, n in 1..3 and a coefficient system whose roots come from one small
-    pool with multiplicities up to n + 1, so that collections share roots of
-    every multiplicity; optionally one primitive collection gets one or two
+    """(root lists, fan, n): a builtin fan, cp(3) or a complete planar fan
+    with 4-8 rays, n in 1..3, and one root list per ray.  Roots come from
+    one small pool with multiplicities up to n + 1, so that collections
+    share roots of every multiplicity; for n >= 2 a random set of the lists
+    stays below multiplicity n, so light polynomials come both before and
+    after heavy ones.  Optionally one primitive collection gets one or two
     planted roots of multiplicity n or n + 1 on each of its polynomials."""
-    fan = _CERTIFICATE_FANS[draw(st.sampled_from(sorted(_CERTIFICATE_FANS)))]
+    fan = draw(_MEMBERSHIP_FANS)
     n = draw(st.integers(1, 3))
     pool = draw(st.lists(_small_gaussian, min_size=2, max_size=7, unique=True))
+    light = draw(st.lists(st.booleans(), min_size=fan.ray_count, max_size=fan.ray_count))
     root_lists = [
-        draw(st.dictionaries(st.sampled_from(pool), st.integers(1, n + 1), min_size=1, max_size=3))
-        for _ in range(fan.ray_count)
+        draw(st.dictionaries(st.sampled_from(pool), st.integers(1, max(1, n - 1) if is_light else n + 1),
+                             min_size=1, max_size=3))
+        for is_light in light
     ]
     prims = sorted(sorted(s) for s in primitive_collections(fan))
     planted = draw(st.sampled_from([None] + prims))
@@ -711,16 +743,35 @@ def _membership_cases(draw):
         for i in planted:
             for alpha in shared:
                 root_lists[i][alpha] = max(root_lists[i].get(alpha, 0), mult)
-    system = PolySystem.coefficient_system(
-        [RationalPoly.from_roots(list(roots.items())) for roots in root_lists])
-    return system, fan, n
+    return [list(roots.items()) for roots in root_lists], fan, n
 
 
 @settings(max_examples=200, deadline=None)
 @given(_membership_cases())
 def test_certificate_matches_exact_euclid(case):
-    system, fan, n = case
+    root_lists, fan, n = case
+    system = PolySystem.coefficient_system([RationalPoly.from_roots(rl) for rl in root_lists])
     assert is_member(system, fan, n) == _reference_is_member(system, fan, n)
+
+
+def _reference_root_member(system, fan, n):
+    """The root-form loop of is_member before its face test: the sets of
+    roots of multiplicity >= n intersected over every primitive collection."""
+    heavy = [frozenset(a for a, m in p.roots if m >= n) for p in system.polys]
+    for idx in sorted(map(sorted, primitive_collections(fan)), key=lambda s: (len(s), s)):
+        common = frozenset.intersection(*[heavy[i] for i in idx])
+        if common:
+            return MembershipResult(member=False, representation="root", witness_collection=tuple(idx),
+                                    witness_root=next(a for a, _ in system.polys[idx[0]].roots if a in common))
+    return MembershipResult(member=True, representation="root")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_membership_cases())
+def test_root_form_matches_full_dualization(case):
+    root_lists, fan, n = case
+    system = PolySystem.root_system(root_lists)
+    assert is_member(system, fan, n) == _reference_root_member(system, fan, n)
 
 
 @pytest.fixture
@@ -814,6 +865,67 @@ class TestModularCertificate:
         verdict = is_member(system, cp1, 2)
         assert "mult_part" in exact_calls
         assert verdict.member and verdict == _reference_is_member(system, cp1, 2)
+
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Calls is_member makes to mult_part_mod_p and minimal_non_faces."""
+    calls = {"mult_part_mod_p": 0, "minimal_non_faces": 0}
+    for module, name in ((modular, "mult_part_mod_p"), (complexes, "minimal_non_faces")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _planted_h1(sigma):
+    """hirzebruch(1) system with a double root on the polynomials of sigma."""
+    alpha = G(Fraction(1, 3), 2)
+    return PolySystem.coefficient_system([
+        RationalPoly.from_roots([(alpha, 2), (G(i), 1)] if i in sigma else [(G(i), 1), (G(i, -1), 1)])
+        for i in range(4)])
+
+
+class TestFaceTest:
+    def test_generic_system_is_decided_by_one_light_polynomial(self, cp2, work_calls):
+        # dropping f_0 leaves {1, 2}, a face of cp(2)
+        system = PolySystem.coefficient_system(
+            [RationalPoly.from_roots([(G(i), 1), (G(i, 1), 1)]) for i in range(3)])
+        assert is_member(system, cp2, 2).member
+        assert work_calls == {"mult_part_mod_p": 1, "minimal_non_faces": 0}
+
+    @pytest.mark.parametrize("sigma, mod_calls", [((0, 2), 2), ((1, 3), 3)])
+    def test_walk_stops_at_the_first_heavy_polynomial(self, h1, work_calls, sigma, mod_calls):
+        # the loop over every collection took 2 and 4 multiplicity parts
+        verdict = is_member(_planted_h1(sigma), h1, 2)
+        assert verdict.witness_collection == sigma
+        assert work_calls == {"mult_part_mod_p": mod_calls, "minimal_non_faces": 1}
+
+    def test_generic_system_needs_no_dualization(self, monkeypatch):
+        # with every dualization step capped at 0 sets, a generic 10-gon
+        # system is still decided, while a planted one raises
+        monkeypatch.setattr(complexes, "DUALIZATION_CAP", 0)
+        fan = _cycle_fan([_RING[k * 16 // 10] for k in range(10)])
+        generic = [RationalPoly.from_roots([(G(i), 1), (G(i, 1), 1)]) for i in range(10)]
+        for system in (PolySystem.coefficient_system(generic),
+                       PolySystem.root_system([[(G(i), 1)] for i in range(10)])):
+            assert is_member(system, fan, 2).member
+        planted = list(generic)
+        planted[0] = planted[2] = RationalPoly.from_roots([(G(0, 3), 2)])
+        for system in (PolySystem.coefficient_system(planted),
+                       PolySystem.root_system([[(G(0, 3), 2)]] * 10)):
+            with pytest.raises(CapExceededError):
+                is_member(system, fan, 2)
+
+    def test_stray_ray_is_reported_before_the_polynomial_count(self):
+        fan = fan_from_max_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1)])
+        system = PolySystem.coefficient_system([RationalPoly.from_roots([(G(1), 1)])])
+        with pytest.raises(UnsupportedFanError, match="ray 2 spans no cone of the fan"):
+            is_member(system, fan, 2)
 
 
 def test_generic_degree_24_system_is_certified_fast(h1):
