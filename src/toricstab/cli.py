@@ -3,10 +3,10 @@
 Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid or
 unsupported fan, 4 shape mismatch or undefined value, 5 enumeration cap
 exceeded (power facets, e1 window, jet coefficients, dualization step,
-vandermonde shape or run) or output too large to print, 6 internal error.  All
-reports embed the tool version, a digest of the canonicalized input, and
-the formula the verdict rests on.  Randomized suites surface their seed;
-TORICCTL_SEED overrides it.
+complex vertices, vandermonde shape or run) or output too large to print,
+6 internal error.  All reports embed the tool version, a digest of the
+canonicalized input, and the formula the verdict rests on.  Randomized
+suites surface their seed; TORICCTL_SEED overrides it.
 """
 
 import argparse
@@ -233,10 +233,7 @@ def _load_complex_like(path):
     if isinstance(raw, dict) and "rays" in raw:
         return underlying_complex(fan_from_json(raw)), raw
     if isinstance(raw, dict) and "max_faces" in raw:
-        try:
-            return SimplicialComplex.from_json(raw), raw
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(EXIT_PARSE, f"bad complex document: {exc}")
+        return SimplicialComplex.from_json(raw), raw
     _fail(EXIT_PARSE, "document is neither a fan (rays) nor a complex (max_faces)")
 
 

@@ -27,6 +27,10 @@ class JsonPointerError(ValueError):
         self.message = message
 
 
+class ComplexJsonError(JsonPointerError):
+    """A defect in a complex document."""
+
+
 class CapExceededError(ValueError):
     """An enumeration was requested beyond its documented cap."""
 
@@ -54,6 +58,11 @@ BAND_COUNT_CAP = 1 << 16
 # Largest coefficient count n (deg + 1) polynomials.jet builds for one
 # polynomial; toricctl prints two degree-2 jets at the cap in 0.8 s, 96 MB.
 JET_COEFFICIENT_CAP = 1 << 16
+
+# Largest vertex count a complex document may declare.  A fan document lists
+# its rays, but this count is a bare number, and the dualization and the
+# power complex take time and memory in it.
+VERTEX_CAP = 1 << 16
 
 # Largest number of sets one step of minimal_non_faces grows; toricctl lists
 # the 3^10 minimal non-faces of 10 missing disjoint triples in 0.9 s, 129 MB.
@@ -132,20 +141,40 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["vertices"], [frozenset(f) for f in obj["max_faces"]])
+        """Load a complex from its JSON object, reporting defects with pointer paths."""
+        if not isinstance(obj, dict):
+            raise ComplexJsonError("complex document must be an object")
+        for key in ("vertices", "max_faces"):
+            if key not in obj:
+                raise ComplexJsonError(f"missing required key {key!r}", f"/{key}")
+        r = obj["vertices"]
+        if type(r) is not int or r < 0:
+            raise ComplexJsonError("vertices must be a non-negative integer", "/vertices")
+        CapExceededError.check(r, VERTEX_CAP, "complex documents capped at {cap} vertices")
+        faces = obj["max_faces"]
+        if not isinstance(faces, list):
+            raise ComplexJsonError("max_faces must be an array", "/max_faces")
+        for i, face in enumerate(faces):
+            if not isinstance(face, list):
+                raise ComplexJsonError("face must be an array of vertices", f"/max_faces/{i}")
+            for j, v in enumerate(face):
+                if type(v) is not int or not 0 <= v < r:
+                    raise ComplexJsonError(f"vertex must be an integer in 0..{r - 1}",
+                                           f"/max_faces/{i}/{j}")
+        return cls(r, faces)
 
 
 def underlying_complex(fan):
-    """Complex on the rays whose facets are the generating cones of the fan.
+    """K_Sigma: the fan's own complex `fan.complex`, whose facets are its
+    maximal cones, so every caller shares one dualization per fan.
 
     Each ray must lie in a generating cone; fans violating this are rejected.
     """
-    r = len(fan.rays)
-    covered = frozenset().union(*fan.generating_cones)
-    for k in range(r):
+    covered = frozenset().union(*fan.complex.max_faces)
+    for k in range(fan.ray_count):
         if k not in covered:
             raise UnsupportedFanError(f"ray {k} spans no cone of the fan")
-    return SimplicialComplex(r, fan.generating_cones)
+    return fan.complex
 
 
 def minimal_non_faces(complex_):

@@ -20,6 +20,7 @@ exact LP runs only where that certificate fails.
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -52,7 +53,8 @@ def primitive_ray(v):
 class Fan:
     """Rays plus the cones the fan is built from (its listed maximal cones or
     the facets of a complex), deduplicated but not reduced.  The fan's faces
-    are the faces of these generating cones, the empty cone included.
+    are the faces of these generating cones, the empty cone included.  The
+    maximal cones are decided once, in `complex` (not a dataclass field).
     """
 
     dim: int
@@ -82,8 +84,10 @@ class Fan:
     def generators(self, cone):
         return [self.rays[k] for k in sorted(cone)]
 
-    def maximal_cones(self):
-        return complexes.SimplicialComplex(self.ray_count, self.generating_cones).max_faces
+    @cached_property
+    def complex(self):
+        """K_Sigma, kept with its minimal non-faces for the fan's lifetime."""
+        return complexes.SimplicialComplex(self.ray_count, self.generating_cones)
 
 
 def _check_structure(dim, rays, cones):
@@ -170,7 +174,7 @@ def _separator(fan, cones):
 
 
 def _complete_simplicial(fan):
-    """True only when the generating cones form a complete simplicial fan.
+    """True only when the maximal cones form a complete simplicial fan.
 
     The certificate (integer only) asks that m >= 2, that every cone have m
     rays, that every facet (m - 1 rays of a cone) lie in exactly two cones
@@ -188,7 +192,7 @@ def _complete_simplicial(fan):
     proves nothing: the pairwise checks decide such fans.
     """
     m, rays = fan.dim, fan.rays
-    cones = list(fan.generating_cones)
+    cones = list(fan.complex.max_faces)
     if m < 2 or not cones or any(len(c) != m for c in cones):
         return False
     # each cone's (facet, apex) pairs, built once for the pairing and the probe
@@ -244,8 +248,10 @@ def validate_fan(fan):
 
     Out-of-range ray indices raise FanStructureError before any axiom is
     considered.  An empty violation list certifies a valid fan.  After the
-    ray checks, generating cones that `_complete_simplicial` certifies as a
-    complete simplicial fan need no further check; any other fan has each
+    ray checks, a fan whose maximal cones `_complete_simplicial` certifies
+    needs no further check: every index subset of a simplicial cone spans a
+    face of it, and faces of two such cones s, t, which meet in the face on
+    s & t, meet in the face on their common indices.  Any other fan has each
     cone and each pair of cones checked, and only that path names cone
     violations.
     """
@@ -312,8 +318,8 @@ def is_simplicial(fan, cones=None):
 def is_complete(fan):
     """Whether the cones of a valid fan cover all of R^m.
 
-    m = 1 reads the ray directions.  For m >= 2, True comes from
-    `_complete_simplicial` (facet pairing and one covered point), and None
+    m = 1 reads the ray directions.  For m >= 2, True comes from the maximal
+    cones' `_complete_simplicial` (facet pairing, one covered point), and None
     ("unknown") when that fails and some maximal cone is not simplicial.
     Otherwise the answer is False, exactly:
     - if every maximal cone has m rays, the certificate decides such fans;
@@ -324,20 +330,13 @@ def is_complete(fan):
       meet, and t is simplicial, so that face holds the point only if
       t <= s, against the maximality of t.
     """
-    m = fan.dim
-    if m == 1:
-        dirs = {fan.rays[k][0] > 0 for k in set().union(*fan.generating_cones) if fan.rays[k][0]}
+    maximal = fan.complex.max_faces
+    if fan.dim == 1:
+        dirs = {fan.rays[k][0] > 0 for k in set().union(*maximal) if fan.rays[k][0]}
         return dirs == {True, False}
     if _complete_simplicial(fan):
         return True
-    # the certificate declines a listed face of another cone, so it is
-    # retried on the maximal cones when they differ
-    maximal = fan.maximal_cones()
-    if maximal != fan.generating_cones:
-        fan = Fan(m, fan.rays, maximal)
-        if _complete_simplicial(fan):
-            return True
-    return False if is_simplicial(fan) else None
+    return False if is_simplicial(fan, maximal) else None
 
 
 def is_smooth(fan):
@@ -451,7 +450,7 @@ def fan_to_json(fan):
     return {
         "dim": fan.dim,
         "rays": [list(ray) for ray in fan.rays],
-        "max_cones": sorted(sorted(c) for c in fan.maximal_cones()),
+        "max_cones": sorted(sorted(c) for c in fan.complex.max_faces),
     }
 
 

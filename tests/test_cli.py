@@ -602,6 +602,41 @@ def test_bad_system_document_exits_parse_error(probe, tmp_path, capsys):
     assert envelope["tool"] == "toricctl" and envelope["pointer"] == pointer
 
 
+# complex documents that fail the typed checks of SimplicialComplex.from_json,
+# with the JSON pointer of the fault
+_BAD_COMPLEXES = {
+    "float vertex": ({"vertices": 3, "max_faces": [[1.0, 2]]}, "/max_faces/0/0"),
+    "boolean vertex": ({"vertices": 3, "max_faces": [[True, 2]]}, "/max_faces/0/0"),
+    "boolean vertex count": ({"vertices": True, "max_faces": [[0]]}, "/vertices"),
+    "float vertex count": ({"vertices": 2.5, "max_faces": [[0, 1]]}, "/vertices"),
+    "string vertex count": ({"vertices": "3", "max_faces": [[0, 2]]}, "/vertices"),
+}
+
+
+@pytest.mark.parametrize("command", ["primitives", "power"])
+@pytest.mark.parametrize("probe", sorted(_BAD_COMPLEXES))
+def test_bad_complex_document_exits_parse_error(probe, command, tmp_path, capsys):
+    doc, pointer = _BAD_COMPLEXES[probe]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    argv = ["complex", command, str(path)] + (["--n", "2"] if command == "power" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE and out == ""
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and envelope["pointer"] == pointer
+
+
+def test_complex_vertex_count_is_capped(tmp_path, capsys):
+    # at r = 10^30 the power complex's facet count n^(r - |F|) does not
+    # finish, and 1 << r overflows in the dualization
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"vertices": 10 ** 30, "max_faces": [[0]]}))
+    for argv in (["complex", "primitives", str(path)], ["complex", "power", str(path), "--n", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 5 and out == ""
+        assert "capped at 65536 vertices" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("coefficient", ["1e400000", "1e999999999"])
 def test_exponent_beyond_printable_digits_exits_parse_error(coefficient, fixtures_dir, tmp_path,
                                                             capsys):
@@ -791,9 +826,11 @@ def test_analyze_with_e1_dualizes_at_most_three_times(fixtures_dir, capsys, monk
 # mutation sweep: fixture documents with one to three nodes replaced, deleted
 # or (array elements) duplicated, through every command that reads them
 _FAN_FIXTURES = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures")
-                       .glob("*.json") if not p.name.startswith("system_"))
+                       .glob("*.json") if not p.name.startswith(("system_", "complex_")))
 _SYSTEM_FIXTURES = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures")
                           .glob("system_*.json"))
+_COMPLEX_FIXTURES = sorted(p.name for p in (pathlib.Path(__file__).parent.parent / "fixtures")
+                           .glob("complex_*.json"))
 _REPLACEMENTS = [0, -1, 10 ** 30, 1.5, True, None, "", "1/2", float("nan"), [], {}]
 
 
@@ -832,19 +869,23 @@ def _at(doc, path):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_documents_end_in_a_documented_exit_code(data, fixtures_dir, tmp_path, capsys):
-    name = data.draw(st.sampled_from(_FAN_FIXTURES + _SYSTEM_FIXTURES), label="fixture")
+    name = data.draw(st.sampled_from(_FAN_FIXTURES + _SYSTEM_FIXTURES + _COMPLEX_FIXTURES),
+                     label="fixture")
     doc = _mutate(json.loads((fixtures_dir / name).read_text()), data)
-    if name in _SYSTEM_FIXTURES:
-        system = tmp_path / "mutated.json"
-        system.write_text(json.dumps(doc))
-        fan, system, degrees = str(fixtures_dir / "cp1.json"), str(system), "2,2"
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    if name in _COMPLEX_FIXTURES:
+        commands = [["complex", "primitives", str(path)], ["complex", "power", str(path), "--n", "2"]]
     else:
-        fan, system, degrees = _write_fan_and_system(tmp_path, doc)
-    commands = list(_fan_reading_commands(fan, system, degrees).values()) + [
-        ["fan", "analyze", fan, "--degrees", degrees, "--e1"],
-        ["poly", "jet", "--system", system, "--n", "2"],
-        ["poly", "stabilize", "--system", system, "--a", "1,0"],
-    ]
+        if name in _SYSTEM_FIXTURES:
+            fan, system, degrees = str(fixtures_dir / "cp1.json"), str(path), "2,2"
+        else:
+            fan, system, degrees = _write_fan_and_system(tmp_path, doc)
+        commands = list(_fan_reading_commands(fan, system, degrees).values()) + [
+            ["fan", "analyze", fan, "--degrees", degrees, "--e1"],
+            ["poly", "jet", "--system", system, "--n", "2"],
+            ["poly", "stabilize", "--system", system, "--a", "1,0"],
+        ]
     for argv in commands:
         code, _, err = run_cli(argv, capsys)
         assert code in range(6), (argv, doc, err)

@@ -56,6 +56,26 @@ class TestUnderlyingComplex:
         with pytest.raises(UnsupportedFanError):
             underlying_complex(fan)
 
+    def test_one_dualization_per_fan(self, monkeypatch):
+        from toricstab.stability import e1_support, stability_report
+
+        dualizations = []
+        real = complexes.minimal_non_faces
+
+        def counted(complex_):
+            if complex_._minimal_cache is None:
+                dualizations.append(complex_)
+            return real(complex_)
+
+        monkeypatch.setattr(complexes, "minimal_non_faces", counted)
+        fan = builtin_fan("hirzebruch(2)")
+        prims = primitive_collections(fan)
+        assert r_min(fan) == 2 and underlying_complex(fan) is fan.complex
+        stability_report((4, 4, 4, 4), fan, 2)
+        e1_support((4, 4, 4, 4), fan, 2)
+        assert primitive_collections(fan) is prims
+        assert dualizations == [fan.complex]
+
 
 def upward_closure(k):
     """Every vertex set containing a minimal non-face of k."""

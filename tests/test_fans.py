@@ -12,6 +12,7 @@ from toricstab import (
     Fan,
     FanJsonError,
     FanStructureError,
+    SimplicialComplex,
     UnsupportedFanError,
     builtin_fan,
     complex_power,
@@ -303,7 +304,7 @@ def _sweep_is_complete(fan):
     clockwise edge to its counterclockwise one closes a single cycle
     through all of them."""
     sectors = {}
-    for cone in fan.maximal_cones():
+    for cone in fan.complex.max_faces:
         pair = _sector(fan.generators(cone))
         if pair is None or pair[0] in sectors:
             return False
@@ -547,6 +548,19 @@ def test_separation_certificate_keeps_every_verdict(fan):
         assert all(v["kind"] == "ray" for v in all_lp["violations"])
 
 
+@settings(max_examples=150, deadline=None)
+@given(separation_fans())
+def test_fan_complex_is_the_complex_of_its_cones(fan):
+    fresh = SimplicialComplex(fan.ray_count, fan.generating_cones)
+    assert fan.complex == fresh
+    if frozenset().union(*fan.generating_cones) == frozenset(range(fan.ray_count)):
+        assert underlying_complex(fan) == fresh
+    else:
+        with pytest.raises(UnsupportedFanError):
+            underlying_complex(fan)
+    assert is_complete(fan) == is_complete(Fan(fan.dim, fan.rays, fresh.max_faces))
+
+
 def test_complete_sixteen_gons_need_few_escape_lps():
     from unittest import mock
 
@@ -615,8 +629,6 @@ def _stellar_octahedral(cone_count, seed):
 _DECLINED = {
     "cp(1)": builtin_fan("cp(1)"),
     "no cones": Fan(2, ((1, 0), (0, 1)), ()),
-    "fewer than m rays": fan_from_max_cones(
-        2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0), (0,)]),
     "zero ray": fan_from_max_cones(
         2, [(1, 0), (0, 1), (-1, -1), (0, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
     "one vector twice": fan_from_max_cones(
@@ -641,6 +653,16 @@ class TestCompleteSimplicialCertificate:
 
         fan = _DECLINED[name]
         assert not fans._complete_simplicial(fan)
+        assert validate_fan(fan).to_dict() == _pairwise_report(fan)
+
+    def test_accepts_a_listed_face_of_a_maximal_cone(self):
+        # the certificate reads the maximal cones, so the listed ray (0,)
+        # needs no pairwise check: it spans a face of the simplicial (0, 1)
+        from toricstab import fans
+
+        fan = fan_from_max_cones(
+            2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0), (0,)])
+        assert fans._complete_simplicial(fan)
         assert validate_fan(fan).to_dict() == _pairwise_report(fan)
 
     def test_pentagram_wraps_twice(self):

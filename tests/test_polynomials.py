@@ -921,6 +921,24 @@ class TestFaceTest:
             with pytest.raises(CapExceededError):
                 is_member(system, fan, 2)
 
+    def test_repeated_calls_build_no_complex_for_the_fan(self, monkeypatch):
+        fan = builtin_fan("hirzebruch(1)")
+        built = []
+        real = complexes.SimplicialComplex.__init__
+
+        def counted(self, vertex_count, max_faces):
+            max_faces = [frozenset(f) for f in max_faces]
+            built.append(frozenset(max_faces))
+            real(self, vertex_count, max_faces)
+
+        monkeypatch.setattr(complexes.SimplicialComplex, "__init__", counted)
+        generic = PolySystem.coefficient_system(
+            [RationalPoly.from_roots([(G(i), 1), (G(i, 1), 1)]) for i in range(4)])
+        for _ in range(3):
+            for system in (generic, _planted_h1((0, 2)), _planted_h1((1, 3))):
+                is_member(system, fan, 2)
+        assert built.count(fan.generating_cones) == 1
+
     def test_stray_ray_is_reported_before_the_polynomial_count(self):
         fan = fan_from_max_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1)])
         system = PolySystem.coefficient_system([RationalPoly.from_roots([(G(1), 1)])])
