@@ -3,9 +3,10 @@
 A monic polynomial f = z^d + sum a_i z^i subject to f^(l)(x_j) = s for
 l = 0..n-1 at k distinct nodes gives a stacked linear system in the a_i.
 This module builds those matrices over the rationals, certifies their rank
-modulo a prime with an exact fraction-free fallback, and exposes the
-dimension bookkeeping of the associated affine constraint spaces.  No
-floating point anywhere.
+modulo a prime with an exact fraction-free fallback (in the regime
+degree >= n*k on the leading square block, nonsingular for distinct
+nodes), and exposes the dimension bookkeeping of the associated affine
+constraint spaces.  No floating point anywhere.
 """
 
 from dataclasses import dataclass
@@ -83,13 +84,18 @@ class RankCheck:
 def verify_rank_claim(points, n, degree):
     """Certify that the stacked constraint matrix has full row rank n*k.
 
-    Outside the regime degree >= n*k the check is still performed and the
-    result flags the regime violation (the rank is then capped by degree).
+    With degree >= n*k only the leading n*k x n*k block is ranked: its rows
+    are the rows' first n*k columns over b^(degree - n*k), and this square
+    confluent Vandermonde matrix is nonsingular for distinct nodes (Ha and
+    Gibson, LAA 1980; Kalman, Math. Mag. 1984).  Columns of rank n*k prove
+    row rank n*k.  Outside the regime the whole matrix is ranked and the
+    result flags the violation (the rank is then capped by degree).
     """
-    k = len(points)
-    # the rows of stacked_system scaled to integers (same rank)
-    r = rank([row for row, _ in _stacked_blocks(points, n, degree)])
-    return RankCheck(rank=r, expected=n * k, in_regime=degree >= n * k)
+    nk = n * len(points)
+    # the rows of stacked_system scaled to integers (same rank), cut to n*k
+    # columns in the regime
+    r = rank([row for row, _ in _stacked_blocks(points, n, min(degree, nk) if nk else degree)])
+    return RankCheck(rank=r, expected=nk, in_regime=degree >= nk)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ from .complexes import (
     r_min,
     underlying_complex,
 )
+from .exactla import rank
 from .fans import builtin_fan
-from .hermite import HermiteInconsistencyError, HermiteSpec, hermite_dimension, verify_rank_claim
+from .hermite import (HermiteInconsistencyError, HermiteSpec, hermite_dimension, stacked_system,
+                      verify_rank_claim)
 
 # polynomials and stability are imported inside the suites that use them,
 # so `toricctl oracle vandermonde` loads neither
@@ -98,6 +100,7 @@ def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
     in all raises CapExceededError before its first trial.  A trial with
     more points than POINT_POOL, more cells than VANDERMONDE_CELL_CAP or a
     degree above VANDERMONDE_DEGREE_CAP raises it before it draws its points.
+    Each reported rank is checked against the rank of the full stacked rows.
     """
     k_max = k if k is not None else 5
     n_max = n if n is not None else 4
@@ -116,6 +119,7 @@ def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
                                "the vandermonde matrix is capped at {cap} cells")
         points = _distinct_fractions(rng, kk)
         check = verify_rank_claim(points, nn, dd)
+        full_rank = rank(stacked_system(points, nn, dd))
         targets = tuple(
             tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(kk))
             for _ in range(nn)
@@ -124,9 +128,9 @@ def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
             dim = hermite_dimension(HermiteSpec(tuple(points), nn, dd, targets))
         except HermiteInconsistencyError:  # only possible below the regime dd >= nn * kk
             dim = None
-        ok = check.passed and check.in_regime and dim == dd - nn * kk
+        ok = check.rank == full_rank and check.passed and check.in_regime and dim == dd - nn * kk
         result.record(trial, ok, detail=None if ok else {
-            "k": kk, "n": nn, "d": dd, "rank": check.rank, "dim": dim,
+            "k": kk, "n": nn, "d": dd, "rank": check.rank, "full_rank": full_rank, "dim": dim,
             "points": [str(p) for p in points],
         })
     return result

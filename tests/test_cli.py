@@ -428,6 +428,17 @@ def test_vandermonde_partly_fixed_shapes_run():
     assert run_vandermonde(3, trials=4, n=9).ok
 
 
+def test_vandermonde_fails_a_rank_the_full_matrix_contradicts(monkeypatch):
+    # verify_rank_claim reads only the leading square block in the regime;
+    # the oracle ranks the whole stacked matrix and records both ranks
+    assert run_vandermonde(4, trials=3, k=3, n=2, d=10).ok
+    monkeypatch.setattr(oracles, "rank", lambda rows: len(rows) - 1)
+    result = run_vandermonde(4, trials=3, k=3, n=2, d=10)
+    assert result.passed == 0 and len(result.failures) == 3
+    assert all(f["detail"]["rank"] == 6 and f["detail"]["full_rank"] == 5 and f["detail"]["dim"] == 4
+               for f in result.failures)
+
+
 def test_vandermonde_below_regime_under_the_cap_is_fast():
     # 128 x 64 stacked rows: Bareiss on [A | b] took 36 s a trial, two ranks
     # modulo P take well under a second

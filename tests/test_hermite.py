@@ -18,7 +18,14 @@ from toricstab import (
     stacked_system,
     verify_rank_claim,
 )
-from toricstab.hermite import HermiteInconsistencyError, _hermite_matrix_rhs
+from toricstab import exactla, hermite
+from toricstab.exactla import P, rank
+from toricstab.hermite import (
+    HermiteInconsistencyError,
+    RankCheck,
+    _hermite_matrix_rhs,
+    _stacked_blocks,
+)
 
 
 def rand_points(rng, k, height=50):
@@ -121,6 +128,80 @@ class TestVerifyRankClaim:
         assert not check.in_regime
         assert check.rank == 4
         assert not check.passed
+
+    def test_no_points_is_trivially_full_rank(self):
+        assert verify_rank_claim([], 2, 5) == RankCheck(rank=0, expected=0, in_regime=True)
+
+    @pytest.mark.parametrize("points,n,degree,message", [
+        ([1, 2], 0, 5, "n must be positive"),
+        ([1, 2], -1, 5, "n must be positive"),
+        ([], 0, 5, "n must be positive"),
+        ([1, 1], 1, 5, "distinct"),  # in the regime
+        ([1, 2, 1], 2, 3, "distinct"),  # below it
+        ([1], 1, 0, "degree >= 1"),
+        ([1, 2], 1, -3, "degree >= 1"),
+        ([], 1, 0, "degree >= 1"),
+    ])
+    def test_invalid_input_raises(self, points, n, degree, message):
+        with pytest.raises(ValueError, match=message):
+            verify_rank_claim([Fraction(x) for x in points], n, degree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rank_is_the_full_matrix_rank(self, data):
+        k = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, 30))  # below the regime d < n*k too
+        values = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+        points = data.draw(st.lists(values, min_size=k, max_size=k, unique=True))
+        if k > 1 and data.draw(st.booleans()):
+            # x and x + P agree modulo P, so the mod-P rank falls short
+            points[1] = points[0] + P
+        check = verify_rank_claim(points, n, d)
+        assert check.rank == rank([row for row, _ in _stacked_blocks(points, n, d)])
+        assert check.in_regime == (d >= n * k)
+        assert check.passed == check.in_regime
+
+    def test_nodes_equal_modulo_p_are_decided_by_bareiss(self, monkeypatch):
+        eliminations = []
+        echelon = exactla.echelon
+        monkeypatch.setattr(exactla, "echelon", lambda m: eliminations.append(m) or echelon(m))
+        points = [Fraction(3, 7), Fraction(3, 7) + P, Fraction(-2)]
+        check = verify_rank_claim(points, 2, 9)
+        assert check.passed and check.in_regime
+        assert [(len(m), len(m[0])) for m in eliminations] == [(6, 6)]
+
+
+class TestRankShapes:
+    """The matrices verify_rank_claim and hermite_dimension hand to rank."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        calls = []
+
+        def recording_rank(rows):
+            calls.append((len(rows), len(rows[0])))
+            return rank(rows)
+
+        monkeypatch.setattr(hermite, "rank", recording_rank)
+        return calls
+
+    POINTS = (Fraction(1, 2), Fraction(-3), Fraction(5, 4))
+
+    @pytest.mark.parametrize("degree", [6, 7, 30])
+    def test_in_regime_one_square_block(self, shapes, degree):
+        assert verify_rank_claim(self.POINTS, 2, degree).passed
+        assert shapes == [(6, 6)]
+
+    @pytest.mark.parametrize("degree", [1, 4, 5])
+    def test_below_regime_one_full_matrix(self, shapes, degree):
+        assert verify_rank_claim(self.POINTS, 2, degree).rank == degree
+        assert shapes == [(6, degree)]
+
+    def test_hermite_dimension_in_regime_reads_the_square_block(self, shapes):
+        targets = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(0), Fraction(-1), Fraction(4)))
+        assert hermite_dimension(HermiteSpec(self.POINTS, 2, 11, targets)) == 5
+        assert shapes == [(6, 6)]
 
 
 class TestHermiteDimension:
