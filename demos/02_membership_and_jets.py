@@ -15,7 +15,6 @@ from toricstab import (
     is_member,
     jet,
     mult_part,
-    witness_roots,
 )
 
 G = GaussianRational
@@ -30,10 +29,13 @@ print("(z^2, z^2) over cp(1), n=2:", "member" if verdict.member else "rejected")
 print("  witness collection:", verdict.witness_collection)
 print("  common factor coefficients:", [c.to_pair() for c in verdict.witness_factor.coeffs])
 
-# the factor's root is a point of the discriminant: the jet lands in the arrangement
-alpha = witness_roots(verdict)[0]
+# the root form of (z^2, z^2) names the shared double root exactly; it is a
+# point of the discriminant, so the jet there lands in the arrangement
+alpha = is_member(PolySystem.root_system([[(G(0), 2)], [(G(0), 2)]]), cp1, 2).witness_root
 point = evaluate_jet(bad, 2, alpha)
-print("  jet at the witness root:", point.blocks, "-> in arrangement:", in_arrangement(point, cp1))
+print("  witness root:", alpha.to_pair())
+print("  jet at the witness root:", [[v.to_pair() for v in block] for block in point.blocks],
+      "-> in arrangement:", in_arrangement(point, cp1))
 
 # separating the double roots repairs membership
 good = PolySystem.coefficient_system([z2, RationalPoly([G(1), G(0), G(1)])])

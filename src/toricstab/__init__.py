@@ -34,7 +34,7 @@ _EXPORTS = {
         "GaussianRational", "JetTuple", "MembershipResult", "PolySystem", "RationalPoly",
         "RootPoly", "derivative", "evaluate_jet", "gcd_monic", "is_member", "jet",
         "jet_section", "mult_part", "n_of", "phi_map", "stabilize", "system_from_json",
-        "system_to_json", "witness_roots",
+        "system_to_json",
     )},
     **{name: ("stability", name) for name in (
         "BandResult", "E1Support", "StabilityReport", "connectivity_bound", "e1_support",

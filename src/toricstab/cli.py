@@ -257,15 +257,15 @@ def cmd_complex_primitives(args):
 
 # -- poly ---------------------------------------------------------------------
 
-def _coefficient_pairs(poly):
-    """The [re, im] strings of poly's coefficients; exit 5 for a caller who
-    asks for an integer beyond the digits Python prints."""
+def _exact_pairs(values):
+    """The [re, im] strings of GaussianRational values; exit 5 for a caller
+    who asks for an integer beyond the digits Python prints."""
     from .polynomials import MAX_COEFFICIENT_DIGITS
 
     try:
-        return [c.to_pair() for c in poly.coeffs]
+        return [c.to_pair() for c in values]
     except ValueError:
-        _fail(EXIT_CAP, f"a coefficient has more than {MAX_COEFFICIENT_DIGITS} digits to print")
+        _fail(EXIT_CAP, f"a value has more than {MAX_COEFFICIENT_DIGITS} digits to print")
 
 
 def cmd_poly_check(args):
@@ -286,13 +286,9 @@ def cmd_poly_check(args):
     else:
         witness = {"collection": [i + 1 for i in verdict.witness_collection], "indexing": "1-based"}
         if verdict.witness_factor is not None:
-            witness["common_factor"] = _coefficient_pairs(verdict.witness_factor)
+            witness["common_factor"] = _exact_pairs(verdict.witness_factor.coeffs)
         if verdict.witness_root is not None:
-            try:
-                root = verdict.witness_root.to_complex()
-            except OverflowError:
-                _fail(EXIT_CAP, "the common root is beyond float range to print")
-            witness["common_root"] = [root.real, root.imag]
+            witness["common_root"] = _exact_pairs([verdict.witness_root])[0]
         out["witness"] = witness
     if args.n > max(system.degrees):
         out["note"] = "contractible regime: n exceeds every degree, every system is a member"
@@ -335,7 +331,7 @@ def cmd_poly_jet(args):
     out = _meta("poly jet", _canonical_hash(raw))
     out["n"] = args.n
     out["jets"] = [
-        [_coefficient_pairs(entry) for entry in jet(p, args.n).entries]
+        [_exact_pairs(entry.coeffs) for entry in jet(p, args.n).entries]
         for p in system.polys
     ]
     _emit(out)

@@ -25,17 +25,8 @@ pseudo-remainder on every f_i^(k).  A divisor of the exact gcd of at least
 its degree is the exact gcd.  Where the certificate cannot decide (a
 denominator divisible by P, a failed reconstruction or division) that
 collection falls back to `mult_part` and `gcd_monic`, Euclid over Q(i).
-
-Floats are plain Python complex numbers, and no verdict rests on them.  They
-serve the witnesses and display alone: `_horner` and `_formal_derivative`
-evaluate and differentiate ascending coefficient lists, and `_aberth_roots`
-finds the roots of a polynomial with simple roots by the Aberth-Ehrlich
-iteration (Aberth 1973), started on the circle of Cauchy's root bound.
-`witness_roots` feeds it the exact squarefree part of a witness factor, so
-the package needs nothing beyond the standard library.
 """
 
-import cmath
 import json
 import math
 import re
@@ -52,12 +43,6 @@ from .complexes import (
     underlying_complex,
 )
 
-ABERTH_TOL = 1e-12
-ABERTH_MAX_ITER = 100
-ABERTH_START_ANGLE = 0.7
-# the unit roundoff 2^-53 times 4: a complex product or sum rounds by at most
-# 2 * sqrt(2) times the unit roundoff of each part
-ABERTH_ROUNDING = 4 * 2.0 ** -53
 # Python's default limit on the digits of an int converted from or to str
 MAX_COEFFICIENT_DIGITS = 4300
 _PAIR_ERROR = "coefficient must be a [re, im] pair"
@@ -318,21 +303,17 @@ class RationalPoly:
         return RationalPoly._from_pairs(_times_conjugate(self.pairs, lead), lr * lr + li * li)
 
     def evaluate(self, x):
-        """Horner evaluation; exact for GaussianRational x, float otherwise."""
-        if not isinstance(x, GaussianRational):
-            return _horner(self.to_complex_coeffs(), complex(x))
+        """Exact Horner evaluation at anything `_exact` reads, so a float x is
+        the dyadic rational it stores."""
         if self.is_zero:
             return GaussianRational()
         # x = (xr + xi i) / d: the sum of c_k (xr + xi i)^k d^(deg - k) on ints
-        [(xr, xi)], d = _integer_pairs([x])
+        [(xr, xi)], d = _integer_pairs([_exact(x)])
         re = im = 0
         for k, (cr, ci) in enumerate(reversed(self.pairs)):
             re, im = re * xr - im * xi + cr * d ** k, re * xi + im * xr + ci * d ** k
         den = self.den * d ** self.degree
         return GaussianRational(Fraction(re, den), Fraction(im, den))
-
-    def to_complex_coeffs(self):
-        return [complex(x / self.den, y / self.den) for x, y in self.pairs]
 
     def __repr__(self):
         return f"RationalPoly({[repr(c) for c in self.coeffs]})"
@@ -460,97 +441,6 @@ class RootPoly:
     @property
     def degree(self):
         return sum(m for _, m in self.roots)
-
-
-# -- float helpers -------------------------------------------------------------
-
-def _horner(coeffs, z):
-    """Value at z of the polynomial with ascending coefficients coeffs."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _horner_with_bound(coeffs, z):
-    """(p(z), e): Horner's value with its running error bound (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Alg. 5.1), so that the
-    computed value is within e of the exact one.  The bound's unit roundoff
-    is scaled by ABERTH_ROUNDING for complex products and sums.
-    """
-    acc = 0j
-    mu = 0.0
-    r = abs(z)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-        mu = mu * r + abs(acc)
-    return acc, ABERTH_ROUNDING * (2 * mu - abs(acc))
-
-
-def _formal_derivative(coeffs):
-    return [c * k for k, c in enumerate(coeffs)][1:]
-
-
-def _cauchy_bound(p):
-    """Cauchy's root bound of a monic p: the positive root of x^d - sum_{i<d} |p_i| x^i.
-
-    With L = max |p_i|^(1/(d-i)) the bound lies in [L, 2L]; bisection keeps the
-    upper end, so every root of p lies in the closed disc of the returned radius.
-    """
-    mags = [abs(c) for c in p[:-1]]
-    degree = len(mags)
-    lo = max(m ** (1 / (degree - i)) for i, m in enumerate(mags))
-    if not lo:
-        return 0.0
-    hi = 2 * lo
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if sum(m * mid ** (i - degree) for i, m in enumerate(mags)) < 1:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _aberth_roots(coeffs):
-    """Roots of a polynomial with simple roots by the Aberth-Ehrlich iteration.
-
-    coeffs are ascending complex floats with a nonzero leading coefficient.
-    The start is deterministic: the deg(p) points of the circle of the Cauchy
-    root bound, turned by a fixed angle off the real axis.  Each sweep moves
-    every approximation z_k in place by p / (p' - p * sum_{j != k} 1/(z_k - z_j)).
-    The iteration stops after a sweep in which every correction is below
-    ABERTH_TOL * max(1, |z_k|) or every |p(z_k)| is within Horner's running
-    error bound, so at rounding level where no further sweep can help, or
-    after ABERTH_MAX_ITER sweeps.
-    """
-    lead = coeffs[-1]
-    p = [c / lead for c in coeffs]
-    degree = len(p) - 1
-    if degree < 1:
-        return []
-    dp = _formal_derivative(p)
-    radius = _cauchy_bound(p)
-    zs = [cmath.rect(radius, 2 * math.pi * k / degree + ABERTH_START_ANGLE) for k in range(degree)]
-    for _ in range(ABERTH_MAX_ITER):
-        converged = at_rounding = True
-        for k, z in enumerate(zs):
-            value, bound = _horner_with_bound(p, z)
-            if not value:
-                continue
-            if abs(value) > bound:
-                at_rounding = False
-            denom = _horner(dp, z) - value * sum(1 / (z - w) for w in zs if w != z)
-            if not denom:
-                converged = False
-                continue
-            step = value / denom
-            zs[k] = z - step
-            if abs(step) > ABERTH_TOL * max(1.0, abs(z)):
-                converged = False
-        if converged or at_rounding:
-            break
-    return zs
 
 
 class PolySystem:
@@ -682,22 +572,6 @@ def is_member(system, fan, n):
                     witness_factor=g,
                 )
     return MembershipResult(member=True, representation=system.form)
-
-
-def witness_roots(result):
-    """Float roots of a failed membership check, each distinct root once.
-
-    A root-form verdict carries its root.  A coefficient-form verdict carries
-    an exact common factor g; its squarefree part g / gcd(g, g') over Q(i) has
-    the same roots, all simple, and `_aberth_roots` finds them.
-    """
-    if result.member:
-        return []
-    if result.witness_root is not None:
-        return [result.witness_root.to_complex()]
-    g = result.witness_factor
-    squarefree = g.divmod(gcd_monic(g, derivative(g)))[0]
-    return _aberth_roots(squarefree.to_complex_coeffs())
 
 
 def stabilize(system, shifts):

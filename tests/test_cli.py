@@ -218,6 +218,15 @@ class TestPolyCommands:
         doc = json.loads(out)
         assert doc["member"] is False and doc["representation"] == "root"
 
+    def test_check_prints_the_common_root_exactly(self, fixtures_dir, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"roots": [[["1/3", "1/5", 2]], [["1/3", "1/5", 2], [1, 0, 1]]]}))
+        code, out, _ = run_cli(["poly", "check", "--fan", str(fixtures_dir / "cp1.json"),
+                                "--system", str(path), "--n", "2"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["member"] is False
+        assert doc["witness"]["common_root"] == ["1/3", "1/5"]
+
     def test_check_shape_mismatch_exits_4(self, fixtures_dir, capsys):
         code, _, err = run_cli(
             ["poly", "check", "--fan", str(fixtures_dir / "hirzebruch1.json"),
@@ -693,7 +702,8 @@ def test_stabilize_far_left_root_stays_exact(tmp_path, capsys):
 
 def test_roots_beyond_printing_exit_cap(fixtures_dir, tmp_path, capsys):
     # a 4300-digit root parses, but its image under the stabilization map
-    # has more digits than Python prints; a root of 10^400 has no float pair
+    # has more digits than Python prints; a common root of 10^400, beyond
+    # float range, prints as its exact digits
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"roots": [[["9" * 4300, 0, 1]], [[0, 0, 1]]]}))
     code, out, err = run_cli(["poly", "stabilize", "--system", str(path), "--a", "1,0"], capsys)
@@ -701,7 +711,8 @@ def test_roots_beyond_printing_exit_cap(fixtures_dir, tmp_path, capsys):
     path.write_text(json.dumps({"roots": [[["1e400", 0, 2]], [["1e400", 0, 2]]]}))
     code, out, err = run_cli(["poly", "check", "--fan", str(fixtures_dir / "cp1.json"),
                               "--system", str(path), "--n", "2"], capsys)
-    assert code == 5 and out == "" and "float range" in json.loads(err)["error"]
+    assert code == 0 and err == ""
+    assert json.loads(out)["witness"]["common_root"] == ["1" + "0" * 400, "0"]
 
 
 @pytest.mark.parametrize("degree", [6, 12])

@@ -31,7 +31,7 @@ EXPORTS = {
     "polynomials": ["GaussianRational", "JetTuple", "MembershipResult", "PolySystem",
                     "RationalPoly", "RootPoly", "derivative", "evaluate_jet", "gcd_monic",
                     "is_member", "jet", "jet_section", "mult_part", "n_of", "phi_map",
-                    "stabilize", "system_from_json", "system_to_json", "witness_roots"],
+                    "stabilize", "system_from_json", "system_to_json"],
     "stability": ["BandResult", "E1Support", "StabilityReport", "connectivity_bound",
                   "e1_support", "min_unknown_band", "stability_dim", "stability_dim_n1",
                   "stability_dim_projective", "stability_report", "truncation_dim"],
@@ -156,18 +156,29 @@ def test_gaussian_rationals_have_one_arithmetic():
 
 
 def test_fan_geometry_and_exact_kernels_use_no_floats():
-    # certification paths stay exact: no float literal and no float, complex,
-    # sqrt or atan2 call in the fan layer, the complexes and their zero-block
-    # tests, the exact kernels, the Hermite rank certificate, the stability
-    # bounds or the modular gcd certificate
+    # certification paths stay exact: no cmath import, no float literal and
+    # no float, complex, sqrt or atan2 call in the fan layer, the complexes
+    # and their zero-block tests, the exact kernels, the Hermite rank
+    # certificate, the stability bounds, the modular gcd certificate or the
+    # polynomials, save the one complex call of GaussianRational.to_complex
     offenders = []
     for name in ("fans.py", "complexes.py", "exactla.py", "hermite.py", "stability.py",
-                 "modular.py"):
+                 "modular.py", "polynomials.py"):
         tree = ast.parse((ROOT / "src" / "toricstab" / name).read_text(encoding="utf-8"))
+        display = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name == "GaussianRational"
+                   for method in cls.body
+                   if isinstance(method, ast.FunctionDef) and method.name == "to_complex"
+                   for node in ast.walk(method)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "complex"}
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, float):
                 offenders.append(f"{name}:{node.lineno}")
-            elif isinstance(node, ast.Call):
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported = {getattr(node, "module", None)} | {alias.name for alias in node.names}
+                if "cmath" in imported:
+                    offenders.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and id(node) not in display:
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if called in ("float", "complex", "sqrt", "atan2"):
