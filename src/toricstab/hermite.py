@@ -2,11 +2,11 @@
 
 A monic polynomial f = z^d + sum a_i z^i subject to f^(l)(x_j) = s for
 l = 0..n-1 at k distinct nodes gives a stacked linear system in the a_i.
-This module builds those matrices over the rationals, certifies their rank
-modulo a prime with an exact fraction-free fallback (in the regime
+This module builds those matrices over the rationals and certifies their
+rank modulo a prime with an exact fraction-free fallback (in the regime
 degree >= n*k on the leading square block, nonsingular for distinct
-nodes), and exposes the dimension bookkeeping of the associated affine
-constraint spaces.  No floating point anywhere.
+nodes).  In that regime the dimension of the affine constraint space is
+degree - n*k in closed form.  No floating point anywhere.
 """
 
 from dataclasses import dataclass
@@ -139,16 +139,18 @@ def _hermite_matrix_rhs(spec):
 
 
 def hermite_dimension(spec):
-    """Dimension of the affine space of monic solutions (degree - n*k in regime).
+    """Dimension of the affine space of monic solutions.
 
-    With degree >= n*k a certified full row rank n*k makes the system
-    consistent, so one rank certificate decides it.  Otherwise the system
-    is inconsistent exactly when rank [A | b] > rank A.  Below the regime A
-    has full column rank and a random b lies outside its columns, so both
-    ranks are usually certified modulo P, and Bareiss runs only when one is not.
+    With degree >= n*k it is degree - n*k in closed form: HermiteSpec has
+    proved the nodes distinct, so the leading n*k x n*k block, a square
+    confluent Vandermonde matrix, is nonsingular (Kalman, Math. Mag. 1984;
+    Ha and Gibson, LAA 1980), and full row rank makes the system consistent.
+    Below the regime the system is inconsistent exactly when rank [A | b] >
+    rank A; both ranks are usually certified modulo P, and Bareiss runs
+    only when one is not.
     """
     nk = spec.order * len(spec.points)
-    if spec.degree >= nk and verify_rank_claim(spec.points, spec.order, spec.degree).passed:
+    if spec.degree >= nk:
         return spec.degree - nk
     rows, rhs = _hermite_matrix_rhs(spec)
     rank_a = rank(rows)

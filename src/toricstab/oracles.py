@@ -128,7 +128,7 @@ def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
             dim = hermite_dimension(HermiteSpec(tuple(points), nn, dd, targets))
         except HermiteInconsistencyError:  # only possible below the regime dd >= nn * kk
             dim = None
-        ok = check.rank == full_rank and check.passed and check.in_regime and dim == dd - nn * kk
+        ok = check.rank == full_rank and check.passed and check.in_regime and dim == dd - full_rank
         result.record(trial, ok, detail=None if ok else {
             "k": kk, "n": nn, "d": dd, "rank": check.rank, "full_rank": full_rank, "dim": dim,
             "points": [str(p) for p in points],

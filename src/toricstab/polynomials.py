@@ -29,7 +29,6 @@ collection falls back to `mult_part` and `gcd_monic`, Euclid over Q(i).
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -634,9 +633,6 @@ def system_to_json(system):
     }
 
 
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def _json_rational(value):
     """(numerator, positive denominator) equal to _rational(value).
 
@@ -646,11 +642,10 @@ def _json_rational(value):
     """
     if type(value) is int and value.bit_length() <= 3 * MAX_COEFFICIENT_DIGITS:
         return value, 1
-    if type(value) is str and len(value) <= MAX_COEFFICIENT_DIGITS:
-        match = _PLAIN_RATIONAL.fullmatch(value)
-        if match:
-            num, den = match.groups()
-            den = int(den) if den else 1
+    if type(value) is str and len(value) <= MAX_COEFFICIENT_DIGITS and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            den = int(den or 1)
             if den:
                 return int(num), den
     q = _rational(value)

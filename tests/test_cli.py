@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricstab import cli, complexes, oracles
+from toricstab import cli, complexes, exactla, hermite, oracles
 from toricstab.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from toricstab.oracles import run_band, run_vandermonde
 
@@ -446,6 +446,21 @@ def test_vandermonde_fails_a_rank_the_full_matrix_contradicts(monkeypatch):
     assert result.passed == 0 and len(result.failures) == 3
     assert all(f["detail"]["rank"] == 6 and f["detail"]["full_rank"] == 5 and f["detail"]["dim"] == 4
                for f in result.failures)
+
+
+def test_vandermonde_trial_in_regime_ranks_the_block_and_the_full_matrix(monkeypatch):
+    # hermite_dimension answers in closed form, so a trial eliminates the
+    # square block (verify_rank_claim) and the full matrix (the oracle) once
+    shapes = []
+
+    def recording_rank(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return exactla.rank(rows)
+
+    monkeypatch.setattr(hermite, "rank", recording_rank)
+    monkeypatch.setattr(oracles, "rank", recording_rank)
+    assert run_vandermonde(4, trials=1, k=3, n=2, d=10).ok
+    assert shapes == [(6, 6), (6, 10)]
 
 
 def test_vandermonde_below_regime_under_the_cap_is_fast():

@@ -198,13 +198,38 @@ class TestRankShapes:
         assert verify_rank_claim(self.POINTS, 2, degree).rank == degree
         assert shapes == [(6, degree)]
 
-    def test_hermite_dimension_in_regime_reads_the_square_block(self, shapes):
-        targets = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(0), Fraction(-1), Fraction(4)))
-        assert hermite_dimension(HermiteSpec(self.POINTS, 2, 11, targets)) == 5
-        assert shapes == [(6, 6)]
+    TARGETS = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(0), Fraction(-1), Fraction(4)))
+
+    @pytest.mark.parametrize("degree", [6, 11, 30])
+    def test_hermite_dimension_in_regime_ranks_nothing(self, shapes, degree):
+        assert hermite_dimension(HermiteSpec(self.POINTS, 2, degree, self.TARGETS)) == degree - 6
+        assert shapes == []
+
+    @pytest.mark.parametrize("degree", [1, 4, 5])
+    def test_hermite_dimension_below_regime_ranks_a_and_a_b(self, shapes, degree):
+        # six generic targets leave a degree-d system below six no solution
+        with pytest.raises(HermiteInconsistencyError):
+            hermite_dimension(HermiteSpec(self.POINTS, 2, degree, self.TARGETS))
+        assert shapes == [(6, degree), (6, degree + 1)]
 
 
 class TestHermiteDimension:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_closed_form_is_degree_minus_the_full_rank(self, data):
+        k = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(n * k, 30))
+        values = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+        points = data.draw(st.lists(values, min_size=k, max_size=k, unique=True))
+        if k > 1 and data.draw(st.booleans()):
+            # x and x + P agree modulo P: the block's mod-P rank falls short,
+            # and the closed form must not notice
+            points[1] = points[0] + P
+        targets = tuple(tuple(data.draw(values) for _ in range(k)) for _ in range(n))
+        spec = HermiteSpec(tuple(points), n, d, targets)
+        assert hermite_dimension(spec) == d - rank(stacked_system(points, n, d))
+
     def test_example(self):
         spec = HermiteSpec(
             (Fraction(1), Fraction(2)), 2, 5,

@@ -501,6 +501,30 @@ def test_json_rational_matches_fraction_reading(value):
         assert fast == exact
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("٣", (3, 1)),  # Arabic-Indic digit three: Fraction reads it
+    ("²", (ValueError, "Invalid literal for Fraction: '²'")),  # isdigit, but no digit
+    ("３", (3, 1)),  # fullwidth three
+    ("+3", (3, 1)),
+    (" 3", (3, 1)),
+    ("3/", (ValueError, "Invalid literal for Fraction: '3/'")),
+    ("/3", (ValueError, "Invalid literal for Fraction: '/3'")),
+    ("1/0", (ZeroDivisionError, "Fraction(1, 0)")),
+    ("-0/5", (0, 5)),
+    ("007/010", (7, 10)),
+])
+def test_json_rational_edge_strings(value, expected):
+    # ASCII digits split on "/" are read directly; everything else keeps
+    # Fraction's reading, its value or its exception and message
+    from toricstab.polynomials import _json_rational
+
+    outcome = _outcome(_json_rational, value)
+    if isinstance(expected[0], int):
+        assert outcome == ("value", expected)
+    else:
+        assert outcome == (*expected, None)
+
+
 def _from_pair_system_poly(coeffs):
     """The coefficient branch of system_from_json on GaussianRational.from_pair."""
     try:
