@@ -10,38 +10,13 @@ suites surface their seed; TORICCTL_SEED overrides it.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
-# polynomials and stability are imported inside the commands that run
-# them, so a toricctl call loads only the modules its command needs
+# the library modules are imported inside the commands that run them, so a
+# toricctl call loads only the modules its command needs
 from . import __version__
-from .complexes import (
-    CapExceededError,
-    JsonPointerError,
-    SimplicialComplex,
-    UndefinedValueError,
-    UnsupportedFanError,
-    complex_power,
-    primitive_collections,
-    underlying_complex,
-)
-from .exactla import nullspace_int
-from .fans import (
-    FanStructureError,
-    cox_group_rank,
-    fan_from_json,
-    fan_power,
-    fan_to_json,
-    find_degree_vector,
-    is_complete,
-    is_simplicial,
-    is_smooth,
-    spans_lattice,
-    validate_fan,
-)
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -50,16 +25,6 @@ EXIT_INVALID_FAN = 3
 EXIT_SHAPE = 4
 EXIT_CAP = 5
 EXIT_INTERNAL = 6
-
-# typed library errors and their exit codes; the first matching row wins,
-# and any other exception is an internal error
-EXIT_CODES = (
-    ((JsonPointerError, FanStructureError), EXIT_PARSE),
-    (UnsupportedFanError, EXIT_INVALID_FAN),
-    (UndefinedValueError, EXIT_SHAPE),
-    (CapExceededError, EXIT_CAP),
-    (Exception, EXIT_INTERNAL),
-)
 
 PROVENANCE = {
     "fan analyze": "r_min = min size of a ray set spanning no cone; degree-null: sum_k d_k * n_k = 0",
@@ -81,6 +46,8 @@ PROVENANCE = {
 
 
 def _canonical_hash(obj):
+    import hashlib  # only the commands that print a digest load it
+
     data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
@@ -119,6 +86,9 @@ def _load_json(path):
 
 
 def _load_fan(path, require_valid=True):
+    from .complexes import UnsupportedFanError
+    from .fans import fan_from_json, is_simplicial, validate_fan
+
     raw = _load_json(path)
     fan = fan_from_json(raw)
     report = validate_fan(fan)
@@ -180,6 +150,10 @@ def _stability(degrees, fan, n):
 # -- fan ----------------------------------------------------------------------
 
 def cmd_fan_analyze(args):
+    from .complexes import primitive_collections, underlying_complex
+    from .exactla import nullspace_int
+    from .fans import cox_group_rank, find_degree_vector, is_complete, is_smooth, spans_lattice
+
     fan, raw, _ = _load_fan(args.path)
     out = _meta("fan analyze", _canonical_hash(raw))
     out["source"] = args.path
@@ -217,6 +191,8 @@ def cmd_fan_validate(args):
 
 
 def cmd_fan_power(args):
+    from .fans import fan_power, fan_to_json
+
     fan, raw, _ = _load_fan(args.path)
     power = fan_power(fan, args.n)
     out = _meta("fan power", _canonical_hash(raw))
@@ -229,8 +205,12 @@ def cmd_fan_power(args):
 # -- complex ------------------------------------------------------------------
 
 def _load_complex_like(path):
+    from .complexes import SimplicialComplex, underlying_complex
+
     raw = _load_json(path)
     if isinstance(raw, dict) and "rays" in raw:
+        from .fans import fan_from_json
+
         return underlying_complex(fan_from_json(raw)), raw
     if isinstance(raw, dict) and "max_faces" in raw:
         return SimplicialComplex.from_json(raw), raw
@@ -238,6 +218,8 @@ def _load_complex_like(path):
 
 
 def cmd_complex_power(args):
+    from .complexes import complex_power
+
     complex_, raw = _load_complex_like(args.path)
     power = complex_power(complex_, args.n)
     out = _meta("complex power", _canonical_hash(raw))
@@ -248,6 +230,8 @@ def cmd_complex_power(args):
 
 
 def cmd_complex_primitives(args):
+    from .complexes import primitive_collections
+
     complex_, raw = _load_complex_like(args.path)
     out = _meta("complex primitives", _canonical_hash(raw))
     out.update(_primitives(primitive_collections(complex_)))
@@ -505,7 +489,9 @@ def main(argv=None):
     except BrokenPipeError:
         return EXIT_OK
     except Exception as exc:
-        code = next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+        # each typed library error carries its exit code; any other
+        # exception is an internal error
+        code = getattr(exc, "exit_code", EXIT_INTERNAL)
         if code == EXIT_INTERNAL:
             _fail(code, f"internal error: {exc}", exception=type(exc).__name__)
         extra = {"pointer": exc.pointer} if hasattr(exc, "pointer") else {}

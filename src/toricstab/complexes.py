@@ -6,20 +6,27 @@ complex on vertex grid [r] x [n], and membership tests for points of
 (C^n)^r against the coordinate-subspace arrangement and its complement.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, groupby, product
 
 
+# each typed error carries the toricctl exit code it ends in
+
 class UndefinedValueError(ValueError):
     """Raised when a quantity (e.g. the minimal primitive size) does not exist."""
+
+    exit_code = 4  # shape mismatch or undefined value
 
 
 class UnsupportedFanError(ValueError):
     """Raised for fans outside the supported class (e.g. a ray spanning no cone)."""
 
+    exit_code = 3  # invalid or unsupported fan
+
 
 class JsonPointerError(ValueError):
     """A defect in an input document, located by its JSON pointer."""
+
+    exit_code = 2  # parse error
 
     def __init__(self, message, pointer=""):
         super().__init__(f"{message} (at {pointer or '/'})")
@@ -33,6 +40,8 @@ class ComplexJsonError(JsonPointerError):
 
 class CapExceededError(ValueError):
     """An enumeration was requested beyond its documented cap."""
+
+    exit_code = 5  # enumeration cap exceeded
 
     @classmethod
     def check(cls, count, cap, limit):
@@ -320,7 +329,6 @@ def dim_config(fan, n, k):
     return 2 * k * (1 + n * r - n * r_min(fan))
 
 
-@dataclass(frozen=True)
 class PointInProduct:
     """A point of (C^n)^r given by its r coordinate blocks.
 
@@ -329,13 +337,21 @@ class PointInProduct:
     zero.
     """
 
-    blocks: tuple
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        lengths = {len(b) for b in self.blocks}
-        if len(lengths) > 1:
+    def __init__(self, blocks):
+        blocks = tuple(tuple(b) for b in blocks)
+        if len({len(b) for b in blocks}) > 1:
             raise ValueError("all blocks must have equal length")
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PointInProduct is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, PointInProduct):
+            return NotImplemented
+        return self.blocks == other.blocks
 
     @property
     def block_count(self):

@@ -19,7 +19,6 @@ exact LP runs only where that certificate fails.
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
@@ -32,6 +31,8 @@ from .exactla import echelon, extends_to_basis, lp_feasible, nullspace_int
 
 class FanStructureError(ValueError):
     """Structural defect (bad index, malformed shape) detected before axiom checks."""
+
+    exit_code = 2  # toricctl's parse error, as for a JsonPointerError
 
 
 class FanJsonError(JsonPointerError):
@@ -49,22 +50,37 @@ def primitive_ray(v):
     return tuple(x // g for x in vec)
 
 
-@dataclass(frozen=True)
 class Fan:
     """Rays plus the cones the fan is built from (its listed maximal cones or
     the facets of a complex), deduplicated but not reduced.  The fan's faces
     are the faces of these generating cones, the empty cone included.  The
-    maximal cones are decided once, in `complex` (not a dataclass field).
+    maximal cones are decided once, in `complex`, which equality, hashing
+    and repr ignore.
     """
 
-    dim: int
-    rays: tuple
-    generating_cones: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in ray) for ray in self.rays))
-        cones = frozenset(frozenset(c) for c in self.generating_cones)
+    def __init__(self, dim, rays, generating_cones):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in ray) for ray in rays))
+        cones = frozenset(frozenset(c) for c in generating_cones)
         object.__setattr__(self, "generating_cones", cones - {frozenset()})
+
+    def __setattr__(self, *_):
+        # cached_property stores `complex` in __dict__ without calling this
+        raise AttributeError("Fan is immutable")
+
+    def _key(self):
+        return self.dim, self.rays, self.generating_cones
+
+    def __eq__(self, other):
+        if not isinstance(other, Fan):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Fan(dim={self.dim!r}, rays={self.rays!r}, generating_cones={self.generating_cones!r})"
 
     @property
     def ray_count(self):
@@ -219,18 +235,23 @@ def _complete_simplicial(fan):
     return True
 
 
-@dataclass(frozen=True)
 class Violation:
-    kind: str
-    detail: str
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind, detail):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Violation is immutable")
 
     def to_dict(self):
         return {"kind": self.kind, "detail": self.detail}
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self):

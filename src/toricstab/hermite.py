@@ -9,7 +9,6 @@ nodes).  In that regime the dimension of the affine constraint space is
 degree - n*k in closed form.  No floating point anywhere.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
 
@@ -59,11 +58,21 @@ def stacked_system(points, n, degree):
     return [[Fraction(v, scale) for v in row] for row, scale in _stacked_blocks(points, n, degree)]
 
 
-@dataclass(frozen=True)
 class RankCheck:
-    rank: int
-    expected: int
-    in_regime: bool
+    __slots__ = ("rank", "expected", "in_regime")
+
+    def __init__(self, rank, expected, in_regime):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "in_regime", in_regime)
+
+    def __setattr__(self, *_):
+        raise AttributeError("RankCheck is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, RankCheck):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def passed(self):
@@ -98,29 +107,30 @@ def verify_rank_claim(points, n, degree):
     return RankCheck(rank=r, expected=nk, in_regime=degree >= nk)
 
 
-@dataclass(frozen=True)
 class HermiteSpec:
     """Constraint data f^(l)(x_j) = targets[l][j] for a monic polynomial of
     the given degree."""
 
-    points: tuple
-    order: int
-    degree: int
-    targets: tuple
+    __slots__ = ("points", "order", "degree", "targets")
 
-    def __post_init__(self):
-        pts = tuple(Fraction(x) for x in self.points)
+    def __init__(self, points, order, degree, targets):
+        pts = tuple(Fraction(x) for x in points)
         if len(set(pts)) != len(pts):
             raise ValueError("points must be distinct")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if self.degree < 1:
+        if degree < 1:
             raise ValueError("degree must be >= 1")
-        tg = tuple(tuple(Fraction(v) for v in row) for row in self.targets)
-        if len(tg) != self.order or any(len(row) != len(pts) for row in tg):
+        tg = tuple(tuple(Fraction(v) for v in row) for row in targets)
+        if len(tg) != order or any(len(row) != len(pts) for row in tg):
             raise ValueError("targets must be an order x k grid")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "targets", tg)
+
+    def __setattr__(self, *_):
+        raise AttributeError("HermiteSpec is immutable")
 
 
 class HermiteInconsistencyError(RuntimeError):

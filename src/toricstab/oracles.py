@@ -6,35 +6,24 @@ run bit for bit.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .complexes import (
-    CapExceededError,
-    PointInProduct,
-    in_arrangement,
-    in_polyhedral_product,
-    primitive_collections,
-    r_min,
-    underlying_complex,
-)
 from .exactla import rank
-from .fans import builtin_fan
 from .hermite import (HermiteInconsistencyError, HermiteSpec, hermite_dimension, stacked_system,
                       verify_rank_claim)
 
-# polynomials and stability are imported inside the suites that use them,
-# so `toricctl oracle vandermonde` loads neither
+# complexes, fans, polynomials and stability are imported inside the suites
+# that use them, so `toricctl oracle vandermonde` loads none of them
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    seed: int
-    trials: int
-    passed: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, suite, seed, trials):
+        self.suite = suite
+        self.seed = seed
+        self.trials = trials
+        self.passed = 0
+        self.failures = []
 
     @property
     def vacuous(self):
@@ -82,6 +71,14 @@ VANDERMONDE_DEGREE_CAP = 1 << 10
 VANDERMONDE_RUN_CELL_CAP = 1 << 19
 
 
+def _check_cap(count, cap, limit):
+    """CapExceededError.check, loading complexes only for a count past its cap."""
+    if count > cap:
+        from .complexes import CapExceededError
+
+        CapExceededError.check(count, cap, limit)
+
+
 def _distinct_fractions(rng, count, height=50):
     out = []
     seen = set()
@@ -105,18 +102,17 @@ def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
     k_max = k if k is not None else 5
     n_max = n if n is not None else 4
     d_max = d if d is not None else max(n_max * k_max, 30)
-    CapExceededError.check(trials * k_max * n_max * d_max, VANDERMONDE_RUN_CELL_CAP,
-                           "a vandermonde run is capped at {cap} cells over its trials")
+    _check_cap(trials * k_max * n_max * d_max, VANDERMONDE_RUN_CELL_CAP,
+               "a vandermonde run is capped at {cap} cells over its trials")
     rng = random.Random(seed)
     result = SuiteResult("vandermonde", seed, trials)
     for trial in range(trials):
         kk = k if k is not None else rng.randint(1, k_max)
         nn = n if n is not None else rng.randint(1, n_max)
         dd = d if d is not None else rng.randint(nn * kk, max(nn * kk, 30))
-        CapExceededError.check(kk, POINT_POOL, "vandermonde points are capped at {cap}")
-        CapExceededError.check(dd, VANDERMONDE_DEGREE_CAP, "the vandermonde degree is capped at {cap}")
-        CapExceededError.check(nn * kk * dd, VANDERMONDE_CELL_CAP,
-                               "the vandermonde matrix is capped at {cap} cells")
+        _check_cap(kk, POINT_POOL, "vandermonde points are capped at {cap}")
+        _check_cap(dd, VANDERMONDE_DEGREE_CAP, "the vandermonde degree is capped at {cap}")
+        _check_cap(nn * kk * dd, VANDERMONDE_CELL_CAP, "the vandermonde matrix is capped at {cap} cells")
         points = _distinct_fractions(rng, kk)
         check = verify_rank_claim(points, nn, dd)
         full_rank = rank(stacked_system(points, nn, dd))
@@ -154,6 +150,8 @@ def _band_minimum(d_prime, t, n, rm):
 
 def run_band(seed, trials=50):
     """Brute-force band minima against the closed form, across random inputs."""
+    from .complexes import r_min
+    from .fans import builtin_fan
     from .stability import min_unknown_band, stability_dim
 
     rng = random.Random(seed)
@@ -189,6 +187,9 @@ def _powerset(items):
 
 def run_complement(seed, samples=1000, n=2):
     """Exhaustive and sampled checks of the arrangement-complement dichotomy."""
+    from .complexes import PointInProduct, in_arrangement, in_polyhedral_product, underlying_complex
+    from .fans import builtin_fan
+
     rng = random.Random(seed)
     result = SuiteResult("complement", seed, 0)
     trial = 0
@@ -288,6 +289,8 @@ def _both_forms(root_lists):
 
 def make_planted_system(fan, n, rng):
     """System with a multiplicity-n common root planted on a primitive collection."""
+    from .complexes import primitive_collections
+
     prims = sorted(primitive_collections(fan), key=sorted)
     sigma = rng.choice(prims)
     r = fan.ray_count
@@ -320,6 +323,7 @@ def make_generic_system(fan, n, rng):
 def run_membership(seed, planted=200, generic=200):
     """Agreement of the exact-gcd and root-set membership tests.  A planted
     system's other roots are simple, so both must name its collection."""
+    from .fans import builtin_fan
     from .polynomials import is_member
 
     rng = random.Random(seed)
@@ -359,6 +363,7 @@ def _strip_system(fan, n, rng, planted):
     would merge roots.  The roots are distinct, so a root repeats only
     where it was planted.
     """
+    from .complexes import primitive_collections
     from .polynomials import GaussianRational, PolySystem
 
     r = fan.ray_count
@@ -390,6 +395,7 @@ def _strip_system(fan, n, rng, planted):
 
 def run_stabilization(seed, trials=100):
     """Degree law, verdict preservation, and composed-shift law for stabilization."""
+    from .fans import builtin_fan
     from .polynomials import is_member, stabilize
 
     rng = random.Random(seed)

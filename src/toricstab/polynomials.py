@@ -29,7 +29,6 @@ collection falls back to `mult_part` and `gcd_monic`, Euclid over Q(i).
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -331,11 +330,16 @@ def derivative(poly, order=1):
     return RationalPoly._from_pairs(out, poly.den)
 
 
-@dataclass(frozen=True)
 class JetTuple:
     """The tuple (f, f + f', f + f'', ...) truncated at order n."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *_):
+        raise AttributeError("JetTuple is immutable")
 
     def evaluate(self, x):
         return tuple(e.evaluate(x) for e in self.entries)
@@ -416,7 +420,6 @@ def phi_map(degrees, w):
     return GaussianRational._of(total - 1 / (z.re - total + 2), z.im)
 
 
-@dataclass(frozen=True)
 class RootPoly:
     """Monic polynomial given by its root multiset: (GaussianRational, int
     multiplicity) pairs, equal roots merged in order of first appearance.
@@ -425,17 +428,20 @@ class RootPoly:
     as the dyadic rationals they store.
     """
 
-    roots: tuple
+    __slots__ = ("roots",)
 
-    def __post_init__(self):
+    def __init__(self, roots):
         merged = {}
-        for a, m in self.roots:
+        for a, m in roots:
             m = int(m)
             if m < 1:
                 raise ValueError("multiplicities must be >= 1")
             a = _exact(a)
             merged[a] = merged.get(a, 0) + m
         object.__setattr__(self, "roots", tuple(merged.items()))
+
+    def __setattr__(self, *_):
+        raise AttributeError("RootPoly is immutable")
 
     @property
     def degree(self):
@@ -479,13 +485,24 @@ class PolySystem:
         return len(self.polys)
 
 
-@dataclass(frozen=True)
 class MembershipResult:
-    member: bool
-    representation: str
-    witness_collection: tuple = None
-    witness_factor: RationalPoly = None
-    witness_root: GaussianRational = None
+    __slots__ = ("member", "representation", "witness_collection", "witness_factor", "witness_root")
+
+    def __init__(self, member, representation, witness_collection=None, witness_factor=None,
+                 witness_root=None):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "representation", representation)
+        object.__setattr__(self, "witness_collection", witness_collection)
+        object.__setattr__(self, "witness_factor", witness_factor)
+        object.__setattr__(self, "witness_root", witness_root)
+
+    def __setattr__(self, *_):
+        raise AttributeError("MembershipResult is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, MembershipResult):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __bool__(self):
         return self.member

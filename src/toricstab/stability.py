@@ -6,7 +6,6 @@ The vanishing table reports "possibly_nonzero" rather than "nonzero": the
 underlying groups are out of scope, only the vanishing ranges are certified.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .complexes import BAND_COUNT_CAP, E1_CELL_CAP, CapExceededError, UndefinedValueError, r_min
@@ -60,16 +59,22 @@ def _connectivity(rm, n):
     return 2 * n * rm - 5
 
 
-@dataclass(frozen=True)
 class StabilityReport:
-    r_min: int
-    d_min: int
-    d_prime: int
-    stability_dim: int
-    connectivity: int
-    degree_null: bool
-    n: int
-    degrees: tuple
+    __slots__ = ("r_min", "d_min", "d_prime", "stability_dim", "connectivity", "degree_null", "n",
+                 "degrees")
+
+    def __init__(self, r_min, d_min, d_prime, stability_dim, connectivity, degree_null, n, degrees):
+        object.__setattr__(self, "r_min", r_min)
+        object.__setattr__(self, "d_min", d_min)
+        object.__setattr__(self, "d_prime", d_prime)
+        object.__setattr__(self, "stability_dim", stability_dim)
+        object.__setattr__(self, "connectivity", connectivity)
+        object.__setattr__(self, "degree_null", degree_null)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degrees", degrees)
+
+    def __setattr__(self, *_):
+        raise AttributeError("StabilityReport is immutable")
 
     def to_dict(self):
         return {
@@ -101,21 +106,26 @@ def stability_report(degrees, fan, n):
     )
 
 
-@dataclass(frozen=True)
 class E1Support:
     """Vanishing statuses of the truncated first page on a (k, s) window.
 
     The cells dict materializes the window; status() answers for any cell.
     """
 
-    cells: dict
-    k_max: int
-    s_min: int
-    s_max: int
-    d_prime: int
-    r_min: int
-    n: int
-    ray_count: int
+    __slots__ = ("cells", "k_max", "s_min", "s_max", "d_prime", "r_min", "n", "ray_count")
+
+    def __init__(self, cells, k_max, s_min, s_max, d_prime, r_min, n, ray_count):
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "s_min", s_min)
+        object.__setattr__(self, "s_max", s_max)
+        object.__setattr__(self, "d_prime", d_prime)
+        object.__setattr__(self, "r_min", r_min)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ray_count", ray_count)
+
+    def __setattr__(self, *_):
+        raise AttributeError("E1Support is immutable")
 
     def status(self, k, s):
         return _cell_status(k, s, self.d_prime, self.r_min, self.n, self.ray_count)
@@ -190,13 +200,18 @@ def _cell_status(k, s, d_prime, rm, n, r):
     return TAIL_UNKNOWN
 
 
-@dataclass(frozen=True)
 class BandResult:
     """Minimal s - k over each comparison-failure band t, and over all of them."""
 
-    value: int
-    per_t: dict
-    empty: bool
+    __slots__ = ("value", "per_t", "empty")
+
+    def __init__(self, value, per_t, empty):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "per_t", per_t)
+        object.__setattr__(self, "empty", empty)
+
+    def __setattr__(self, *_):
+        raise AttributeError("BandResult is immutable")
 
     def to_dict(self):
         return {

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricstab import cli, complexes, exactla, hermite, oracles
+from toricstab import cli, complexes, exactla, fans, hermite, oracles
 from toricstab.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from toricstab.oracles import run_band, run_vandermonde
 
@@ -835,7 +835,8 @@ def test_unexpected_exception_exits_internal_with_envelope(fixtures_dir, capsys,
     def broken(fan):
         raise RuntimeError("injected defect")
 
-    monkeypatch.setattr(cli, "validate_fan", broken)
+    # the command looks validate_fan up in fans when it runs
+    monkeypatch.setattr(fans, "validate_fan", broken)
     code, out, err = run_cli(["fan", "validate", str(fixtures_dir / "cp1.json")], capsys)
     assert code == EXIT_INTERNAL == 6 and out == ""
     assert "Traceback" not in err

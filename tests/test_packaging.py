@@ -1,6 +1,7 @@
 """The package runs on the standard library alone; numpy is a test oracle."""
 
 import ast
+import functools
 import importlib
 import os
 import pathlib
@@ -38,13 +39,21 @@ EXPORTS = {
 }
 
 
+# stdlib modules that only slow start-up: dataclasses loads inspect, which
+# loads ast, dis and tokenize
+HEAVY = {"dataclasses", "inspect"}
+# the other modules _loaded_after reports besides the package's own
+WATCHED = HEAVY | {"hashlib", "numpy"}
+
+
 def _loaded_after(code):
-    """The toricstab modules, and numpy, that a fresh interpreter holds after
-    running code."""
+    """The toricstab modules and the WATCHED modules that a fresh
+    interpreter holds after running code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code += ("\nimport sys\n"
-             "print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('toricstab')))")
+             f"print(*sorted(m for m in sys.modules if m in {sorted(WATCHED)!r}"
+             " or m.startswith('toricstab')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {m.removeprefix("toricstab.") for m in proc.stdout.splitlines()[-1].split()}
@@ -58,8 +67,14 @@ def _loaded_by_command(argv):
         f"    main({argv!r})\n")
 
 
+@functools.cache
+def _bare():
+    """The WATCHED modules a bare interpreter already holds."""
+    return _loaded_after("pass")
+
+
 def test_package_import_loads_no_submodule():
-    assert _loaded_after("import toricstab") == {"toricstab"}
+    assert _loaded_after("import toricstab") == {"toricstab"} | _bare()
 
 
 def test_exports_resolve_to_their_modules():
@@ -74,10 +89,9 @@ def test_exports_resolve_to_their_modules():
 
 
 def test_cli_import_loads_neither_numpy_nor_oracles():
-    # the start-up path of toricctl: the exit-code table's error types and
-    # the fan layer, nothing else
-    assert _loaded_after("import toricstab.cli") == {
-        "toricstab", "cli", "complexes", "exactla", "fans"}
+    # the start-up path of toricctl: each typed error carries its exit code,
+    # so cli needs no library module until a command runs
+    assert _loaded_after("import toricstab.cli") == {"toricstab", "cli"} | _bare()
 
 
 def test_cli_import_leaves_the_membership_certificate_unloaded():
@@ -92,10 +106,45 @@ def test_cli_import_leaves_the_membership_certificate_unloaded():
         ["oracle", "vandermonde", "--trials", "2", "--k", "2", "--n", "2", "--d", "6"],
         ["stability", "report", "--fan", h1, "--degrees", "5,7,5,12", "--n", "2"],
     ]
+    bare = _bare()
     for argv in commands:
         loaded = _loaded_by_command(argv)
         assert not loaded & {"polynomials", "modular", "numpy"}, argv
         assert ("stability" in loaded) == (argv[0] == "stability"), argv
+        assert loaded & HEAVY <= bare, argv
+        assert argv[0] != "oracle" or "fans" not in loaded, argv
+
+
+# the modules each command loads: the nine commands of the cli benchmark,
+# plus the complex-document and polynomial-only paths; only the commands
+# that print an input_hash load hashlib
+FAN_LAYER = {"complexes", "exactla", "fans", "hashlib"}
+COMMAND_MODULES = [
+    (["fan", "analyze", "hirzebruch1.json"], FAN_LAYER),
+    (["fan", "validate", "bad_line.json"], FAN_LAYER),
+    (["fan", "power", "hirzebruch1.json", "--n", "2"], FAN_LAYER),
+    (["stability", "report", "--fan", "hirzebruch1.json", "--degrees", "5,7,5,12", "--n", "2"],
+     FAN_LAYER | {"stability"}),
+    (["stability", "e1", "--fan", "hirzebruch1.json", "--degrees", "5,7,5,12", "--n", "2"],
+     FAN_LAYER | {"stability"}),
+    (["poly", "check", "--fan", "cp1.json", "--system", "system_planted_cp1.json", "--n", "2"],
+     FAN_LAYER | {"polynomials", "modular"}),
+    (["complex", "primitives", "hirzebruch2.json"], FAN_LAYER),
+    (["complex", "power", "hirzebruch2.json", "--n", "2"], FAN_LAYER),
+    (["oracle", "vandermonde", "--trials", "2", "--k", "2", "--n", "2", "--d", "6"],
+     {"oracles", "hermite", "exactla"}),
+    (["complex", "primitives", "complex_ring.json"], {"complexes", "hashlib"}),
+    (["poly", "jet", "--system", "system_generic_cp1.json", "--n", "3"],
+     {"complexes", "hashlib", "polynomials"}),
+]
+
+
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES, ids=[
+    " ".join(argv[:2] + [a for a in argv if a.endswith(".json")][-1:]) for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_its_layers(argv, modules):
+    # no command loads dataclasses or inspect, unless a bare interpreter does
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    assert _loaded_by_command(argv) == {"toricstab", "cli"} | modules | _bare()
 
 
 def test_no_runtime_dependencies():
@@ -119,7 +168,7 @@ def test_library_raises_only_typed_errors():
 
 
 def test_only_main_maps_typed_errors_to_exit_codes():
-    # cli.main maps the library's typed errors through one table, so no
+    # cli.main maps the library's typed errors by their exit_code, so no
     # other function in cli.py catches one of them
     typed = {"JsonPointerError", "FanJsonError", "SystemJsonError", "FanStructureError",
              "UnsupportedFanError", "UndefinedValueError", "CapExceededError"}

@@ -1,0 +1,155 @@
+"""The result and value classes: construction, equality, immutability.
+
+They are plain classes with explicit initialisers; these tests pin the
+behaviour callers rely on, so no class depends on a generated method.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from toricstab import (
+    Fan,
+    GaussianRational,
+    HermiteSpec,
+    PointInProduct,
+    RationalPoly,
+    RootPoly,
+    ValidationReport,
+    builtin_fan,
+    e1_support,
+    is_member,
+    jet,
+    min_unknown_band,
+    stability_report,
+    system_from_json,
+    verify_rank_claim,
+)
+from toricstab.complexes import (
+    CapExceededError,
+    ComplexJsonError,
+    JsonPointerError,
+    UndefinedValueError,
+    UnsupportedFanError,
+)
+from toricstab.fans import FanJsonError, FanStructureError, Violation
+from toricstab.hermite import RankCheck
+from toricstab.oracles import SuiteResult
+from toricstab.polynomials import MembershipResult, SystemJsonError
+
+
+def _frozen_instances():
+    """Class name -> (an instance, one of its fields)."""
+    h1 = builtin_fan("hirzebruch(1)")
+    return {
+        "PointInProduct": (PointInProduct(((1, 0), (0, 0))), "blocks"),
+        "Fan": (h1, "rays"),
+        "Violation": (Violation("ray", "ray 0 is the zero vector"), "kind"),
+        "RankCheck": (verify_rank_claim([Fraction(1), Fraction(2)], 2, 5), "rank"),
+        "HermiteSpec": (HermiteSpec((1, 2), 1, 3, ((0, 0),)), "points"),
+        "JetTuple": (jet(RationalPoly.from_roots([(GaussianRational(1), 2)]), 2), "entries"),
+        "RootPoly": (RootPoly([(1, 2)]), "roots"),
+        "MembershipResult": (MembershipResult(member=True, representation="root"), "member"),
+        "StabilityReport": (stability_report((5, 7, 5, 12), h1, 2), "r_min"),
+        "E1Support": (e1_support((5, 7, 5, 12), h1, 2), "cells"),
+        "BandResult": (min_unknown_band((5, 7, 5, 12), h1, 2), "value"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_frozen_instances()))
+def test_frozen_classes_refuse_assignment(name):
+    value, field = _frozen_instances()[name]
+    assert type(value).__name__ == name
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) is before
+
+
+def test_fans_with_the_same_rays_and_cones_are_equal_and_hash_equal():
+    a = Fan(2, ((1, 0), (0, 1), (-1, -1)), [frozenset((0, 1)), frozenset((1, 2)), frozenset((2, 0))])
+    b = Fan(2, [[1, 0], [0, 1], [-1, -1]], [[2, 0], [], (2, 1), [1, 0]])
+    assert a.complex is not None  # a cached complex changes nothing
+    assert a == b and hash(a) == hash(b)
+    assert a == builtin_fan("cp(2)")
+    assert a != Fan(2, ((1, 0), (0, 1), (-1, -1)), [(0, 1), (1, 2)])
+    assert a != Fan(2, ((0, 1), (1, 0), (-1, -1)), [(0, 1), (1, 2), (2, 0)])
+    assert len({a, b}) == 1
+
+
+def test_fan_repr_leaves_out_the_complex():
+    fan = Fan(1, [[1], [-1]], [[0], [1]])
+    fan.complex
+    assert repr(fan) == f"Fan(dim=1, rays=((1,), (-1,)), generating_cones={fan.generating_cones!r})"
+    assert "complex" not in repr(fan).lower()
+
+
+def test_fan_keeps_its_cached_complex():
+    fan = builtin_fan("cp(1)")
+    assert fan.complex is fan.complex
+
+
+def test_mutable_records_do_not_share_their_failure_lists():
+    first, second = ValidationReport(), ValidationReport()
+    first.add("ray", "ray 0 is the zero vector")
+    assert not first.ok and second.ok and second.violations == []
+    one, two = SuiteResult("band", 0, 1), SuiteResult("band", 0, 1)
+    one.record(0, False)
+    assert one.failures == [{"trial": 0, "detail": "failed"}] and two.failures == []
+    two.record(0, True)
+    assert (one.passed, two.passed) == (0, 1) and two.ok and not one.ok
+    assert SuiteResult("band", 0, 0).vacuous
+
+
+def test_rank_checks_and_membership_results_keep_their_truthiness(cp1):
+    assert RankCheck(rank=3, expected=3, in_regime=True)
+    assert not RankCheck(rank=2, expected=3, in_regime=True)
+    assert RankCheck(2, 3, False) == RankCheck(rank=2, expected=3, in_regime=False)
+    assert RankCheck(2, 3, False) != RankCheck(2, 3, True)
+    member = is_member(system_from_json({"roots": [[[1, 0, 1]], [[2, 0, 1]]]}), cp1, 2)
+    heavy = is_member(system_from_json({"roots": [[[1, 0, 2]], [[1, 0, 3]]]}), cp1, 2)
+    assert member and member == MembershipResult(member=True, representation="root")
+    assert not heavy and heavy.witness_collection == (0, 1)
+    assert heavy == MembershipResult(False, "root", (0, 1), None, GaussianRational(1))
+    assert heavy != MembershipResult(False, "root", (0, 1), None, GaussianRational(2))
+    assert heavy != member
+
+
+def test_hermite_spec_validates_and_normalises():
+    spec = HermiteSpec([1, "1/2"], 1, 3, [[2, Fraction(1, 3)]])
+    assert spec.points == (Fraction(1), Fraction(1, 2))
+    assert spec.targets == ((Fraction(2), Fraction(1, 3)),)
+    assert (spec.order, spec.degree) == (1, 3)
+    for args, message in [
+        (((1, 1), 1, 3, ((0, 0),)), "points must be distinct"),
+        (((1, 2), 0, 3, ()), "order must be >= 1"),
+        (((1, 2), 1, 0, ((0, 0),)), "degree must be >= 1"),
+        (((1, 2), 1, 3, ((0,),)), "targets must be an order x k grid"),
+        (((1, 2), 2, 3, ((0, 0),)), "targets must be an order x k grid"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            HermiteSpec(*args)
+
+
+def test_points_and_root_polys_normalise_their_input():
+    point = PointInProduct([[0, 0], (1, 2)])
+    assert point.blocks == ((0, 0), (1, 2)) and point.zero_support() == {0}
+    assert point == PointInProduct(((0, 0), (1, 2))) != PointInProduct(((0, 0), (1, 3)))
+    with pytest.raises(ValueError, match="equal length"):
+        PointInProduct(((0,), (1, 2)))
+    roots = RootPoly([(1, 1), (1 + 0j, 2), (GaussianRational(0, 1), 1)]).roots
+    assert roots == ((GaussianRational(1), 3), (GaussianRational(0, 1), 1))
+    assert all(type(a) is GaussianRational for a, _ in roots)
+    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+        RootPoly([(1, 0)])
+
+
+@pytest.mark.parametrize("error,code", [
+    (JsonPointerError, 2), (ComplexJsonError, 2), (FanJsonError, 2), (SystemJsonError, 2),
+    (FanStructureError, 2),
+    (UnsupportedFanError, 3), (UndefinedValueError, 4), (CapExceededError, 5),
+])
+def test_typed_errors_carry_their_exit_codes(error, code):
+    assert error.exit_code == code
