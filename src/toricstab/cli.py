@@ -6,12 +6,11 @@ exceeded (power facets, e1 window, jet coefficients, dualization step,
 complex vertices, vandermonde shape or run) or output too large to print,
 6 internal error.  All reports embed the tool version, a digest of the
 canonicalized input, and the formula the verdict rests on.  Randomized
-suites surface their seed; TORICCTL_SEED overrides it.
+suites surface their seed.
 """
 
 import argparse
 import json
-import os
 import sys
 
 # the library modules are imported inside the commands that run them, so a
@@ -115,16 +114,6 @@ def _primitives(prims):
             "primitive_collections": sorted(sorted(i + 1 for i in c) for c in prims)}
 
 
-def _effective_seed(args):
-    env = os.environ.get("TORICCTL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            _fail(EXIT_PARSE, f"TORICCTL_SEED must be an integer, got {env!r}")
-    return args.seed
-
-
 def _parse_degrees(text, fan):
     try:
         degrees = tuple(int(x) for x in text.split(","))
@@ -171,13 +160,16 @@ def cmd_fan_analyze(args):
     out["cox_rank"] = cox_group_rank(fan) if out["spans_lattice"] else None
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees, fan)
-        out["stability"] = _stability(degrees, fan, args.n)
+        n = args.n or 2
+        out["stability"] = _stability(degrees, fan, n)
         if args.e1:
             from .stability import e1_support
 
-            out["e1"] = e1_support(degrees, fan, args.n).to_dict()
+            out["e1"] = e1_support(degrees, fan, n).to_dict()
     elif args.e1:
         _fail(EXIT_SHAPE, "--e1 needs --degrees")
+    elif args.n is not None:
+        _fail(EXIT_SHAPE, "--n needs --degrees")
     _emit(out)
     return EXIT_OK
 
@@ -325,14 +317,16 @@ def cmd_poly_jet(args):
 # -- oracle -------------------------------------------------------------------
 
 def cmd_oracle(args):
-    from .oracles import run_suite, run_vandermonde
+    from . import oracles
 
-    seed = _effective_seed(args)
-    if args.suite == "vandermonde" and (args.k or args.n or args.d):
-        result = run_vandermonde(seed, trials=500 if args.trials is None else args.trials,
-                                 k=args.k, n=args.n, d=args.d)
-    else:
-        result = run_suite(args.suite, seed, trials=args.trials)
+    # pass only the flags given, so each suite keeps its own defaults
+    given = {flag: value for flag, value in (("k", args.k), ("n", args.n), ("d", args.d))
+             if value is not None}
+    if given and args.suite != "vandermonde":
+        _fail(EXIT_PARSE, f"oracle {args.suite} reads no " + ", ".join(f"--{f}" for f in given))
+    if args.trials is not None:
+        given["samples" if args.suite == "complement" else "trials"] = args.trials
+    result = getattr(oracles, f"run_{args.suite}")(args.seed, **given)
     out = _meta(f"oracle {args.suite}")
     out.update(result.to_dict())
     _emit(out)
@@ -415,7 +409,8 @@ def build_parser():
     p = fan.add_parser("analyze", help="run every predicate and report a bundle")
     p.add_argument("path")
     p.add_argument("--degrees", default=None, help="attach a stability report for these degrees")
-    p.add_argument("--n", type=_positive_int, default=2, help="multiplicity bound for the stability report")
+    p.add_argument("--n", type=_positive_int, default=None,
+                   help="multiplicity bound for the stability report (needs --degrees; default 2)")
     p.add_argument("--e1", action="store_true", help="attach the vanishing table (needs --degrees)")
     p.set_defaults(func=cmd_fan_analyze)
     p = fan.add_parser("validate", help="report fan axiom violations")

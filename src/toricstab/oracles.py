@@ -79,11 +79,11 @@ def _check_cap(count, cap, limit):
         CapExceededError.check(count, cap, limit)
 
 
-def _distinct_fractions(rng, count, height=50):
+def _distinct_fractions(rng, count):
     out = []
     seen = set()
     while len(out) < count:
-        x = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        x = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         if x not in seen:
             seen.add(x)
             out.append(x)
@@ -185,8 +185,9 @@ def _powerset(items):
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
 
 
-def run_complement(seed, samples=1000, n=2):
-    """Exhaustive and sampled checks of the arrangement-complement dichotomy."""
+def run_complement(seed, samples=1000):
+    """Exhaustive and sampled checks of the arrangement-complement dichotomy,
+    on points with blocks in C^2 (n = 2)."""
     from .complexes import PointInProduct, in_arrangement, in_polyhedral_product, underlying_complex
     from .fans import builtin_fan
 
@@ -200,11 +201,7 @@ def run_complement(seed, samples=1000, n=2):
         r = fan.ray_count
         for pattern in _powerset(range(r)):
             support = frozenset(pattern)
-            blocks = tuple(
-                tuple(0.0 for _ in range(n)) if i in support else tuple(1.0 for _ in range(n))
-                for i in range(r)
-            )
-            point = PointInProduct(blocks)
+            point = PointInProduct(tuple((0.0, 0.0) if i in support else (1.0, 1.0) for i in range(r)))
             inside = in_polyhedral_product(point, k)
             hit = in_arrangement(point, k)
             result.record(trial, inside != hit, {"fan": r, "support": sorted(support)})
@@ -214,17 +211,12 @@ def run_complement(seed, samples=1000, n=2):
         r = fan.ray_count
         for _ in range(samples):
             support = frozenset(i for i in range(r) if rng.random() < 0.4)
-            blocks = []
-            for i in range(r):
-                if i in support:
-                    blocks.append(tuple(0.0 for _ in range(n)))
-                else:
-                    blocks.append(tuple(
-                        complex(rng.uniform(0.1, 2.0) * (1 if rng.random() < 0.5 else -1),
-                                rng.uniform(-2.0, 2.0))
-                        for _ in range(n)
-                    ))
-            point = PointInProduct(tuple(blocks))
+            point = PointInProduct(tuple(
+                (0.0, 0.0) if i in support else tuple(
+                    complex(rng.uniform(0.1, 2.0) * (1 if rng.random() < 0.5 else -1),
+                            rng.uniform(-2.0, 2.0))
+                    for _ in range(2))
+                for i in range(r)))
             inside = in_polyhedral_product(point, k)
             hit = in_arrangement(point, k)
             result.record(trial, inside != hit, {"fan": r, "support": sorted(support)})
@@ -428,25 +420,6 @@ def run_stabilization(seed, trials=100):
     return result
 
 
-SUITES = {
-    "vandermonde": run_vandermonde,
-    "band": run_band,
-    "complement": run_complement,
-    "jetsection": run_jetsection,
-}
-
-
-def run_suite(name, seed, trials=None):
-    if name not in SUITES:
-        raise ValueError(f"unknown oracle suite {name!r}")
-    fn = SUITES[name]
-    if trials is None:
-        return fn(seed)
-    if name == "complement":
-        return fn(seed, samples=trials)
-    return fn(seed, trials=trials)
-
-
 __all__ = [
     "SuiteResult",
     "run_vandermonde",
@@ -455,7 +428,6 @@ __all__ = [
     "run_jetsection",
     "run_membership",
     "run_stabilization",
-    "run_suite",
     "make_planted_system",
     "make_generic_system",
 ]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -48,6 +49,16 @@ class TestFanCommands:
         assert doc["stability"]["stability_dim"] == 8
         assert doc["complex"]["max_faces"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
         assert doc["e1"]["cells"]
+
+    def test_analyze_n_without_degrees_exits_4(self, fixtures_dir, capsys):
+        h1 = str(fixtures_dir / "hirzebruch1.json")
+        code, out, err = run_cli(["fan", "analyze", h1, "--n", "3"], capsys)
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "--n needs --degrees"
+        # with --degrees, n defaults to 2
+        _, implicit, _ = run_cli(["fan", "analyze", h1, "--degrees", "5,7,5,12"], capsys)
+        _, explicit, _ = run_cli(["fan", "analyze", h1, "--degrees", "5,7,5,12", "--n", "2"], capsys)
+        assert implicit == explicit and json.loads(implicit)["stability"]["n"] == 2
 
     def test_analyze_affine_has_null_r_min(self, fixtures_dir, capsys):
         code, out, _ = run_cli(["fan", "analyze", str(fixtures_dir / "affine2.json")], capsys)
@@ -297,16 +308,59 @@ class TestOracleCommands:
         code, out, _ = run_cli(["oracle", "band", "--trials", "5", "--seed", "2"], capsys)
         assert code == 0 and json.loads(out)["ok"]
 
-    def test_env_seed_override(self, capsys, monkeypatch):
+    def test_seed_flag_is_the_only_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("TORICCTL_SEED", "777")
         code, out, _ = run_cli(["oracle", "jetsection", "--trials", "3", "--seed", "1"], capsys)
         assert code == 0
-        assert json.loads(out)["seed"] == 777
+        assert json.loads(out)["seed"] == 1
+
+    @pytest.mark.parametrize("suite", ["band", "complement", "jetsection"])
+    @pytest.mark.parametrize("flag", ["--k", "--n", "--d"])
+    def test_shape_flags_outside_vandermonde_exit_parse_error(self, suite, flag, capsys):
+        code, out, err = run_cli(["oracle", suite, "--trials", "1", flag, "3"], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert json.loads(err)["error"] == f"oracle {suite} reads no {flag}"
+
+    @pytest.mark.parametrize("flag,value", [("--k", 3), ("--n", 3), ("--d", 40)])
+    def test_vandermonde_reads_each_shape_flag(self, flag, value, capsys, monkeypatch):
+        calls = []
+
+        def recording(seed, **given):
+            calls.append(given)
+            return run_vandermonde(seed, **given)
+
+        monkeypatch.setattr(oracles, "run_vandermonde", recording)
+        code, out, _ = run_cli(["oracle", "vandermonde", "--trials", "2", flag, str(value)], capsys)
+        assert code == 0 and json.loads(out)["passed"] == 2
+        assert calls == [{"trials": 2, flag[2:]: value}]
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(["oracle", "band", "--trials", "4", "--seed", "11"], capsys)
         _, second, _ = run_cli(["oracle", "band", "--trials", "4", "--seed", "11"], capsys)
         assert first == second
+
+
+# sha256 of each oracle command's stdout: a change to a suite's defaults,
+# draws or report shows here
+ORACLE_DIGESTS = {
+    "vandermonde --trials 3 --seed 4": "0138a7abdd494aa7e302b41d71557b0e3206e2c3dc937610b61950166913699c",
+    "vandermonde --k 2 --n 2 --d 5 --trials 2":
+        "b627b541749721c57bd2355c97b65b731a28921e8d0e81e565ceb0fdfa0d1462",
+    "vandermonde --k 2": "655ad89abbaca9f45c8135664e24b831e9d18033c262df47b9fc09093c065e3c",
+    "band --trials 3 --seed 2": "812b997a8b81d45b6161849efdce8a0f1eb47c6a6868c77c72c3a67dd58a38b5",
+    "band": "e2ac0d7aea900ae02096b0d5577a767ca1d92bf900426d12de4cee18bb372fd2",
+    "complement --trials 5": "c1d6bc43c530ddbf0ec0f90a8e1a8df34c6380bf8723a980cac2faa564e1147c",
+    "jetsection --trials 4 --seed 9": "bb12925d9d8cc7d28258593b5ec5ebbd0418d4f1343e5dfb40e0a4802e46e963",
+    "jetsection": "dd568a02fa8bb45af1508827b4bdcba22c6aa32d0995e4c38b17c170324e2fa5",
+}
+
+
+@pytest.mark.parametrize("argv", list(ORACLE_DIGESTS))
+def test_oracle_output_is_pinned(argv, capsys, monkeypatch):
+    monkeypatch.delenv("TORICCTL_SEED", raising=False)
+    code, out, _ = run_cli(["oracle"] + argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORACLE_DIGESTS[argv]
 
 
 class TestStabilityCommands:

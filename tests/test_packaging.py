@@ -116,8 +116,8 @@ def test_cli_import_leaves_the_membership_certificate_unloaded():
 
 
 # the modules each command loads: the nine commands of the cli benchmark,
-# plus the complex-document and polynomial-only paths; only the commands
-# that print an input_hash load hashlib
+# plus the complex-document and polynomial-only paths and the other three
+# oracle suites; only the commands that print an input_hash load hashlib
 FAN_LAYER = {"complexes", "exactla", "fans", "hashlib"}
 COMMAND_MODULES = [
     (["fan", "analyze", "hirzebruch1.json"], FAN_LAYER),
@@ -133,6 +133,11 @@ COMMAND_MODULES = [
     (["complex", "power", "hirzebruch2.json", "--n", "2"], FAN_LAYER),
     (["oracle", "vandermonde", "--trials", "2", "--k", "2", "--n", "2", "--d", "6"],
      {"oracles", "hermite", "exactla"}),
+    (["oracle", "band", "--trials", "2"],
+     {"oracles", "hermite", "exactla", "complexes", "fans", "stability"}),
+    (["oracle", "complement", "--trials", "2"], {"oracles", "hermite", "exactla", "complexes", "fans"}),
+    (["oracle", "jetsection", "--trials", "2"],
+     {"oracles", "hermite", "exactla", "complexes", "polynomials"}),
     (["complex", "primitives", "complex_ring.json"], {"complexes", "hashlib"}),
     (["poly", "jet", "--system", "system_generic_cp1.json", "--n", "3"],
      {"complexes", "hashlib", "polynomials"}),
