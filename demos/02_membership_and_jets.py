@@ -54,5 +54,5 @@ f = RationalPoly.from_roots([(G(1), 3), (G(-2), 1)])
 print()
 print("f with a triple root at 1; multiplicity >= 2 part:",
       [c.to_pair() for c in mult_part(f, 2).coeffs])
-print("jet of f at the triple root:", [v.to_pair() for v in jet(f, 3).evaluate(G(1))])
-print("jet of f at the simple root:", [v.to_pair() for v in jet(f, 3).evaluate(G(-2))])
+print("jet of f at the triple root:", [e.evaluate(G(1)).to_pair() for e in jet(f, 3)])
+print("jet of f at the simple root:", [e.evaluate(G(-2)).to_pair() for e in jet(f, 3)])

@@ -20,10 +20,9 @@ _EXPORTS = {
     )},
     **{name: ("fans", name) for name in (
         "Fan", "FanJsonError", "FanStructureError", "ValidationReport", "builtin_fan",
-        "cox_group_rank", "degree_is_null", "fan_from_complex", "fan_from_json",
-        "fan_from_max_cones", "fan_power", "fan_to_json", "find_degree_vector", "is_complete",
-        "is_simplicial", "is_smooth", "load_fan", "primitive_ray", "spans_lattice",
-        "validate_fan",
+        "cox_group_rank", "degree_is_null", "fan_from_json", "fan_from_max_cones", "fan_power",
+        "fan_to_json", "find_degree_vector", "is_complete", "is_simplicial", "is_smooth",
+        "primitive_ray", "spans_lattice", "validate_fan",
     )},
     "exact_rank": ("exactla", "rank"),
     **{name: ("hermite", name) for name in (
@@ -31,10 +30,9 @@ _EXPORTS = {
         "hermite_dimension", "hermite_solution", "stacked_system", "verify_rank_claim",
     )},
     **{name: ("polynomials", name) for name in (
-        "GaussianRational", "JetTuple", "MembershipResult", "PolySystem", "RationalPoly",
-        "RootPoly", "derivative", "evaluate_jet", "gcd_monic", "is_member", "jet",
-        "jet_section", "mult_part", "n_of", "phi_map", "stabilize", "system_from_json",
-        "system_to_json",
+        "GaussianRational", "MembershipResult", "PolySystem", "RationalPoly", "RootPoly",
+        "derivative", "evaluate_jet", "gcd_monic", "is_member", "jet", "jet_section", "mult_part",
+        "n_of", "phi_map", "stabilize", "system_from_json", "system_to_json",
     )},
     **{name: ("stability", name) for name in (
         "BandResult", "E1Support", "StabilityReport", "connectivity_bound", "e1_support",
@@ -44,6 +42,35 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
+
+
+class Record:
+    """An immutable value: a subclass lists its fields in ``__slots__``.
+
+    Instances are built positionally or by field name, compare field by
+    field, and refuse assignment, so they are not hashable unless the
+    subclass defines ``__hash__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            # a field given twice or missing leaves a name in kwargs or a short args
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def __getattr__(name):

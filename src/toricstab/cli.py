@@ -3,10 +3,11 @@
 Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid or
 unsupported fan, 4 shape mismatch or undefined value, 5 enumeration cap
 exceeded (power facets, e1 window, jet coefficients, dualization step,
-complex vertices, vandermonde shape or run) or output too large to print,
-6 internal error.  All reports embed the tool version, a digest of the
-canonicalized input, and the formula the verdict rests on.  Randomized
-suites surface their seed.
+complex vertices, simplex pivots, vandermonde shape or run) or output too
+large to print, 6 internal error.  Every failure, a malformed command
+line included, prints a JSON error on stderr.  All reports embed the tool
+version, a digest of the canonicalized input, and the formula the verdict
+rests on.  Randomized suites surface their seed.
 """
 
 import argparse
@@ -143,6 +144,8 @@ def cmd_fan_analyze(args):
     from .exactla import nullspace_int
     from .fans import cox_group_rank, find_degree_vector, is_complete, is_smooth, spans_lattice
 
+    if args.degrees is None and (args.e1 or args.n is not None):
+        _fail(EXIT_SHAPE, "--e1 needs --degrees" if args.e1 else "--n needs --degrees")
     fan, raw, _ = _load_fan(args.path)
     out = _meta("fan analyze", _canonical_hash(raw))
     out["source"] = args.path
@@ -166,10 +169,6 @@ def cmd_fan_analyze(args):
             from .stability import e1_support
 
             out["e1"] = e1_support(degrees, fan, n).to_dict()
-    elif args.e1:
-        _fail(EXIT_SHAPE, "--e1 needs --degrees")
-    elif args.n is not None:
-        _fail(EXIT_SHAPE, "--n needs --degrees")
     _emit(out)
     return EXIT_OK
 
@@ -307,7 +306,7 @@ def cmd_poly_jet(args):
     out = _meta("poly jet", _canonical_hash(raw))
     out["n"] = args.n
     out["jets"] = [
-        [_exact_pairs(entry.coeffs) for entry in jet(p, args.n).entries]
+        [_exact_pairs(entry.coeffs) for entry in jet(p, args.n)]
         for p in system.polys
     ]
     _emit(out)
@@ -395,8 +394,15 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a JSON error, as every other failure is."""
+
+    def error(self, message):
+        _fail(EXIT_PARSE, f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricctl",
         description="fan analysis, membership tests and stability tabulation",
     )

@@ -8,6 +8,8 @@ complex on vertex grid [r] x [n], and membership tests for points of
 
 from itertools import combinations, groupby, product
 
+from . import Record
+
 
 # each typed error carries the toricctl exit code it ends in
 
@@ -329,7 +331,7 @@ def dim_config(fan, n, k):
     return 2 * k * (1 + n * r - n * r_min(fan))
 
 
-class PointInProduct:
+class PointInProduct(Record):
     """A point of (C^n)^r given by its r coordinate blocks.
 
     The values are kept as given: exact GaussianRationals where the point
@@ -343,15 +345,7 @@ class PointInProduct:
         blocks = tuple(tuple(b) for b in blocks)
         if len({len(b) for b in blocks}) > 1:
             raise ValueError("all blocks must have equal length")
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PointInProduct is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PointInProduct):
-            return NotImplemented
-        return self.blocks == other.blocks
+        super().__init__(blocks)
 
     @property
     def block_count(self):

@@ -12,7 +12,7 @@ from math import gcd, lcm
 
 # A Mersenne prime: ranks modulo P certify full rank over Q (one-sided).
 P = (1 << 61) - 1
-# Pivots before lp_feasible raises SimplexError; Bland's rule never cycles.
+# Pivots before lp_feasible raises SimplexCapError; Bland's rule never cycles.
 SIMPLEX_MAX_ITER = 100_000
 
 
@@ -200,7 +200,13 @@ def extends_to_basis(rows):
 
 
 class SimplexError(RuntimeError):
-    pass
+    """An unbounded phase-one objective, which cannot happen: a defect."""
+
+
+class SimplexCapError(SimplexError):
+    """lp_feasible passed SIMPLEX_MAX_ITER pivots."""
+
+    exit_code = 5  # toricctl's enumeration cap exceeded, as for a CapExceededError
 
 
 def lp_feasible(a_rows, b):
@@ -257,7 +263,7 @@ def lp_feasible(a_rows, b):
         obj = _pivot_row(obj, top, p, enter, d)
         d = p
         basis[leave] = enter
-    raise SimplexError("simplex iteration cap exceeded")
+    raise SimplexCapError(f"the simplex is capped at {SIMPLEX_MAX_ITER} pivots")
 
 
 def _pivot_row(row, top, p, enter, d):

@@ -17,14 +17,13 @@ functional built from weighted ray sums answers most of them first; the
 exact LP runs only where that certificate fails.
 """
 
-import json
 import re
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from . import complexes
+from . import Record, complexes
 from .complexes import JsonPointerError, UnsupportedFanError
 from .exactla import echelon, extends_to_basis, lp_feasible, nullspace_int
 
@@ -50,12 +49,13 @@ def primitive_ray(v):
     return tuple(x // g for x in vec)
 
 
-class Fan:
+class Fan(Record):
     """Rays plus the cones the fan is built from (its listed maximal cones or
     the facets of a complex), deduplicated but not reduced.  The fan's faces
     are the faces of these generating cones, the empty cone included.  The
     maximal cones are decided once, in `complex`, which equality, hashing
-    and repr ignore.
+    and repr ignore; a Fan has a `__dict__`, where `cached_property` stores
+    it without assignment.
     """
 
     def __init__(self, dim, rays, generating_cones):
@@ -63,10 +63,6 @@ class Fan:
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in ray) for ray in rays))
         cones = frozenset(frozenset(c) for c in generating_cones)
         object.__setattr__(self, "generating_cones", cones - {frozenset()})
-
-    def __setattr__(self, *_):
-        # cached_property stores `complex` in __dict__ without calling this
-        raise AttributeError("Fan is immutable")
 
     def _key(self):
         return self.dim, self.rays, self.generating_cones
@@ -235,15 +231,8 @@ def _complete_simplicial(fan):
     return True
 
 
-class Violation:
+class Violation(Record):
     __slots__ = ("kind", "detail")
-
-    def __init__(self, kind, detail):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Violation is immutable")
 
     def to_dict(self):
         return {"kind": self.kind, "detail": self.detail}
@@ -320,11 +309,6 @@ def fan_from_max_cones(dim, rays, max_cones):
     fan = Fan(dim, rays, max_cones)
     _check_structure(fan.dim, fan.rays, fan.generating_cones)
     return fan
-
-
-def fan_from_complex(complex_, rays, dim):
-    """Rebuild a fan from its underlying complex and ray list."""
-    return Fan(dim, rays, complex_.max_faces)
 
 
 # -- completeness ------------------------------------------------------------
@@ -511,9 +495,3 @@ def fan_from_json(obj):
                 )
         parsed_cones.append(frozenset(cone))
     return fan_from_max_cones(dim, parsed_rays, parsed_cones)
-
-
-def load_fan(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return fan_from_json(obj)

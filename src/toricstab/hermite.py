@@ -12,6 +12,7 @@ degree - n*k in closed form.  No floating point anywhere.
 from fractions import Fraction
 from math import perm
 
+from . import Record
 from .exactla import rank, solve_affine
 
 
@@ -58,21 +59,8 @@ def stacked_system(points, n, degree):
     return [[Fraction(v, scale) for v in row] for row, scale in _stacked_blocks(points, n, degree)]
 
 
-class RankCheck:
+class RankCheck(Record):
     __slots__ = ("rank", "expected", "in_regime")
-
-    def __init__(self, rank, expected, in_regime):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "in_regime", in_regime)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RankCheck is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RankCheck):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def passed(self):
@@ -104,10 +92,10 @@ def verify_rank_claim(points, n, degree):
     # the rows of stacked_system scaled to integers (same rank), cut to n*k
     # columns in the regime
     r = rank([row for row, _ in _stacked_blocks(points, n, min(degree, nk) if nk else degree)])
-    return RankCheck(rank=r, expected=nk, in_regime=degree >= nk)
+    return RankCheck(r, nk, degree >= nk)
 
 
-class HermiteSpec:
+class HermiteSpec(Record):
     """Constraint data f^(l)(x_j) = targets[l][j] for a monic polynomial of
     the given degree."""
 
@@ -124,13 +112,7 @@ class HermiteSpec:
         tg = tuple(tuple(Fraction(v) for v in row) for row in targets)
         if len(tg) != order or any(len(row) != len(pts) for row in tg):
             raise ValueError("targets must be an order x k grid")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "targets", tg)
-
-    def __setattr__(self, *_):
-        raise AttributeError("HermiteSpec is immutable")
+        super().__init__(pts, order, degree, tg)
 
 
 class HermiteInconsistencyError(RuntimeError):

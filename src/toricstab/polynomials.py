@@ -32,6 +32,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
+from . import Record
 from .complexes import (
     JET_COEFFICIENT_CAP,
     CapExceededError,
@@ -63,7 +64,7 @@ def _rational(value):
     return Fraction(text)
 
 
-class GaussianRational:
+class GaussianRational(Record):
     """a + b*i with exact rational a, b: the value type of JSON pairs, roots
     and evaluation points.  Arithmetic on Q(i) happens in `RationalPoly`."""
 
@@ -74,9 +75,6 @@ class GaussianRational:
             raise TypeError("Gaussian rational parts must be ints or Fractions")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def _of(cls, re, im):
@@ -157,7 +155,7 @@ def _times_conjugate(pairs, lead):
     return [(x * lr + y * li, y * lr - x * li) for x, y in pairs]
 
 
-class RationalPoly:
+class RationalPoly(Record):
     """Univariate polynomial over Q(i): ascending coefficients pairs[k] / den.
 
     `pairs` holds (re, im) int pairs, the last one nonzero; `den` is
@@ -172,9 +170,6 @@ class RationalPoly:
         """From ascending ints, Fractions or GaussianRationals; a float raises TypeError."""
         self._store(*_integer_pairs(
             [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]))
-
-    def __setattr__(self, *_):
-        raise AttributeError("RationalPoly is immutable")
 
     @classmethod
     def _from_pairs(cls, pairs, den=1):
@@ -225,11 +220,6 @@ class RationalPoly:
     @property
     def is_monic(self):
         return bool(self.pairs) and self.pairs[-1] == (self.den, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        return self.pairs == other.pairs and self.den == other.den
 
     def __hash__(self):
         return hash((self.pairs, self.den))
@@ -330,22 +320,8 @@ def derivative(poly, order=1):
     return RationalPoly._from_pairs(out, poly.den)
 
 
-class JetTuple:
-    """The tuple (f, f + f', f + f'', ...) truncated at order n."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *_):
-        raise AttributeError("JetTuple is immutable")
-
-    def evaluate(self, x):
-        return tuple(e.evaluate(x) for e in self.entries)
-
-
 def jet(poly, n):
+    """The tuple (f, f + f', f + f'', ...) truncated at order n."""
     if n < 1:
         raise ValueError("jet order must be positive")
     CapExceededError.check(n * (poly.degree + 1), JET_COEFFICIENT_CAP,
@@ -353,7 +329,7 @@ def jet(poly, n):
     entries = [poly]
     for j in range(1, n):
         entries.append(poly + derivative(poly, j))
-    return JetTuple(tuple(entries))
+    return tuple(entries)
 
 
 def gcd_monic(f, g):
@@ -420,7 +396,7 @@ def phi_map(degrees, w):
     return GaussianRational._of(total - 1 / (z.re - total + 2), z.im)
 
 
-class RootPoly:
+class RootPoly(Record):
     """Monic polynomial given by its root multiset: (GaussianRational, int
     multiplicity) pairs, equal roots merged in order of first appearance.
 
@@ -438,17 +414,14 @@ class RootPoly:
                 raise ValueError("multiplicities must be >= 1")
             a = _exact(a)
             merged[a] = merged.get(a, 0) + m
-        object.__setattr__(self, "roots", tuple(merged.items()))
-
-    def __setattr__(self, *_):
-        raise AttributeError("RootPoly is immutable")
+        super().__init__(tuple(merged.items()))
 
     @property
     def degree(self):
         return sum(m for _, m in self.roots)
 
 
-class PolySystem:
+class PolySystem(Record):
     """Tuple of monic polynomials, all in coefficient form or all in root form."""
 
     __slots__ = ("form", "polys", "degrees")
@@ -456,16 +429,12 @@ class PolySystem:
     def __init__(self, form, polys, degrees):
         if form not in ("coefficient", "root"):
             raise ValueError(f"unknown system form {form!r}")
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "polys", tuple(polys))
-        object.__setattr__(self, "degrees", tuple([int(d) for d in degrees]))
-        if len(self.polys) != len(self.degrees):
+        polys, degrees = tuple(polys), tuple([int(d) for d in degrees])
+        if len(polys) != len(degrees):
             raise ValueError("degree vector length must match polynomial count")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ValueError("all degrees must be >= 1")
-
-    def __setattr__(self, *_):
-        raise AttributeError("PolySystem is immutable")
+        super().__init__(form, polys, degrees)
 
     @classmethod
     def coefficient_system(cls, polys):
@@ -485,24 +454,12 @@ class PolySystem:
         return len(self.polys)
 
 
-class MembershipResult:
+class MembershipResult(Record):
     __slots__ = ("member", "representation", "witness_collection", "witness_factor", "witness_root")
 
     def __init__(self, member, representation, witness_collection=None, witness_factor=None,
                  witness_root=None):
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "representation", representation)
-        object.__setattr__(self, "witness_collection", witness_collection)
-        object.__setattr__(self, "witness_factor", witness_factor)
-        object.__setattr__(self, "witness_root", witness_root)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MembershipResult is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, MembershipResult):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        super().__init__(member, representation, witness_collection, witness_factor, witness_root)
 
     def __bool__(self):
         return self.member
@@ -560,7 +517,7 @@ def is_member(system, fan, n):
             rest.discard(i)
             i += 1
     if complex_.is_face(rest):
-        return MembershipResult(member=True, representation=system.form)
+        return MembershipResult(True, system.form)
 
     for idx in sorted(map(sorted, collections_inside(complex_, rest)), key=lambda s: (len(s), s)):
         if system.form == "root":
@@ -587,7 +544,7 @@ def is_member(system, fan, n):
                     witness_collection=tuple(idx),
                     witness_factor=g,
                 )
-    return MembershipResult(member=True, representation=system.form)
+    return MembershipResult(True, system.form)
 
 
 def stabilize(system, shifts):
@@ -625,7 +582,7 @@ def evaluate_jet(system, n, alpha):
     polys = system.polys
     if system.form == "root":
         polys = [RationalPoly.from_roots(p.roots) for p in polys]
-    return PointInProduct(tuple(jet(poly, n).evaluate(alpha) for poly in polys))
+    return PointInProduct([[e.evaluate(alpha) for e in jet(poly, n)] for poly in polys])
 
 
 # -- JSON --------------------------------------------------------------------

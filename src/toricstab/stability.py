@@ -8,6 +8,7 @@ underlying groups are out of scope, only the vanishing ranges are certified.
 
 from math import isqrt
 
+from . import Record
 from .complexes import BAND_COUNT_CAP, E1_CELL_CAP, CapExceededError, UndefinedValueError, r_min
 from .fans import degree_is_null
 
@@ -59,22 +60,9 @@ def _connectivity(rm, n):
     return 2 * n * rm - 5
 
 
-class StabilityReport:
+class StabilityReport(Record):
     __slots__ = ("r_min", "d_min", "d_prime", "stability_dim", "connectivity", "degree_null", "n",
                  "degrees")
-
-    def __init__(self, r_min, d_min, d_prime, stability_dim, connectivity, degree_null, n, degrees):
-        object.__setattr__(self, "r_min", r_min)
-        object.__setattr__(self, "d_min", d_min)
-        object.__setattr__(self, "d_prime", d_prime)
-        object.__setattr__(self, "stability_dim", stability_dim)
-        object.__setattr__(self, "connectivity", connectivity)
-        object.__setattr__(self, "degree_null", degree_null)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degrees", degrees)
-
-    def __setattr__(self, *_):
-        raise AttributeError("StabilityReport is immutable")
 
     def to_dict(self):
         return {
@@ -106,26 +94,13 @@ def stability_report(degrees, fan, n):
     )
 
 
-class E1Support:
+class E1Support(Record):
     """Vanishing statuses of the truncated first page on a (k, s) window.
 
     The cells dict materializes the window; status() answers for any cell.
     """
 
     __slots__ = ("cells", "k_max", "s_min", "s_max", "d_prime", "r_min", "n", "ray_count")
-
-    def __init__(self, cells, k_max, s_min, s_max, d_prime, r_min, n, ray_count):
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "s_min", s_min)
-        object.__setattr__(self, "s_max", s_max)
-        object.__setattr__(self, "d_prime", d_prime)
-        object.__setattr__(self, "r_min", r_min)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ray_count", ray_count)
-
-    def __setattr__(self, *_):
-        raise AttributeError("E1Support is immutable")
 
     def status(self, k, s):
         return _cell_status(k, s, self.d_prime, self.r_min, self.n, self.ray_count)
@@ -200,18 +175,10 @@ def _cell_status(k, s, d_prime, rm, n, r):
     return TAIL_UNKNOWN
 
 
-class BandResult:
+class BandResult(Record):
     """Minimal s - k over each comparison-failure band t, and over all of them."""
 
     __slots__ = ("value", "per_t", "empty")
-
-    def __init__(self, value, per_t, empty):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "per_t", per_t)
-        object.__setattr__(self, "empty", empty)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BandResult is immutable")
 
     def to_dict(self):
         return {
@@ -239,12 +206,12 @@ def min_unknown_band(degrees, fan, n):
     d_min = min(int(d) for d in degrees)
     d_prime = d_min // n
     if d_prime == 0:
-        return BandResult(value=None, per_t={}, empty=True)
+        return BandResult(None, {}, True)
     value = _stability_dim(rm, d_min, n) + 2
     t_max = (isqrt(8 * d_prime + 9) - 1) // 2  # the largest t with t(t + 1)/2 <= d' + 1
     CapExceededError.check(t_max, BAND_COUNT_CAP, "the band minima are capped at {cap} bands")
     per_t = {t: value + t - 1 for t in range(1, t_max + 1)}
-    return BandResult(value=value, per_t=per_t, empty=False)
+    return BandResult(value, per_t, False)
 
 
 def truncation_dim(degrees, fan, n):

@@ -60,6 +60,21 @@ class TestFanCommands:
         _, explicit, _ = run_cli(["fan", "analyze", h1, "--degrees", "5,7,5,12", "--n", "2"], capsys)
         assert implicit == explicit and json.loads(implicit)["stability"]["n"] == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--e1"])
+    def test_analyze_refuses_flags_without_degrees_before_loading(self, flag, fixtures_dir,
+                                                                  capsys, monkeypatch):
+        # the refusal comes first: an invalid fan exits 4 here, not 3, and
+        # no fan is validated
+        def unreachable(fan):
+            raise RuntimeError("the fan was loaded")
+
+        monkeypatch.setattr(fans, "validate_fan", unreachable)
+        argv = ["fan", "analyze", str(fixtures_dir / "bad_line.json"), flag] + (
+            ["3"] if flag == "--n" else [])
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == f"{flag} needs --degrees"
+
     def test_analyze_affine_has_null_r_min(self, fixtures_dir, capsys):
         code, out, _ = run_cli(["fan", "analyze", str(fixtures_dir / "affine2.json")], capsys)
         assert code == 0
@@ -885,6 +900,24 @@ def test_dualization_above_cap_exits_5_quickly(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)["primitive_collections"]) == 3 ** 10
 
 
+def test_simplex_iteration_cap_exits_5(fixtures_dir, capsys, monkeypatch):
+    monkeypatch.setattr(exactla, "SIMPLEX_MAX_ITER", 0)
+    code, out, err = run_cli(["fan", "analyze", str(fixtures_dir / "hirzebruch1.json")], capsys)
+    assert code == 5 and out == ""
+    assert json.loads(err)["error"] == "the simplex is capped at 0 pivots"
+
+
+def test_unbounded_simplex_exits_internal(fixtures_dir, capsys, monkeypatch):
+    # Bland's phase one is never unbounded, so reaching it is a defect
+    def unbounded(a_rows, b):
+        raise exactla.SimplexError("phase-one objective unbounded")
+
+    monkeypatch.setattr(fans, "lp_feasible", unbounded)
+    code, out, err = run_cli(["fan", "analyze", str(fixtures_dir / "hirzebruch1.json")], capsys)
+    assert code == EXIT_INTERNAL and out == ""
+    assert json.loads(err)["exception"] == "SimplexError"
+
+
 def test_unexpected_exception_exits_internal_with_envelope(fixtures_dir, capsys, monkeypatch):
     def broken(fan):
         raise RuntimeError("injected defect")
@@ -984,3 +1017,12 @@ def test_mutated_documents_end_in_a_documented_exit_code(data, fixtures_dir, tmp
         assert "Traceback" not in err
         if err:
             assert json.loads(err)["tool"] == "toricctl"
+    # malformed command lines around the document: an unknown flag, a bad
+    # int, a missing positional and a missing subcommand
+    bad_int = next(argv for argv in commands if argv[-2:] == ["--n", "2"])[:-1] + ["two"]
+    for argv, named in [(commands[0] + ["--bogus"], "--bogus"), (bad_int, "--n"),
+                        (commands[0][:2], "path"), (commands[0][:1], "command")]:
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_PARSE and out == "", argv
+        envelope = json.loads(err)
+        assert envelope["tool"] == "toricctl" and named in envelope["error"], (argv, err)

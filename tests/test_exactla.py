@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricstab import Fan, builtin_fan, exactla, fans, load_fan
+from toricstab import Fan, builtin_fan, exactla, fan_from_json, fans
 from toricstab.exactla import (
     P,
     SimplexError,
@@ -84,7 +85,7 @@ def _reference_nullspace(mat):
 
 @pytest.mark.parametrize("name", FIXTURE_FANS)
 def test_nullspace_int_basis_on_fixture_rays(fixtures_dir, name):
-    mat = load_fan(fixtures_dir / f"{name}.json").ray_matrix()
+    mat = fan_from_json(json.loads((fixtures_dir / f"{name}.json").read_text())).ray_matrix()
     assert nullspace_int(mat) == _reference_nullspace(mat)
 
 

@@ -23,16 +23,15 @@ EXPORTS = {
                   "dim_arrangement", "dim_config", "in_arrangement", "in_polyhedral_product",
                   "minimal_non_faces", "primitive_collections", "r_min", "underlying_complex"],
     "fans": ["Fan", "FanJsonError", "FanStructureError", "ValidationReport", "builtin_fan",
-             "cox_group_rank", "degree_is_null", "fan_from_complex", "fan_from_json",
-             "fan_from_max_cones", "fan_power", "fan_to_json", "find_degree_vector",
-             "is_complete", "is_simplicial", "is_smooth", "load_fan", "primitive_ray",
-             "spans_lattice", "validate_fan"],
+             "cox_group_rank", "degree_is_null", "fan_from_json", "fan_from_max_cones",
+             "fan_power", "fan_to_json", "find_degree_vector", "is_complete", "is_simplicial",
+             "is_smooth", "primitive_ray", "spans_lattice", "validate_fan"],
     "hermite": ["HermiteSpec", "RankCheck", "bundle_rank", "confluent_vandermonde",
                 "hermite_dimension", "hermite_solution", "stacked_system", "verify_rank_claim"],
-    "polynomials": ["GaussianRational", "JetTuple", "MembershipResult", "PolySystem",
-                    "RationalPoly", "RootPoly", "derivative", "evaluate_jet", "gcd_monic",
-                    "is_member", "jet", "jet_section", "mult_part", "n_of", "phi_map",
-                    "stabilize", "system_from_json", "system_to_json"],
+    "polynomials": ["GaussianRational", "MembershipResult", "PolySystem", "RationalPoly",
+                    "RootPoly", "derivative", "evaluate_jet", "gcd_monic", "is_member", "jet",
+                    "jet_section", "mult_part", "n_of", "phi_map", "stabilize",
+                    "system_from_json", "system_to_json"],
     "stability": ["BandResult", "E1Support", "StabilityReport", "connectivity_bound",
                   "e1_support", "min_unknown_band", "stability_dim", "stability_dim_n1",
                   "stability_dim_projective", "stability_report", "truncation_dim"],

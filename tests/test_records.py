@@ -1,25 +1,31 @@
 """The result and value classes: construction, equality, immutability.
 
-They are plain classes with explicit initialisers; these tests pin the
+The immutable ones derive from `toricstab.Record`; these tests pin the
 behaviour callers rely on, so no class depends on a generated method.
 """
 
+import ast
+import importlib
+import pathlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import toricstab
 from toricstab import (
     Fan,
     GaussianRational,
     HermiteSpec,
     PointInProduct,
+    PolySystem,
     RationalPoly,
+    Record,
     RootPoly,
     ValidationReport,
     builtin_fan,
     e1_support,
     is_member,
-    jet,
     min_unknown_band,
     stability_report,
     system_from_json,
@@ -37,17 +43,34 @@ from toricstab.hermite import RankCheck
 from toricstab.oracles import SuiteResult
 from toricstab.polynomials import MembershipResult, SystemJsonError
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _record_classes():
+    """Name -> class of every Record subclass, once each module is imported."""
+    for module in pkgutil.iter_modules(toricstab.__path__):
+        importlib.import_module(f"toricstab.{module.name}")
+    found, stack = {}, [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            found[cls.__name__] = cls
+            stack.append(cls)
+    return found
+
 
 def _frozen_instances():
     """Class name -> (an instance, one of its fields)."""
     h1 = builtin_fan("hirzebruch(1)")
+    one = RationalPoly.from_roots([(GaussianRational(1), 2)])
     return {
         "PointInProduct": (PointInProduct(((1, 0), (0, 0))), "blocks"),
         "Fan": (h1, "rays"),
         "Violation": (Violation("ray", "ray 0 is the zero vector"), "kind"),
         "RankCheck": (verify_rank_claim([Fraction(1), Fraction(2)], 2, 5), "rank"),
         "HermiteSpec": (HermiteSpec((1, 2), 1, 3, ((0, 0),)), "points"),
-        "JetTuple": (jet(RationalPoly.from_roots([(GaussianRational(1), 2)]), 2), "entries"),
+        "GaussianRational": (GaussianRational(1, 2), "re"),
+        "RationalPoly": (one, "pairs"),
+        "PolySystem": (PolySystem.coefficient_system([one]), "polys"),
         "RootPoly": (RootPoly([(1, 2)]), "roots"),
         "MembershipResult": (MembershipResult(member=True, representation="root"), "member"),
         "StabilityReport": (stability_report((5, 7, 5, 12), h1, 2), "r_min"),
@@ -56,8 +79,9 @@ def _frozen_instances():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_frozen_instances()))
+@pytest.mark.parametrize("name", sorted(_record_classes()))
 def test_frozen_classes_refuse_assignment(name):
+    # every Record subclass needs an example instance here
     value, field = _frozen_instances()[name]
     assert type(value).__name__ == name
     before = getattr(value, field)
@@ -153,3 +177,39 @@ def test_points_and_root_polys_normalise_their_input():
 ])
 def test_typed_errors_carry_their_exit_codes(error, code):
     assert error.exit_code == code
+
+
+def test_records_fill_their_fields_positionally_or_by_name():
+    assert Violation("ray", "d") == Violation(kind="ray", detail="d") == Violation("ray", detail="d")
+    assert Violation("ray", "d") != Violation("ray", "e")
+    assert Violation("ray", "d") != ("ray", "d")
+    for args, kwargs in [((), {}), (("ray",), {}), (("ray", "d", "x"), {}),
+                         (("ray",), {"kind": "ray"}), (("ray",), {"detail": "d", "extra": 1}),
+                         ((), {"detail": "d"})]:
+        with pytest.raises(TypeError, match="takes the fields kind, detail"):
+            Violation(*args, **kwargs)
+    with pytest.raises(TypeError):
+        hash(Violation("ray", "d"))
+
+
+def test_only_record_defines_setattr():
+    # every immutable class inherits the one refusal, from Record
+    offenders = []
+    for path in sorted((ROOT / "src" / "toricstab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name != "Record" and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__setattr__"
+                    for item in node.body):
+                offenders.append(f"{path.name}:{node.name}")
+    assert offenders == []
+
+
+def test_traced_methods_stay_in_their_class_bodies():
+    # toricbench/tracer.py reads these methods from cls.__dict__, so a
+    # method moved to a base class would break the benchmark's tracer
+    tree = ast.parse((ROOT / "toricbench" / "tracer.py").read_text(encoding="utf-8"))
+    (methods,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "METHODS" for t in node.targets)]
+    assert methods
+    for module, cls_name, meth in methods:
+        assert meth in vars(getattr(importlib.import_module(f"toricstab.{module}"), cls_name))
