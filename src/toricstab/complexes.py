@@ -14,7 +14,8 @@ from . import Record
 # each typed error carries the toricctl exit code it ends in
 
 class UndefinedValueError(ValueError):
-    """Raised when a quantity (e.g. the minimal primitive size) does not exist."""
+    """Raised when a quantity (e.g. the minimal primitive size) does not exist,
+    or is undefined for inputs that disagree in shape or form."""
 
     exit_code = 4  # shape mismatch or undefined value
 

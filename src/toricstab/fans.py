@@ -55,14 +55,17 @@ class Fan(Record):
     are the faces of these generating cones, the empty cone included.  The
     maximal cones are decided once, in `complex`, which equality, hashing
     and repr ignore; a Fan has a `__dict__`, where `cached_property` stores
-    it without assignment.
+    it without assignment.  Building one raises FanStructureError for a
+    defect of shape, a non-integer ray entry or a ray index out of range.
     """
 
     def __init__(self, dim, rays, generating_cones):
+        rays = [tuple(ray) for ray in rays]
+        cones = frozenset(frozenset(c) for c in generating_cones) - {frozenset()}
+        _check_structure(dim, rays, cones)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in ray) for ray in rays))
-        cones = frozenset(frozenset(c) for c in generating_cones)
-        object.__setattr__(self, "generating_cones", cones - {frozenset()})
+        object.__setattr__(self, "generating_cones", cones)
 
     def _key(self):
         return self.dim, self.rays, self.generating_cones
@@ -108,6 +111,8 @@ def _check_structure(dim, rays, cones):
     for i, ray in enumerate(rays):
         if len(ray) != dim:
             raise FanStructureError(f"ray {i} has length {len(ray)}, expected {dim}")
+        if any(int(x) != x for x in ray):
+            raise FanStructureError(f"ray {i} has a non-integer entry")
     r = len(rays)
     for cone in cones:
         for k in cone:
@@ -256,16 +261,14 @@ class ValidationReport:
 def validate_fan(fan):
     """Check the fan axioms and report every violation found.
 
-    Out-of-range ray indices raise FanStructureError before any axiom is
-    considered.  An empty violation list certifies a valid fan.  After the
-    ray checks, a fan whose maximal cones `_complete_simplicial` certifies
-    needs no further check: every index subset of a simplicial cone spans a
-    face of it, and faces of two such cones s, t, which meet in the face on
-    s & t, meet in the face on their common indices.  Any other fan has each
-    cone and each pair of cones checked, and only that path names cone
-    violations.
+    A `Fan` passes its structure check when built, so an empty violation
+    list certifies a valid fan.  After the ray checks, a fan whose maximal
+    cones `_complete_simplicial` certifies needs no further check: every
+    index subset of a simplicial cone spans a face of it, and faces of two
+    such cones s, t, which meet in the face on s & t, meet in the face on
+    their common indices.  Any other fan has each cone and each pair of
+    cones checked, and only that path names cone violations.
     """
-    _check_structure(fan.dim, fan.rays, fan.generating_cones)
     report = ValidationReport()
 
     seen = {}
@@ -306,9 +309,7 @@ def validate_fan(fan):
 
 def fan_from_max_cones(dim, rays, max_cones):
     """Build a fan from its maximal cones; their faces are implied."""
-    fan = Fan(dim, rays, max_cones)
-    _check_structure(fan.dim, fan.rays, fan.generating_cones)
-    return fan
+    return Fan(dim, rays, max_cones)
 
 
 # -- completeness ------------------------------------------------------------

@@ -38,6 +38,7 @@ from .complexes import (
     CapExceededError,
     JsonPointerError,
     PointInProduct,
+    UndefinedValueError,
     collections_inside,
     underlying_complex,
 )
@@ -92,7 +93,11 @@ class GaussianRational(Record):
         return cls(_rational(pair[0]), _rational(pair[1]))
 
     def to_pair(self):
-        return [str(self.re), str(self.im)]
+        try:
+            return [str(self.re), str(self.im)]
+        except ValueError:  # an int beyond the digits Python prints
+            raise CapExceededError(
+                f"a value has more than {MAX_COEFFICIENT_DIGITS} digits to print") from None
 
     def to_complex(self):
         return complex(self.re, self.im)
@@ -490,7 +495,7 @@ def is_member(system, fan, n):
         raise ValueError("n must be positive")
     complex_ = underlying_complex(fan)
     if system.r != fan.ray_count:
-        raise ValueError(f"system has {system.r} polynomials, fan has {fan.ray_count} rays")
+        raise UndefinedValueError(f"system has {system.r} polynomials, fan has {fan.ray_count} rays")
 
     if system.form == "root":
         heavy = [frozenset(a for a, m in p.roots if m >= n) for p in system.polys]
@@ -555,14 +560,14 @@ def stabilize(system, shifts):
     polynomial, raising the degrees by the shift vector.
     """
     if system.form != "root":
-        raise ValueError("stabilize needs a root-form system")
+        raise UndefinedValueError("stabilize needs a root-form system")
     a = [int(x) for x in shifts]
     if len(a) != system.r:
-        raise ValueError(f"shift vector must have length {system.r}")
+        raise UndefinedValueError(f"shift vector must have length {system.r}")
     if any(x < 0 for x in a):
-        raise ValueError("shift entries must be >= 0")
+        raise UndefinedValueError("shift entries must be >= 0")
     if not any(a):
-        raise ValueError("shift vector must be nonzero")
+        raise UndefinedValueError("shift vector must be nonzero")
     degrees = system.degrees
     total = n_of(degrees)
     new_polys = []

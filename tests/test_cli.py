@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricstab import cli, complexes, exactla, fans, hermite, oracles
+from toricstab import cli, complexes, exactla, fans, hermite, oracles, polynomials
 from toricstab.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from toricstab.oracles import run_band, run_vandermonde
 
@@ -797,6 +797,81 @@ def test_roots_beyond_printing_exit_cap(fixtures_dir, tmp_path, capsys):
                               "--system", str(path), "--n", "2"], capsys)
     assert code == 0 and err == ""
     assert json.loads(out)["witness"]["common_root"] == ["1" + "0" * 400, "0"]
+
+
+def test_stabilize_unprintable_root_exits_5(tmp_path, capsys):
+    # the library raises the cap when it prints the moved root
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"roots": [[["9" * 4300, 0, 1]], [[0, 0, 1]]]}))
+    code, out, err = run_cli(["poly", "stabilize", "--system", str(path), "--a", "1,0"], capsys)
+    assert code == 5 and out == ""
+    assert json.loads(err)["error"] == "a value has more than 4300 digits to print"
+
+
+@pytest.mark.parametrize("system,shifts,message", [
+    ("system_generic_cp1.json", "1,1", "stabilize needs a root-form system"),
+    ("system_root_cp1.json", "1", "shift vector must have length 2"),
+    ("system_root_cp1.json", "1,-1", "shift entries must be >= 0"),
+    ("system_root_cp1.json", "0,0", "shift vector must be nonzero"),
+])
+def test_stabilize_shape_and_form_errors_exit_4(system, shifts, message, fixtures_dir, capsys):
+    argv = ["poly", "stabilize", "--system", str(fixtures_dir / system), "--a", shifts]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == message
+
+
+def test_defect_in_stabilize_exits_internal(fixtures_dir, capsys, monkeypatch):
+    # only a typed error names an exit code: a bare ValueError is a defect
+    def broken(system, shifts):
+        raise ValueError("injected defect")
+
+    monkeypatch.setattr(polynomials, "stabilize", broken)
+    argv = ["poly", "stabilize", "--system", str(fixtures_dir / "system_root_cp1.json"), "--a", "1,1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_INTERNAL and out == ""
+    assert json.loads(err)["exception"] == "ValueError"
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "[" * 100_000], ids=["long int", "deep nesting"])
+@pytest.mark.parametrize("kind", ["fan", "system", "complex"])
+def test_unreadable_json_exits_parse_error(kind, text, fixtures_dir, tmp_path, capsys):
+    # json.load raises ValueError past 4300 digits and RecursionError past
+    # the interpreter's depth; json.dumps cannot write such an int
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    argv = {"fan": ["fan", "validate", str(path)],
+            "system": ["poly", "check", "--fan", str(fixtures_dir / "cp1.json"), "--system",
+                       str(path), "--n", "2"],
+            "complex": ["complex", "primitives", str(path)]}[kind]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE and out == ""
+    envelope = json.loads(err)
+    assert envelope["tool"] == "toricctl" and str(path) in envelope["error"]
+
+
+def test_check_stray_ray_fan_before_system_size(tmp_path, capsys):
+    # is_member reads K_Sigma before it compares the polynomial count
+    fan, system, _ = _write_fan_and_system(tmp_path, STRAY_RAY)
+    (tmp_path / "system.json").write_text(json.dumps({"roots": [[[0, 0, 1]]]}))
+    code, out, err = run_cli(["poly", "check", "--fan", fan, "--system", system, "--n", "2"],
+                             capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ray 2 spans no cone of the fan"
+
+
+@pytest.mark.parametrize("suite", ["band", "complement", "jetsection"])
+def test_oracle_run_over_cap_exits_5_quickly(suite, capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run_cli(["oracle", suite, "--trials", str(oracles.ORACLE_TRIAL_CAP + 1)],
+                             capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and out == ""
+    assert "capped at 65536" in json.loads(err)["error"]
+    # the cap itself runs
+    monkeypatch.setattr(oracles, "ORACLE_TRIAL_CAP", 2)
+    code, out, _ = run_cli(["oracle", suite, "--trials", "2"], capsys)
+    assert code == 0 and json.loads(out)["ok"]
 
 
 @pytest.mark.parametrize("degree", [6, 12])

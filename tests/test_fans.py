@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -63,9 +64,19 @@ class TestValidateFan:
         assert any(v.kind == "strong-convexity" for v in report.violations)
 
     def test_out_of_range_index_is_structural(self):
-        fan = Fan(2, ((1, 0),), [frozenset(), frozenset((3,))])
         with pytest.raises(FanStructureError):
-            validate_fan(fan)
+            validate_fan(Fan(2, ((1, 0),), [frozenset(), frozenset((3,))]))
+
+    def test_non_integer_ray_is_structural(self):
+        # int() would truncate (1.5, 0) and (-3/2, -1) to the rays of cp(2)
+        with pytest.raises(FanStructureError, match="ray 0 has a non-integer entry"):
+            fan_from_max_cones(2, [(1.5, 0), (0, 1), (Fraction(-3, 2), -1)], [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(FanStructureError, match="ray 1 has a non-integer entry"):
+            Fan(2, [(1, 0), (0, 0.5)], [(0, 1)])
+        # integral values of any type are kept as ints, and a generator of
+        # rays is read once
+        fan = Fan(2, (ray for ray in [(1.0, 0), (Fraction(0), 1)]), [(0, 1)])
+        assert fan.rays == ((1, 0), (0, 1)) and all(type(x) is int for ray in fan.rays for x in ray)
 
     def test_overlapping_cones_flagged(self):
         # the two 2-cones overlap in a 2-dimensional region

@@ -190,6 +190,42 @@ def test_only_main_maps_typed_errors_to_exit_codes():
     assert offenders == []
 
 
+def test_cli_catches_only_where_it_reads_input():
+    # main maps every typed error, so the other except clauses of cli.py
+    # only read input: the JSON loader, argparse's integer type and the
+    # --degrees and --a lists
+    tree = ast.parse((ROOT / "src" / "toricstab" / "cli.py").read_text(encoding="utf-8"))
+    handlers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler):
+                handlers.append((top.name, ast.unparse(node.type)))
+    assert sorted(handlers) == [
+        ("_int_at_least", "ValueError"),
+        ("_load_json", "(ValueError, RecursionError)"),
+        ("_load_json", "OSError"),
+        ("_load_json", "json.JSONDecodeError"),
+        ("_parse_degrees", "ValueError"),
+        ("cmd_poly_stabilize", "ValueError"),
+        ("main", "BrokenPipeError"),
+        ("main", "Exception"),
+    ]
+
+
+def test_every_cap_is_named_in_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    caps = {target.id
+            for path in (ROOT / "src" / "toricstab").glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and (target.id.endswith("_CAP") and not target.id.startswith("EXIT_")
+                 or target.id in ("SIMPLEX_MAX_ITER", "POINT_POOL"))}
+    assert len(caps) >= 12
+    assert sorted(name for name in caps if f"`{name}`" not in readme) == []
+
+
 def test_gaussian_rationals_have_one_arithmetic():
     # Q(i)[z] is computed on the int pairs of RationalPoly alone:
     # GaussianRational is a boundary value, and modular reads only pairs

@@ -21,6 +21,7 @@ from toricstab import (
     RationalPoly,
     RootPoly,
     UnsupportedFanError,
+    UndefinedValueError,
     builtin_fan,
     derivative,
     evaluate_jet,
@@ -69,6 +70,12 @@ class TestGaussianRational:
     def test_pair_beyond_printable_digits_rejected(self, text):
         with pytest.raises(ValueError):
             G.from_pair([text, "0"])
+
+    @pytest.mark.parametrize("value", [G(10 ** 4300), G(0, -10 ** 4300), G(Fraction(1, 10 ** 4300))],
+                             ids=["re", "im", "denominator"])
+    def test_to_pair_beyond_printable_digits_raises_cap(self, value):
+        with pytest.raises(CapExceededError, match="a value has more than 4300 digits to print"):
+            value.to_pair()
 
 
 class TestDerivative:
@@ -242,6 +249,11 @@ class TestMembership:
         with pytest.raises(ValueError):
             is_member(system, h1, 2)
 
+    def test_ray_count_mismatch_is_an_undefined_value(self, h1):
+        system = PolySystem.coefficient_system([poly(0, 1)])
+        with pytest.raises(UndefinedValueError, match="system has 1 polynomials, fan has 4 rays"):
+            is_member(system, h1, 2)
+
 
 class TestRepresentationEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -341,6 +353,18 @@ class TestStabilize:
         system = PolySystem.coefficient_system([poly(0, 1), poly(1, 1)])
         with pytest.raises(ValueError):
             stabilize(system, (1, 0))
+
+    @pytest.mark.parametrize("form,shifts,message", [
+        ("coefficient", (1, 0), "stabilize needs a root-form system"),
+        ("root", (1,), "shift vector must have length 2"),
+        ("root", (1, -1), "shift entries must be >= 0"),
+        ("root", (0, 0), "shift vector must be nonzero"),
+    ])
+    def test_shape_and_form_errors_are_undefined_values(self, form, shifts, message):
+        system = (PolySystem.coefficient_system([poly(0, 1), poly(1, 1)]) if form == "coefficient"
+                  else PolySystem.root_system([[(0j, 1)], [(1 + 0j, 1)]]))
+        with pytest.raises(UndefinedValueError, match=message):
+            stabilize(system, shifts)
 
     def test_far_left_root_stays_exact(self):
         # the map is the identity left of N - 1, so no root is too far left
