@@ -111,13 +111,20 @@ def _check_structure(dim, rays, cones):
     for i, ray in enumerate(rays):
         if len(ray) != dim:
             raise FanStructureError(f"ray {i} has length {len(ray)}, expected {dim}")
-        if any(int(x) != x for x in ray):
+        if not all(map(_is_integer, ray)):
             raise FanStructureError(f"ray {i} has a non-integer entry")
     r = len(rays)
     for cone in cones:
         for k in cone:
             if not (0 <= k < r):
                 raise FanStructureError(f"cone references ray index {k} outside 0..{r - 1}")
+
+
+def _is_integer(x):
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):  # "a", None, nan, inf
+        return False
 
 
 def _cone_rank(fan, cone):

@@ -17,14 +17,25 @@ POSSIBLY_NONZERO = "possibly_nonzero"
 TAIL_UNKNOWN = "tail_unknown"
 
 
+def _degrees(degrees, fan):
+    """The degree vector as ints: one entry >= 1 per ray, or UndefinedValueError."""
+    degrees = tuple(int(d) for d in degrees)
+    if len(degrees) != fan.ray_count:
+        raise UndefinedValueError(f"expected {fan.ray_count} degrees, got {len(degrees)}")
+    if any(d < 1 for d in degrees):
+        raise UndefinedValueError("all degrees must be >= 1")
+    return degrees
+
+
 def stability_dim(degrees, fan, n):
     """(2 n r_min - 3) * floor(d_min / n) - 2, the stable comparison range for n >= 2."""
-    return _stability_dim(r_min(fan), min(int(d) for d in degrees), int(n))
+    d_min = min(_degrees(degrees, fan))
+    return _stability_dim(r_min(fan), d_min, int(n))
 
 
 def _stability_dim(rm, d_min, n):
     if n < 2:
-        raise ValueError("stability_dim needs n >= 2; use stability_dim_n1 for n = 1")
+        raise UndefinedValueError("stability_dim needs n >= 2; use stability_dim_n1 for n = 1")
     return (2 * n * rm - 3) * (d_min // n) - 2
 
 
@@ -34,8 +45,8 @@ def stability_dim_n1(degrees, fan):
     Homotopy range (2 r_min - 3) d_min - 2 when r_min >= 3; only a homology
     range d_min - 2 when r_min = 2.
     """
+    d_min = min(_degrees(degrees, fan))
     rm = r_min(fan)
-    d_min = min(int(d) for d in degrees)
     if rm >= 3:
         return (2 * rm - 3) * d_min - 2, "homotopy"
     return d_min - 2, "homology"
@@ -56,7 +67,7 @@ def connectivity_bound(fan, n):
 
 def _connectivity(rm, n):
     if n < 2:
-        raise ValueError("connectivity bound requires n >= 2")
+        raise UndefinedValueError("connectivity bound requires n >= 2")
     return 2 * n * rm - 5
 
 
@@ -78,7 +89,7 @@ class StabilityReport(Record):
 
 
 def stability_report(degrees, fan, n):
-    degrees = tuple(int(d) for d in degrees)
+    degrees = _degrees(degrees, fan)
     n = int(n)
     rm = r_min(fan)
     d_min = min(degrees)
@@ -128,12 +139,12 @@ def e1_support(degrees, fan, n, s_max=None):
     unknown above it.  A window of more than E1_CELL_CAP cells, counted
     before any is built, raises CapExceededError; n < 2, UndefinedValueError.
     """
+    d_min = min(_degrees(degrees, fan))
     n = int(n)
     if n < 2:
         raise UndefinedValueError("the vanishing table requires n >= 2")
     rm = r_min(fan)
     r = fan.ray_count
-    d_min = min(int(d) for d in degrees)
     d_prime = d_min // n
     if s_max is None:
         s_max = _stability_dim(rm, d_min, n) + 2 * n * rm + 4
@@ -199,11 +210,11 @@ def min_unknown_band(degrees, fan, n):
     More than BAND_COUNT_CAP bands, counted before any is listed, raises
     CapExceededError.
     """
+    d_min = min(_degrees(degrees, fan))
     n = int(n)
     if n < 2:
-        raise ValueError("the band minima require n >= 2")
+        raise UndefinedValueError("the band minima require n >= 2")
     rm = r_min(fan)
-    d_min = min(int(d) for d in degrees)
     d_prime = d_min // n
     if d_prime == 0:
         return BandResult(None, {}, True)
@@ -221,10 +232,12 @@ def truncation_dim(degrees, fan, n):
     k = d' (hermite.bundle_rank, complexes.dim_config); the tests check
     that identity.
     """
+    degrees = _degrees(degrees, fan)
     n = int(n)
-    degrees = tuple(int(d) for d in degrees)
+    if n < 2:
+        raise UndefinedValueError("truncation dimension needs n >= 2")
     rm = r_min(fan)
     d_prime = min(degrees) // n
     if d_prime < 1:
-        raise ValueError("truncation dimension needs floor(d_min / n) >= 1")
+        raise UndefinedValueError("truncation dimension needs floor(d_min / n) >= 1")
     return 2 * sum(degrees) + 3 * d_prime - 2 * n * rm * d_prime

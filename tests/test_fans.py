@@ -78,6 +78,12 @@ class TestValidateFan:
         fan = Fan(2, (ray for ray in [(1.0, 0), (Fraction(0), 1)]), [(0, 1)])
         assert fan.rays == ((1, 0), (0, 1)) and all(type(x) is int for ray in fan.rays for x in ray)
 
+    @pytest.mark.parametrize("entry", ["a", float("nan"), float("inf"), None], ids=repr)
+    def test_unreadable_ray_entry_is_structural(self, entry):
+        # int() raises ValueError, OverflowError or TypeError on these
+        with pytest.raises(FanStructureError, match="ray 1 has a non-integer entry"):
+            Fan(2, [(1, 0), (entry, 1)], [(0, 1)])
+
     def test_overlapping_cones_flagged(self):
         # the two 2-cones overlap in a 2-dimensional region
         fan = fan_from_max_cones(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3)])

@@ -193,7 +193,7 @@ def test_only_main_maps_typed_errors_to_exit_codes():
 def test_cli_catches_only_where_it_reads_input():
     # main maps every typed error, so the other except clauses of cli.py
     # only read input: the JSON loader, argparse's integer type and the
-    # --degrees and --a lists
+    # integer lists of --degrees and --a
     tree = ast.parse((ROOT / "src" / "toricstab" / "cli.py").read_text(encoding="utf-8"))
     handlers = []
     for top in tree.body:
@@ -202,11 +202,10 @@ def test_cli_catches_only_where_it_reads_input():
                 handlers.append((top.name, ast.unparse(node.type)))
     assert sorted(handlers) == [
         ("_int_at_least", "ValueError"),
+        ("_int_list", "ValueError"),
         ("_load_json", "(ValueError, RecursionError)"),
         ("_load_json", "OSError"),
         ("_load_json", "json.JSONDecodeError"),
-        ("_parse_degrees", "ValueError"),
-        ("cmd_poly_stabilize", "ValueError"),
         ("main", "BrokenPipeError"),
         ("main", "Exception"),
     ]
@@ -224,6 +223,18 @@ def test_every_cap_is_named_in_readme():
                  or target.id in ("SIMPLEX_MAX_ITER", "POINT_POOL"))}
     assert len(caps) >= 12
     assert sorted(name for name in caps if f"`{name}`" not in readme) == []
+
+
+def test_every_command_is_named_in_readme():
+    # the command table declares each command once; the README's command
+    # block runs each of them
+    from toricstab.cli import COMMANDS
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line interface")[1].split("```sh\n")[1].split("```")[0]
+    examples = {" ".join(line.split()[1:3]) for line in block.splitlines()}
+    assert len(COMMANDS) == 14
+    assert sorted(set(COMMANDS) - examples) == []
 
 
 def test_gaussian_rationals_have_one_arithmetic():

@@ -42,7 +42,7 @@ class TestStabilityDim:
                 assert stability_dim([d] * m, fan, n) == (2 * n * m - 3) * (d // n) - 2
 
     def test_rejects_n_one(self, h1):
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedValueError, match="needs n >= 2"):
             stability_dim((5, 7, 5, 12), h1, 1)
 
     def test_monotone_in_degrees(self):
@@ -296,3 +296,45 @@ class TestTruncationDim:
         b = truncation_dim((6, 9, 6, 12), h1, n)
         # d' goes 2 -> 3 while N(D) rises by 4: check against the closed form directly
         assert b - a == 2 * 4 + (3 - 2 * n * 2)
+
+
+# every closed form that reads a degree vector, called as f(degrees, fan, n)
+DEGREE_READERS = {
+    "stability_dim": stability_dim,
+    "stability_dim_n1": lambda degrees, fan, n: stability_dim_n1(degrees, fan),
+    "stability_report": stability_report,
+    "e1_support": e1_support,
+    "min_unknown_band": min_unknown_band,
+    "truncation_dim": truncation_dim,
+}
+
+
+@pytest.mark.parametrize("name", list(DEGREE_READERS))
+@pytest.mark.parametrize("degrees,message", [
+    ((5,), "expected 4 degrees, got 1"),
+    ((5, 7, 5, 12, 3), "expected 4 degrees, got 5"),
+    ((0, 7, 5, 12), "all degrees must be >= 1"),
+    ((5, 7, -1, 12), "all degrees must be >= 1"),
+    # the length is checked first, and before n
+    ((0, 7), "expected 4 degrees, got 2"),
+], ids=["short", "long", "zero", "negative", "short-and-zero"])
+def test_bounds_refuse_bad_degree_vectors(name, degrees, message, h1):
+    # stability_dim((5,), h1, 2) returned 8, e1_support((5,), ...) a table and
+    # min_unknown_band((0, 7, 5, 12), ...) a band before the vector was checked
+    for n in (2, 1):
+        with pytest.raises(UndefinedValueError) as info:
+            DEGREE_READERS[name](degrees, h1, n)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bound,message", [
+    (lambda fan: stability_dim((5, 7, 5, 12), fan, 1), "stability_dim needs n >= 2"),
+    (lambda fan: connectivity_bound(fan, 1), "connectivity bound requires n >= 2"),
+    (lambda fan: min_unknown_band((5, 7, 5, 12), fan, 1), "the band minima require n >= 2"),
+    (lambda fan: truncation_dim((5, 7, 5, 12), fan, 1), "truncation dimension needs n >= 2"),
+    (lambda fan: truncation_dim((1, 7, 5, 12), fan, 2), "needs floor"),
+], ids=["stability_dim", "connectivity_bound", "min_unknown_band", "truncation_dim", "d_prime"])
+def test_bounds_below_their_range_are_undefined(bound, message, h1):
+    # exit 4 in toricctl, as every UndefinedValueError
+    with pytest.raises(UndefinedValueError, match=message):
+        bound(h1)
