@@ -362,13 +362,30 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a JSON error, as every other failure is."""
 
+    commands = None  # the subcommand action of a group or of toricctl itself
+    leading = ""  # the first argument this parser read
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads an argument that starts with "-" as an option unless
         # this matches it; besides -1 and -.5, a list such as -1,7 is a value
         self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
+    def add_subparsers(self, **kwargs):
+        self.commands = super().add_subparsers(**kwargs)
+        return self.commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        self.leading = args[0] if args else ""
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        # argparse sets a flag it does not know aside and reads the flag's
+        # value as the command name, so the error would name that value
+        if (self.commands and self.leading.startswith("-")
+                and not self._negative_number_matcher.match(self.leading)):
+            message = f"flags follow the command name, and {self.leading} comes before it"
         _fail(EXIT_PARSE, f"{self.prog}: {message}")
 
 

@@ -56,15 +56,14 @@ class Fan(Record):
     maximal cones are decided once, in `complex`, which equality, hashing
     and repr ignore; a Fan has a `__dict__`, where `cached_property` stores
     it without assignment.  Building one raises FanStructureError for a
-    defect of shape, a non-integer ray entry or a ray index out of range.
+    defect of shape or type, a non-integer ray entry or a ray index out of
+    range.
     """
 
     def __init__(self, dim, rays, generating_cones):
-        rays = [tuple(ray) for ray in rays]
-        cones = frozenset(frozenset(c) for c in generating_cones) - {frozenset()}
-        _check_structure(dim, rays, cones)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in ray) for ray in rays))
+        rays, cones = _check_structure(dim, rays, generating_cones)
+        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "generating_cones", cones)
 
     def _key(self):
@@ -105,19 +104,35 @@ class Fan(Record):
         return complexes.SimplicialComplex(self.ray_count, self.generating_cones)
 
 
-def _check_structure(dim, rays, cones):
-    if dim < 1:
-        raise FanStructureError("ambient dimension must be positive")
+def _check_structure(dim, rays, generating_cones):
+    """The rays as tuples of ints and the nonempty cones as a frozenset of
+    frozensets, or FanStructureError for the first defect of shape."""
+    if not _is_integer(dim) or dim < 1:
+        raise FanStructureError("ambient dimension must be a positive integer")
+    checked = []
     for i, ray in enumerate(rays):
+        try:
+            ray = tuple(ray)
+        except TypeError:
+            raise FanStructureError(f"ray {i} is not a sequence") from None
         if len(ray) != dim:
             raise FanStructureError(f"ray {i} has length {len(ray)}, expected {dim}")
         if not all(map(_is_integer, ray)):
             raise FanStructureError(f"ray {i} has a non-integer entry")
-    r = len(rays)
-    for cone in cones:
+        checked.append(tuple(map(int, ray)))
+    r = len(checked)
+    cones = set()
+    for cone in generating_cones:
+        try:
+            cone = frozenset(cone)
+        except TypeError:
+            raise FanStructureError(f"cone {cone!r} is not a set of ray indices") from None
         for k in cone:
-            if not (0 <= k < r):
-                raise FanStructureError(f"cone references ray index {k} outside 0..{r - 1}")
+            if not (_is_integer(k) and 0 <= k < r):
+                raise FanStructureError(f"cone references ray index {k!r} outside 0..{r - 1}")
+        if cone:
+            cones.add(cone)
+    return tuple(checked), frozenset(cones)
 
 
 def _is_integer(x):
@@ -197,6 +212,23 @@ def _separator(fan, cones):
     return certified
 
 
+def _normal(vectors, m):
+    """A nonzero integer vector orthogonal to m - 1 vectors of Z^m, or None
+    when they are dependent.  For m <= 3 it is the vector of signed maximal
+    minors, (-y, x) or the cross product, which is zero exactly then; larger
+    m takes the kernel, one-dimensional exactly then."""
+    if m == 2:
+        (x, y), = vectors
+        u = (-y, x)
+    elif m == 3:
+        (a, b, c), (d, e, f) = vectors
+        u = (b * f - c * e, c * d - a * f, a * e - b * d)
+    else:
+        basis = nullspace_int(vectors)
+        return basis[0] if len(basis) == 1 else None
+    return u if any(u) else None
+
+
 def _complete_simplicial(fan):
     """True only when the maximal cones form a complete simplicial fan.
 
@@ -205,8 +237,10 @@ def _complete_simplicial(fan):
     whose apexes are strictly on opposite sides of it, and that the probe p,
     the sum of one cone's rays, lie strictly outside every other cone: some
     facet of each has p strictly on the far side from its apex.  Sides are
-    read against the facet's normal, the one-dimensional integer kernel of
-    its rays; its sign cancels, since apexes and p face the same normal.
+    read against the facet's `_normal`, any nonzero integer vector
+    orthogonal to its rays; its sign cancels, since apexes and p face the
+    same normal.  Each facet is read once: where p is off it, p is beyond
+    exactly one of its two cones, the one whose apex is on the other side.
 
     Crossing a facet then keeps the number of cones covering a point, so
     that number is constant off the union of the (m - 2)-faces, which does
@@ -219,28 +253,26 @@ def _complete_simplicial(fan):
     cones = list(fan.complex.max_faces)
     if m < 2 or not cones or any(len(c) != m for c in cones):
         return False
-    # each cone's (facet, apex) pairs, built once for the pairing and the probe
-    sides = [[(cone - {k}, k) for k in cone] for cone in cones]
-    apexes = {}
-    for pairs in sides:
-        for facet, k in pairs:
-            apexes.setdefault(facet, []).append(k)
-    normals = {}
-    for facet, pair in apexes.items():
-        if len(pair) != 2:
-            return False
-        basis = nullspace_int([rays[k] for k in facet])
-        if len(basis) != 1:
-            return False
-        u = normals[facet] = basis[0]
-        if _dot(u, rays[pair[0]]) * _dot(u, rays[pair[1]]) >= 0:
-            return False
     probe = [sum(column) for column in zip(*(rays[k] for k in cones[0]))]
-    for pairs in sides[1:]:
-        if not any(_dot(normals[facet], probe) * _dot(normals[facet], rays[k]) < 0
-                   for facet, k in pairs):
+    apexes = {}  # facet -> its (apex, cone index) pairs
+    for i, cone in enumerate(cones):
+        for k in cone:
+            apexes.setdefault(cone - {k}, []).append((k, i))
+    beyond = [False] * len(cones)  # p is strictly beyond some facet of cone i
+    for facet, pairs in apexes.items():
+        if len(pairs) != 2:
             return False
-    return True
+        u = _normal([rays[k] for k in facet], m)
+        if u is None:
+            return False
+        (k0, i0), (k1, i1) = pairs
+        side = _dot(u, rays[k0])
+        if side * _dot(u, rays[k1]) >= 0:
+            return False
+        at = _dot(u, probe)
+        if at:
+            beyond[i0 if at * side < 0 else i1] = True
+    return all(beyond[1:])
 
 
 class Violation(Record):

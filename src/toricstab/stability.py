@@ -56,7 +56,7 @@ def stability_dim_projective(d, m, n):
     """(2mn - 3)(floor(d/n) + 1) - 1 for equal-degree tuples on projective space."""
     d, m, n = int(d), int(m), int(n)
     if (m, n) == (1, 1):
-        raise ValueError("the pair (m, n) = (1, 1) is excluded")
+        raise UndefinedValueError("the pair (m, n) = (1, 1) is excluded")
     return (2 * m * n - 3) * (d // n + 1) - 1
 
 

@@ -345,14 +345,25 @@ class TestOracleCommands:
 
     @pytest.mark.parametrize("argv", [["oracle", "--seed", "3", "band"],
                                       ["oracle", "--trials", "3", "jetsection"],
-                                      ["fan", "--n", "2", "power", H1]])
+                                      ["fan", "--n", "2", "power", H1],
+                                      ["--seed", "3", "oracle", "band"]])
     def test_flags_before_the_command_exit_parse_error(self, argv, capsys, fixtures_dir,
                                                        monkeypatch):
-        # a suite's flags follow its name, as every command's do
+        # a suite's flags follow its name, as every command's do, and the
+        # error says so rather than naming the flag's value as the command
         monkeypatch.chdir(fixtures_dir.parent)
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_PARSE and out == ""
-        assert "invalid choice" in json.loads(err)["error"]
+        flag = next(i for i, arg in enumerate(argv) if arg.startswith("-"))
+        assert json.loads(err)["error"] == (
+            f"{' '.join(['toricctl'] + argv[:flag])}: flags follow the command name, "
+            f"and {argv[flag]} comes before it")
+
+    def test_a_negative_number_before_the_suite_is_no_flag(self, capsys):
+        code, out, err = run_cli(["oracle", "-1", "band"], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert json.loads(err)["error"].startswith(
+            "toricctl oracle: argument suite: invalid choice: '-1'")
 
     def test_a_bad_suite_flag_names_the_suite(self, capsys):
         code, _, err = run_cli(["oracle", "band", "--trials", "two"], capsys)

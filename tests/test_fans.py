@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -75,14 +75,26 @@ class TestValidateFan:
             Fan(2, [(1, 0), (0, 0.5)], [(0, 1)])
         # integral values of any type are kept as ints, and a generator of
         # rays is read once
-        fan = Fan(2, (ray for ray in [(1.0, 0), (Fraction(0), 1)]), [(0, 1)])
+        fan = Fan(2.0, (ray for ray in [(1.0, 0), (Fraction(0), 1)]), [(0, 1)])
         assert fan.rays == ((1, 0), (0, 1)) and all(type(x) is int for ray in fan.rays for x in ray)
+        assert type(fan.dim) is int and fan.ray_matrix() == [[1, 0], [0, 1]]
 
     @pytest.mark.parametrize("entry", ["a", float("nan"), float("inf"), None], ids=repr)
     def test_unreadable_ray_entry_is_structural(self, entry):
         # int() raises ValueError, OverflowError or TypeError on these
         with pytest.raises(FanStructureError, match="ray 1 has a non-integer entry"):
             Fan(2, [(1, 0), (entry, 1)], [(0, 1)])
+
+    @pytest.mark.parametrize("args,message", [
+        ((2, [5], []), "ray 0 is not a sequence"),
+        ((2, [(1, 0)], [(0, "a")]), "cone references ray index 'a' outside 0..0"),
+        (("a", [], []), "ambient dimension must be a positive integer"),
+        ((2, [(1, 0)], [5]), "cone 5 is not a set of ray indices"),
+    ], ids=["ray not a sequence", "index not an integer", "dim not an integer",
+            "cone not a set"])
+    def test_malformed_argument_is_structural(self, args, message):
+        with pytest.raises(FanStructureError, match=message):
+            Fan(*args)
 
     def test_overlapping_cones_flagged(self):
         # the two 2-cones overlap in a 2-dimensional region
@@ -705,6 +717,24 @@ class TestCompleteSimplicialCertificate:
                 assert validate_fan(fan).ok and is_complete(fan) is True
         assert calls == []
 
+    def test_planar_and_spatial_certificates_need_no_elimination(self):
+        from unittest import mock
+
+        from toricstab import fans
+
+        calls = []
+        kernel = fans.nullspace_int
+
+        def counted(vectors):
+            calls.append(vectors)
+            return kernel(vectors)
+
+        complete = list(_seeded_sixteen_gons()) + [_stellar_octahedral(150, 3)]
+        with mock.patch.object(fans, "nullspace_int", counted):
+            for fan in complete:
+                assert validate_fan(fan).ok and is_complete(fan) is True
+        assert calls == []
+
     @pytest.mark.parametrize("fan,budget", [
         # about 20 ms (60-gon) and 200 ms (150 cones) through the pairwise checks
         (_odd_cycle(60, 1), 0.010),
@@ -760,6 +790,23 @@ def complete_simplicial_fans(draw):
         assume(any(ray) and primitive_ray(ray) == ray and ray not in rays)
         rays[k] = ray
     return Fan(m, rays, cones), defect is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=m - 1, max_size=m - 1))))
+@example((2, [[0, 0]]))
+@example((3, [[1, -2, 3], [-2, 4, -6]]))
+@example((4, [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 2]]))
+@example((4, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+def test_normal_is_orthogonal_and_none_exactly_on_dependent_vectors(case):
+    from toricstab import fans
+
+    m, vectors = case
+    u = fans._normal(vectors, m)
+    assert (u is None) == (len(nullspace_int(vectors)) != 1)
+    if u is not None:
+        assert any(u) and all(sum(a * b for a, b in zip(u, v)) == 0 for v in vectors)
 
 
 @settings(max_examples=300, deadline=None)

@@ -84,7 +84,7 @@ class TestStabilityDimProjective:
             assert stability_dim_projective(d, 2, 3) <= stability_dim_projective(d + 1, 2, 3)
 
     def test_excluded_pair(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedValueError, match=r"\(m, n\) = \(1, 1\) is excluded"):
             stability_dim_projective(5, 1, 1)
 
 
