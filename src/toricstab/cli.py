@@ -365,14 +365,16 @@ class _Parser(argparse.ArgumentParser):
     commands = None  # the subcommand action of a group or of toricctl itself
     leading = ""  # the first argument this parser read
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, parent=None, **kwargs):
         super().__init__(*args, **kwargs)
+        self.parent = parent  # the parser whose subcommand this one reads
         # argparse reads an argument that starts with "-" as an option unless
         # this matches it; besides -1 and -.5, a list such as -1,7 is a value
         self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     def add_subparsers(self, **kwargs):
-        self.commands = super().add_subparsers(**kwargs)
+        self.commands = super().add_subparsers(
+            parser_class=lambda **options: _Parser(parent=self, **options), **kwargs)
         return self.commands
 
     def parse_known_args(self, args=None, namespace=None):
@@ -382,11 +384,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         # argparse sets a flag it does not know aside and reads the flag's
-        # value as the command name, so the error would name that value
-        if (self.commands and self.leading.startswith("-")
-                and not self._negative_number_matcher.match(self.leading)):
-            message = f"flags follow the command name, and {self.leading} comes before it"
-        _fail(EXIT_PARSE, f"{self.prog}: {message}")
+        # value as the command name, or passes the line on to a group that
+        # then lacks its command, so the error would name the wrong fault;
+        # the outermost parser whose first argument was a flag reports it
+        parser, prog = self, self.prog
+        while parser:
+            if (parser.commands and parser.leading.startswith("-")
+                    and not self._negative_number_matcher.match(parser.leading)):
+                prog = parser.prog
+                message = f"flags follow the command name, and {parser.leading} comes before it"
+            parser = parser.parent
+        _fail(EXIT_PARSE, f"{prog}: {message}")
 
 
 def build_parser():

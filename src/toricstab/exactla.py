@@ -22,11 +22,13 @@ def _integer_rows(rows):
 
     Row scaling preserves rank, pivots, kernel and the reduced echelon form.
     An entry without an exact numerator and denominator (a float, say)
-    raises TypeError.
+    raises TypeError, and rows of unequal length raise ValueError.
     """
     out = []
     for row in rows:
         row = list(row)
+        if out and len(row) != len(out[0]):
+            raise ValueError("matrix rows must have equal length")
         if not all(type(x) is int for x in row):
             try:
                 den = lcm(*[x.denominator for x in row])
@@ -79,24 +81,49 @@ def echelon(rows, reduced=False):
 
 
 def _rank_mod_p(m):
-    """Rank of an integer matrix over Z/P, never above its rank over Q."""
-    m = [[x % P for x in row] for row in m]
-    nrows, ncols = len(m), len(m[0])
+    """Rank of an integer matrix over Z/P, never above its rank over Q.
+
+    Each row is packed into one int: column j is the slot of w bits at bit
+    w (ncols - 1 - j), so the column being eliminated is a row's top slot.
+    Reduction mod P is delayed (Dumas, Giorgi, Pernet, ACM TOMS 2008;
+    Dumas, Fousse, Salvy, J. Symb. Comp. 2011): a pivot step reduces only
+    the pivot row's slots, then clears the column from every other row r
+    with residue c there by one big-int multiply-add, dropping r's top slot
+    and adding (-c / pivot mod P) times the pivot row's other slots.  That
+    adds less than P^2 to each slot, at most once per pivot above r, so
+    every slot stays below nrows P^2 < 2^(w - 1) with
+    w = 2 bitlen(P) + bitlen(nrows) + 1, and no carry crosses into the next.
+    A column with no pivot leaves its slots, all 0 mod P, in place; they
+    do not change the residue that one shift and one % P read below them.
+    """
+    nrows = len(m)
+    w = 2 * P.bit_length() + nrows.bit_length() + 1
+    mask = (1 << w) - 1
+    rows = []
+    for row in m:
+        packed = 0
+        for x in row:
+            packed = packed << w | x % P
+        rows.append(packed)
     rk = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rk, nrows) if m[i][col]), None)
-        if piv is None:
+    for s in range(w * (len(m[0]) - 1), -1, -w):
+        for i, row in enumerate(rows):
+            c = (row >> s) % P
+            if c:
+                break
+        else:
             continue
-        m[rk], m[piv] = m[piv], m[rk]
-        top = m[rk]
-        inv = pow(top[col], -1, P)
-        for i in range(rk + 1, nrows):
-            f = m[i][col] * inv % P
-            if f:
-                m[i] = [(x - f * y) % P for x, y in zip(m[i], top)]
         rk += 1
         if rk == nrows:
             break
+        rest = rows.pop(i)
+        top = 0
+        for shift in range(s - w, -1, -w):
+            top = top << w | (rest >> shift & mask) % P
+        inv = P - pow(c, -1, P)
+        low = (1 << s) - 1
+        rows = [(row & low) + f * inv % P * top if (f := (row >> s) % P) else row & low
+                for row in rows]
     return rk
 
 
@@ -108,9 +135,9 @@ def rank(rows):
     exact Bareiss elimination.  Rows are scaled to integers first, so no
     denominator can vanish modulo P.
     """
-    if not rows or not rows[0]:
-        return 0
     m = _integer_rows(rows)
+    if not m or not m[0]:
+        return 0
     r = _rank_mod_p(m)
     if r == min(len(m), len(m[0])):
         return r
@@ -139,10 +166,8 @@ def nullspace_int(rows):
     column f at the pivots.  Each is scaled to integers with content 1 and
     a positive leading entry.
     """
-    ncols = len(rows[0]) if rows else 0
-    if ncols == 0:
-        return []
     m, pivots = echelon(rows, reduced=True)
+    ncols = len(m[0]) if m else 0
     scale = m[0][pivots[0]] if pivots else 1
     basis = []
     for f in range(ncols):
@@ -177,10 +202,9 @@ def extends_to_basis(rows):
     k = len(rows)
     if not k:
         return True
-    ncols = len(rows[0])
-    if k > ncols:
-        return False
+    # more rows than columns leave fewer than k pivots
     last, pivots = echelon(rows)
+    ncols = len(last[0])
     if len(pivots) < k:
         return False
     d = abs(last[k - 1][pivots[-1]])

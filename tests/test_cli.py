@@ -116,6 +116,22 @@ class TestFanCommands:
         assert not doc["valid"]
         assert doc["violations"]
 
+    def test_validate_over_cone_pair_cap_exits_5_quickly(self, tmp_path, capsys):
+        # rays (c - i, 1) in the upper half plane, consecutive pairs as cones:
+        # a valid fan that is not complete, so only the pairwise check decides
+        # it; 363 cones make 65,703 pairs
+        c = 363
+        doc = {"dim": 2, "rays": [[c - i, 1] for i in range(c + 1)],
+               "max_cones": [[i, i + 1] for i in range(c)]}
+        path = tmp_path / "path_fan.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(["fan", "validate", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 5 and out == ""
+        assert json.loads(err)["error"] == (
+            "the pairwise fan check is capped at 65536 cone pairs, this one has 65703")
+
     def test_analyze_invalid_fan_exits_3(self, fixtures_dir, capsys):
         code, _, err = run_cli(["fan", "analyze", str(fixtures_dir / "bad_line.json")], capsys)
         assert code == 3
@@ -346,7 +362,9 @@ class TestOracleCommands:
     @pytest.mark.parametrize("argv", [["oracle", "--seed", "3", "band"],
                                       ["oracle", "--trials", "3", "jetsection"],
                                       ["fan", "--n", "2", "power", H1],
-                                      ["--seed", "3", "oracle", "band"]])
+                                      ["--seed", "3", "oracle", "band"],
+                                      ["--bogus", "fan"],
+                                      ["--seed", "3", "fan"]])
     def test_flags_before_the_command_exit_parse_error(self, argv, capsys, fixtures_dir,
                                                        monkeypatch):
         # a suite's flags follow its name, as every command's do, and the

@@ -122,6 +122,94 @@ def test_inexact_entries_are_refused(entry):
         echelon([[entry]])
 
 
+@pytest.mark.parametrize("call", [
+    rank,
+    echelon,
+    nullspace_int,
+    extends_to_basis,
+    lambda rows: lp_feasible(rows, [1] * len(rows)),
+    lambda rows: solve_affine(rows, [1] * len(rows)),
+], ids=["rank", "echelon", "nullspace_int", "extends_to_basis", "lp_feasible", "solve_affine"])
+@pytest.mark.parametrize("mat", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 2], [3, 4], [5]]])
+def test_ragged_matrices_are_refused(call, mat):
+    with pytest.raises(ValueError, match="matrix rows must have equal length"):
+        call(mat)
+
+
+def _reference_rank_mod_p(m):
+    """The row-list elimination over Z/P that `_rank_mod_p` packs into ints."""
+    m = [[x % P for x in row] for row in m]
+    nrows, ncols = len(m), len(m[0])
+    rk = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rk, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        top = m[rk]
+        inv = pow(top[col], -1, P)
+        for i in range(rk + 1, nrows):
+            f = m[i][col] * inv % P
+            if f:
+                m[i] = [(x - f * y) % P for x, y in zip(m[i], top)]
+        rk += 1
+        if rk == nrows:
+            break
+    return rk
+
+
+# residues at the edges of Z/P, huge entries, and small ones that make
+# rank-deficient blocks likely
+_MOD_P_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, -1, P, -P, 2 * P, -3 * P, P - 1, P + 1, P * P, 10**30, -10**30]),
+    st.integers(-2, 2),
+    st.integers(-10**30, 10**30),
+)
+
+
+@st.composite
+def mod_p_matrices(draw):
+    """Tall, wide and square integer matrices up to 40 x 40, some rows the
+    sum of earlier ones."""
+    nrows, ncols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    mat = []
+    for _ in range(nrows):
+        summands = draw(st.lists(st.sampled_from(mat), max_size=3)) if mat else []
+        if summands:
+            mat.append([sum(col) for col in zip(*summands)])
+        else:
+            mat.append(draw(st.lists(_MOD_P_ENTRIES, min_size=ncols, max_size=ncols)))
+    return mat
+
+
+@settings(max_examples=100, deadline=None)
+@given(mod_p_matrices())
+def test_rank_mod_p_matches_the_row_list_elimination(mat):
+    assert _rank_mod_p(mat) == _reference_rank_mod_p(mat)
+
+
+def test_rank_mod_p_on_more_than_64_rows():
+    # 70 rows need slots of 2 * 61 + 7 + 1 = 130 bits, past 128
+    rng = random.Random(30)
+    mat = [[rng.randint(-10**30, 10**30) for _ in range(45)] for _ in range(70)]
+    assert _rank_mod_p(mat) == _reference_rank_mod_p(mat) == 45
+    wide = [list(col) for col in zip(*mat)]
+    wide += [[a - b for a, b in zip(wide[0], wide[1])]] * 30
+    assert _rank_mod_p(wide) == _reference_rank_mod_p(wide) == 45
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 127])
+def test_rank_mod_p_slots_hold_the_largest_growth(n):
+    # with a_ij = -1 - min(i, j), every pivot is -1 mod P, every other row
+    # reads -1 in the pivot column and the pivot row -1 in the rest, so each
+    # step adds (P - 1)^2 to every slot: row i ends near i P^2.  The matrix
+    # is -(L L^T) for L lower unitriangular, so its determinant is +-1.
+    mat = [[-1 - min(i, j) for j in range(n)] for i in range(n)]
+    assert _rank_mod_p(mat) == n == _reference_rank_mod_p(mat)
+    mat[-1] = [2 * a for a in mat[0]]
+    assert _rank_mod_p(mat) == n - 1 == _reference_rank_mod_p(mat)
+
+
 _FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
