@@ -39,6 +39,13 @@ def _integer_rows(rows):
     return out
 
 
+def _augmented(a_rows, b):
+    """The rows of [A | b]; a b whose length is not A's row count raises ValueError."""
+    if len(b) != len(a_rows):
+        raise ValueError("b must have one entry per row of A")
+    return [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
+
+
 def echelon(rows, reduced=False):
     """Fraction-free (Bareiss) elimination of a matrix of ints and Fractions.
 
@@ -147,10 +154,11 @@ def rank(rows):
 def solve_affine(a_rows, b):
     """One exact solution of A x = b with free variables set to zero.
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent.  A b without one entry
+    per row of A raises ValueError.
     """
     ncols = len(a_rows[0]) if a_rows else 0
-    m, pivots = echelon([list(row) + [rhs] for row, rhs in zip(a_rows, b)], reduced=True)
+    m, pivots = echelon(_augmented(a_rows, b), reduced=True)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -244,12 +252,13 @@ def lp_feasible(a_rows, b):
     Sylvester's identity as in `echelon`.  Bland's rule picks the entering
     column and, comparing ratios by cross-multiplication with ties to the
     smaller basis index, the leaving row.  The vertex is returned as
-    Fractions over d.  A float entry raises TypeError.
+    Fractions over d.  A float entry raises TypeError, and a b without one
+    entry per row of A raises ValueError.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
     tableau = [[-x for x in row] if row[-1] < 0 else row
-               for row in _integer_rows([list(a) + [rhs] for a, rhs in zip(a_rows, b)])]
+               for row in _integer_rows(_augmented(a_rows, b))]
     # objective: sum of artificial variables, expressed through the rows
     obj = [sum(col) for col in zip(*tableau)] if tableau else [0] * (ncols + 1)
     basis = [ncols + i for i in range(nrows)]  # artificials carry large indices

@@ -5,7 +5,9 @@ l = 0..n-1 at k distinct nodes gives a stacked linear system in the a_i.
 This module builds those matrices over the rationals and certifies their
 rank modulo a prime with an exact fraction-free fallback (in the regime
 degree >= n*k on the leading square block, nonsingular for distinct
-nodes).  In that regime the dimension of the affine constraint space is
+nodes).  Each call converts its nodes to Fractions and proves them distinct
+once, and builds every derivative order from one table of powers per node.
+In that regime the dimension of the affine constraint space is
 degree - n*k in closed form.  No floating point anywhere.
 """
 
@@ -16,47 +18,63 @@ from . import Record
 from .exactla import rank, solve_affine
 
 
-def _integer_block(points, order, degree):
-    """Rows of confluent_vandermonde as (integer row, scale) pairs.
+def _nodes(points, duplicate="interpolation points must be distinct"):
+    """The points as Fractions, each converted once, proved distinct once."""
+    pts = [x if type(x) is Fraction else Fraction(x) for x in points]
+    # a Fraction is in lowest terms, and an int pair hashes faster than it
+    if len({(x.numerator, x.denominator) for x in pts}) != len(pts):
+        raise ValueError(duplicate)
+    return pts
 
-    For x = a/b in lowest terms the row of x, times scale = b^(degree-1-order),
-    has the integer entries perm(i, order) * a^j * b^(degree-1-order-j),
-    j = i - order (an all-zero row has scale 1).  Row scaling preserves
-    rank, so the rank certificate reads these rows directly.
+
+def _blocks(pts, orders, degree):
+    """Rows of confluent_vandermonde, order by order, as (integer row, scale) pairs.
+
+    For x = a/b in lowest terms the row of order l, times scale = b^top with
+    top = degree-1-l, has the integer entries perm(l + j, l) * a^j * b^(top-j)
+    in columns l + j (an all-zero row, l >= degree, has scale 1).  Every order
+    reads one table per node: the running powers a^i and b^i for i < degree.
+    Row scaling preserves rank, so the rank certificate reads these rows directly.
     """
-    pts = [Fraction(x) for x in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("interpolation points must be distinct")
-    order = int(order)
-    degree = int(degree)
-    if order < 0 or degree < 1:
+    if orders[0] < 0 or degree < 1:
         raise ValueError("need order >= 0 and degree >= 1")
-    top = max(degree - 1 - order, 0)
-    zeros = [0] * min(order, degree)
-    block = []
+    tables = []
     for x in pts:
         a, b = x.numerator, x.denominator
-        row = zeros + [perm(order + j, order) * a ** j * b ** (top - j) for j in range(degree - order)]
-        block.append((row, b ** top))
+        apow, bpow = [1], [1]
+        for _ in range(degree - 1):
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * b)
+        tables.append((apow, bpow))
+    block = []
+    for order in orders:
+        top = max(degree - 1 - order, 0)
+        zeros = [0] * min(order, degree)
+        coefs = [perm(order + j, order) for j in range(degree - order)]
+        block += [(zeros + [c * p * q for c, p, q in zip(coefs, apow, bpow[top::-1])], bpow[top])
+                  for apow, bpow in tables]
     return block
+
+
+def _fraction_rows(block):
+    return [[Fraction(v, scale) for v in row] for row, scale in block]
 
 
 def confluent_vandermonde(points, order, degree):
     """k x d matrix of the coefficients of a_0..a_{d-1} in f^(order)(x_j)."""
-    return [[Fraction(v, scale) for v in row]
-            for row, scale in _integer_block(points, order, degree)]
+    return _fraction_rows(_blocks(_nodes(points), range(int(order), int(order) + 1), int(degree)))
 
 
 def _stacked_blocks(points, n, degree):
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    return [pair for order in range(n) for pair in _integer_block(points, order, degree)]
+    return _blocks(_nodes(points), range(n), int(degree))
 
 
 def stacked_system(points, n, degree):
     """The n*k x d matrix stacking derivative orders 0..n-1."""
-    return [[Fraction(v, scale) for v in row] for row, scale in _stacked_blocks(points, n, degree)]
+    return _fraction_rows(_stacked_blocks(points, n, degree))
 
 
 class RankCheck(Record):
@@ -102,14 +120,12 @@ class HermiteSpec(Record):
     __slots__ = ("points", "order", "degree", "targets")
 
     def __init__(self, points, order, degree, targets):
-        pts = tuple(Fraction(x) for x in points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("points must be distinct")
+        pts = tuple(_nodes(points, "points must be distinct"))
         if order < 1:
             raise ValueError("order must be >= 1")
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        tg = tuple(tuple(Fraction(v) for v in row) for row in targets)
+        tg = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in targets)
         if len(tg) != order or any(len(row) != len(pts) for row in tg):
             raise ValueError("targets must be an order x k grid")
         super().__init__(pts, order, degree, tg)
@@ -120,14 +136,11 @@ class HermiteInconsistencyError(RuntimeError):
 
 
 def _hermite_matrix_rhs(spec):
-    rows = stacked_system(spec.points, spec.order, spec.degree)
-    rhs = []
-    for order in range(spec.order):
-        for j, x in enumerate(spec.points):
-            # the order-th derivative of z^degree vanishes past order = degree
-            lead = perm(spec.degree, order) * x ** (spec.degree - order) if order <= spec.degree else 0
-            rhs.append(spec.targets[order][j] - lead)
-    return rows, rhs
+    # Built at degree d + 1 (HermiteSpec proved the nodes distinct), a row ends
+    # in the order-th derivative of the monic term z^d, moved to the right side.
+    system = _fraction_rows(_blocks(spec.points, range(spec.order), spec.degree + 1))
+    targets = [t for row in spec.targets for t in row]
+    return [row[:-1] for row in system], [t - row[-1] for t, row in zip(targets, system)]
 
 
 def hermite_dimension(spec):

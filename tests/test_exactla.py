@@ -136,6 +136,18 @@ def test_ragged_matrices_are_refused(call, mat):
         call(mat)
 
 
+@pytest.mark.parametrize("call", [lp_feasible, solve_affine], ids=["lp_feasible", "solve_affine"])
+@pytest.mark.parametrize("a_rows,b", [
+    ([[1], [1]], [1]),  # a row of A without its entry of b
+    ([[1, 0], [0, 1]], [1]),
+    ([[1]], [1, 5]),  # an entry of b without its row
+    ([], [0]),
+])
+def test_unpaired_rows_are_refused(call, a_rows, b):
+    with pytest.raises(ValueError, match="b must have one entry per row of A"):
+        call(a_rows, b)
+
+
 def _reference_rank_mod_p(m):
     """The row-list elimination over Z/P that `_rank_mod_p` packs into ints."""
     m = [[x % P for x in row] for row in m]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import perm
 
 import pytest
 import sympy
@@ -23,6 +24,7 @@ from toricstab.exactla import P, rank
 from toricstab.hermite import (
     HermiteInconsistencyError,
     RankCheck,
+    _blocks,
     _hermite_matrix_rhs,
     _stacked_blocks,
 )
@@ -37,6 +39,67 @@ def rand_points(rng, k, height=50):
             seen.add(x)
             out.append(x)
     return out
+
+
+def _integer_block(points, order, degree):
+    """The per-order row builder that `_blocks` replaces, kept as its reference:
+    each call converts and checks the points and computes every power anew."""
+    pts = [Fraction(x) for x in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("interpolation points must be distinct")
+    if order < 0 or degree < 1:
+        raise ValueError("need order >= 0 and degree >= 1")
+    top = max(degree - 1 - order, 0)
+    zeros = [0] * min(order, degree)
+    block = []
+    for x in pts:
+        a, b = x.numerator, x.denominator
+        row = zeros + [perm(order + j, order) * a ** j * b ** (top - j) for j in range(degree - order)]
+        block.append((row, b ** top))
+    return block
+
+
+class TestRowBuilder:
+    # nodes that are 0, negative, integer or not
+    NODES = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(NODES, max_size=5, unique_by=Fraction), st.integers(1, 5), st.integers(1, 12))
+    def test_rows_equal_the_per_order_reference(self, points, n, degree):
+        # orders up to n + 4 > degree for small degrees: all-zero rows
+        expected = [pair for order in range(n) for pair in _integer_block(points, order, degree)]
+        assert _stacked_blocks(points, n, degree) == expected
+        for order in range(n + 5):
+            assert _blocks([Fraction(x) for x in points], range(order, order + 1), degree) == \
+                _integer_block(points, order, degree)
+            assert confluent_vandermonde(points, order, degree) == [
+                [Fraction(v, scale) for v in row] for row, scale in _integer_block(points, order, degree)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(NODES, min_size=1, max_size=4, unique_by=Fraction), st.integers(1, 4),
+           st.integers(1, 10), st.data())
+    def test_right_side_reads_the_monic_term(self, points, n, degree, data):
+        targets = [[data.draw(self.NODES) for _ in points] for _ in range(n)]
+        rows, rhs = _hermite_matrix_rhs(HermiteSpec(points, n, degree, targets))
+        assert rows == stacked_system(points, n, degree)
+        # the order-th derivative of z^d vanishes past order = d
+        assert rhs == [targets[order][j] - (perm(degree, order) * Fraction(x) ** (degree - order)
+                                            if order <= degree else 0)
+                       for order in range(n) for j, x in enumerate(points)]
+
+    def test_one_node_list_per_call(self, monkeypatch):
+        calls = []
+        nodes = hermite._nodes
+        monkeypatch.setattr(hermite, "_nodes", lambda *args: calls.append(args) or nodes(*args))
+        points = (Fraction(1, 2), Fraction(-3), 0)
+        assert verify_rank_claim(points, 3, 12).passed
+        assert len(calls) == 1
+        spec = HermiteSpec(points, 2, 7, ((1, 2, 3), (4, 5, 6)))
+        below = HermiteSpec((0,), 3, 1, ((2,), (1,), (0,)))  # consistent, d < n*k
+        assert len(calls) == 3
+        assert hermite_solution(spec).degree == 7
+        assert hermite_dimension(below) == 0 and hermite_solution(below).degree == 1
+        assert len(calls) == 3  # a HermiteSpec's nodes are not validated again
 
 
 class TestConfluentVandermonde:
