@@ -22,7 +22,7 @@ _EXPORTS = {
         "Fan", "FanJsonError", "FanStructureError", "ValidationReport", "builtin_fan",
         "cox_group_rank", "degree_is_null", "fan_from_json", "fan_from_max_cones", "fan_power",
         "fan_to_json", "find_degree_vector", "is_complete", "is_simplicial", "is_smooth",
-        "primitive_ray", "spans_lattice", "validate_fan",
+        "spans_lattice", "validate_fan",
     )},
     "exact_rank": ("exactla", "rank"),
     **{name: ("hermite", name) for name in (

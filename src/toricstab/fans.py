@@ -44,17 +44,6 @@ class FanJsonError(JsonPointerError):
     """A defect in a fan document."""
 
 
-def primitive_ray(v):
-    """Divide an integer vector by the gcd of its entries, preserving direction."""
-    vec = tuple(int(x) for x in v)
-    if all(x == 0 for x in vec):
-        raise ValueError("zero vector has no primitive generator")
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return tuple(x // g for x in vec)
-
-
 class Fan(Record):
     """Rays plus the cones the fan is built from (its listed maximal cones or
     the facets of a complex), deduplicated but not reduced.  The fan's faces

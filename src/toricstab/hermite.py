@@ -18,13 +18,20 @@ from . import Record
 from .exactla import rank, solve_affine
 
 
-def _nodes(points, duplicate="interpolation points must be distinct"):
+def _nodes(points):
     """The points as Fractions, each converted once, proved distinct once."""
     pts = [x if type(x) is Fraction else Fraction(x) for x in points]
     # a Fraction is in lowest terms, and an int pair hashes faster than it
     if len({(x.numerator, x.denominator) for x in pts}) != len(pts):
-        raise ValueError(duplicate)
+        raise ValueError("interpolation points must be distinct")
     return pts
+
+
+def _check_ints(**counts):
+    """Raise ValueError for a count that is not an int, which int() would truncate."""
+    for name, value in counts.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _blocks(pts, orders, degree):
@@ -62,18 +69,19 @@ def _fraction_rows(block):
 
 def confluent_vandermonde(points, order, degree):
     """k x d matrix of the coefficients of a_0..a_{d-1} in f^(order)(x_j)."""
-    return _fraction_rows(_blocks(_nodes(points), range(int(order), int(order) + 1), int(degree)))
+    _check_ints(order=order, degree=degree)
+    return _fraction_rows(_blocks(_nodes(points), range(order, order + 1), degree))
 
 
 def _stacked_blocks(points, n, degree):
-    n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    return _blocks(_nodes(points), range(n), int(degree))
+    return _blocks(_nodes(points), range(n), degree)
 
 
 def stacked_system(points, n, degree):
     """The n*k x d matrix stacking derivative orders 0..n-1."""
+    _check_ints(n=n, degree=degree)
     return _fraction_rows(_stacked_blocks(points, n, degree))
 
 
@@ -106,6 +114,7 @@ def verify_rank_claim(points, n, degree):
     row rank n*k.  Outside the regime the whole matrix is ranked and the
     result flags the violation (the rank is then capped by degree).
     """
+    _check_ints(n=n, degree=degree)
     nk = n * len(points)
     # the rows of stacked_system scaled to integers (same rank), cut to n*k
     # columns in the regime
@@ -120,7 +129,8 @@ class HermiteSpec(Record):
     __slots__ = ("points", "order", "degree", "targets")
 
     def __init__(self, points, order, degree, targets):
-        pts = tuple(_nodes(points, "points must be distinct"))
+        pts = tuple(_nodes(points))
+        _check_ints(order=order, degree=degree)
         if order < 1:
             raise ValueError("order must be >= 1")
         if degree < 1:

@@ -1,8 +1,9 @@
-"""Seeded certification suites driven by both the test suite and the CLI.
+"""Seeded certification suites: the `toricctl oracle` commands.
 
-Each suite runs deterministic randomized trials against an exact predicate
-and reports a machine-readable summary.  A single 64-bit seed reproduces a
-run bit for bit.
+Each `run_<suite>` function is the `oracle <suite>` command: it runs
+deterministic randomized trials against an exact predicate and reports a
+machine-readable summary.  A single 64-bit seed reproduces a run bit for
+bit.  The suites that only the tests run live in `tests/corpus.py`.
 """
 
 import random
@@ -231,8 +232,9 @@ def run_complement(seed, samples=1000):
     return result
 
 
-def run_jetsection(seed, trials=100, n_max=6):
-    """Exact round trip of the canonical jet section through the jet map."""
+def run_jetsection(seed, trials=100):
+    """Exact round trip of the canonical jet section through the jet map,
+    for jet orders 1 to 6."""
     from .polynomials import GaussianRational, jet, jet_section
 
     _check_cap(trials, ORACLE_TRIAL_CAP, "a jetsection run is capped at {cap} trials")
@@ -240,7 +242,7 @@ def run_jetsection(seed, trials=100, n_max=6):
     result = SuiteResult("jetsection", seed, trials)
     zero = GaussianRational(0)
     for trial in range(trials):
-        n = rng.randint(1, n_max)
+        n = rng.randint(1, 6)
         b = [
             GaussianRational(
                 Fraction(rng.randint(-20, 20), rng.randint(1, 20)),
@@ -252,176 +254,3 @@ def run_jetsection(seed, trials=100, n_max=6):
         ok = [e.evaluate(zero) for e in jet(f, n)] == b and f.degree <= n - 1
         result.record(trial, ok, None if ok else {"n": n, "b": [v.to_pair() for v in b]})
     return result
-
-
-# -- membership corpus --------------------------------------------------------
-
-_MEMBER_FAMILY = ("cp(1)", "cp(2)", "hirzebruch(1)", "hirzebruch(2)")
-
-
-def _root_pool(rng, count, exclude=()):
-    """Distinct Gaussian rationals with small height."""
-    from .polynomials import GaussianRational
-
-    out = []
-    seen = set(exclude)
-    while len(out) < count:
-        z = GaussianRational(
-            Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4))),
-            Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4))),
-        )
-        if z not in seen:
-            seen.add(z)
-            out.append(z)
-    return out
-
-
-def _both_forms(root_lists):
-    from .polynomials import PolySystem, RationalPoly
-
-    coeff = PolySystem.coefficient_system(
-        [RationalPoly.from_roots(rl) for rl in root_lists]
-    )
-    return coeff, PolySystem.root_system(root_lists)
-
-
-def make_planted_system(fan, n, rng):
-    """System with a multiplicity-n common root planted on a primitive collection."""
-    from .complexes import primitive_collections
-
-    prims = sorted(primitive_collections(fan), key=sorted)
-    sigma = rng.choice(prims)
-    r = fan.ray_count
-    alpha = _root_pool(rng, 1)[0]
-    degrees = [
-        n + rng.randint(0, 2) if i in sigma else rng.randint(1, n + 2)
-        for i in range(r)
-    ]
-    root_lists = []
-    for i in range(r):
-        if i in sigma:
-            extra = _root_pool(rng, degrees[i] - n, exclude=(alpha,))
-            root_lists.append([(alpha, n)] + [(z, 1) for z in extra])
-        else:
-            root_lists.append([(z, 1) for z in _root_pool(rng, degrees[i], exclude=(alpha,))])
-    coeff, root = _both_forms(root_lists)
-    return coeff, root, tuple(sorted(sigma))
-
-
-def make_generic_system(fan, n, rng):
-    """System with only simple roots; admissible whenever n >= 2."""
-    r = fan.ray_count
-    root_lists = []
-    for _ in range(r):
-        d = rng.randint(1, n + 3)
-        root_lists.append([(z, 1) for z in _root_pool(rng, d)])
-    return _both_forms(root_lists)
-
-
-def run_membership(seed, planted=200, generic=200):
-    """Agreement of the exact-gcd and root-set membership tests.  A planted
-    system's other roots are simple, so both must name its collection."""
-    from .fans import builtin_fan
-    from .polynomials import is_member
-
-    rng = random.Random(seed)
-    fans = {name: builtin_fan(name) for name in _MEMBER_FAMILY}
-    result = SuiteResult("membership", seed, planted + generic)
-    for trial in range(planted):
-        name = rng.choice(_MEMBER_FAMILY)
-        n = rng.randint(2, 3)
-        coeff, root, sigma = make_planted_system(fans[name], n, rng)
-        verdict_c = is_member(coeff, fans[name], n)
-        verdict_r = is_member(root, fans[name], n)
-        ok = verdict_c.witness_collection == verdict_r.witness_collection == sigma
-        result.record(trial, ok, None if ok else {
-            "fan": name, "n": n, "sigma": sigma,
-            "coefficient": verdict_c.witness_collection, "root": verdict_r.witness_collection,
-        })
-    for trial in range(planted, planted + generic):
-        name = rng.choice(_MEMBER_FAMILY)
-        n = rng.randint(2, 3)
-        coeff, root = make_generic_system(fans[name], n, rng)
-        verdict_c = is_member(coeff, fans[name], n)
-        verdict_r = is_member(root, fans[name], n)
-        ok = verdict_c.member and verdict_r.member
-        result.record(trial, ok, None if ok else {
-            "fan": name, "n": n,
-            "coefficient": verdict_c.member, "root": verdict_r.member,
-        })
-    return result
-
-
-def _strip_system(fan, n, rng, planted):
-    """Root-form system for stabilization trials.
-
-    Real parts range over [-64, 64] in quarters, so roots fall on both sides
-    of the bend at N - 1 of the stabilization map, at every depth, and
-    imaginary parts take three values, so a map that merged real parts
-    would merge roots.  The roots are distinct, so a root repeats only
-    where it was planted.
-    """
-    from .complexes import primitive_collections
-    from .polynomials import GaussianRational, PolySystem
-
-    r = fan.ray_count
-    seen = set()
-
-    def fresh():
-        while True:
-            z = GaussianRational(Fraction(rng.randint(-256, 256), 4), Fraction(rng.randint(-1, 1), 4))
-            if z not in seen:
-                seen.add(z)
-                return z
-
-    sigma = ()
-    alpha = None
-    if planted:
-        prims = sorted(primitive_collections(fan), key=sorted)
-        sigma = rng.choice(prims)
-        alpha = fresh()
-    root_lists = []
-    for i in range(r):
-        if i in sigma:
-            d = n + rng.randint(0, 2)
-            roots = [(alpha, n)] + [(fresh(), 1) for _ in range(d - n)]
-        else:
-            roots = [(fresh(), 1) for _ in range(rng.randint(1, n + 2))]
-        root_lists.append(roots)
-    return PolySystem.root_system(root_lists)
-
-
-def run_stabilization(seed, trials=100):
-    """Degree law, verdict preservation, and composed-shift law for stabilization."""
-    from .fans import builtin_fan
-    from .polynomials import is_member, stabilize
-
-    rng = random.Random(seed)
-    fans = {name: builtin_fan(name) for name in _MEMBER_FAMILY}
-    result = SuiteResult("stabilization", seed, trials)
-    for trial in range(trials):
-        name = rng.choice(_MEMBER_FAMILY)
-        fan = fans[name]
-        n = rng.randint(2, 3)
-        system = _strip_system(fan, n, rng, planted=rng.random() < 0.5)
-        r = fan.ray_count
-        a = [rng.randint(0, 3) for _ in range(r)]
-        i = rng.randrange(r)
-        a[i] = max(1, a[i])
-        b = [rng.randint(0, 2) for _ in range(r)]
-        j = rng.randrange(r)
-        b[j] = max(1, b[j])
-        before = is_member(system, fan, n).member
-        once = stabilize(system, a)
-        twice = stabilize(once, b)
-        ok = (
-            once.degrees == tuple(d + x for d, x in zip(system.degrees, a))
-            and twice.degrees == tuple(d + x + y for d, x, y in zip(system.degrees, a, b))
-            and is_member(once, fan, n).member == before
-            and is_member(twice, fan, n).member == before
-        )
-        result.record(trial, ok, None if ok else {
-            "fan": name, "n": n, "a": a, "b": b, "before": before,
-        })
-    return result
-

@@ -45,7 +45,6 @@ from .complexes import (
 
 # Python's default limit on the digits of an int converted from or to str
 MAX_COEFFICIENT_DIGITS = 4300
-_PAIR_ERROR = "coefficient must be a [re, im] pair"
 _ZERO = Fraction(0)
 
 
@@ -84,13 +83,6 @@ class GaussianRational(Record):
         object.__setattr__(out, "re", re)
         object.__setattr__(out, "im", im)
         return out
-
-    @classmethod
-    def from_pair(cls, pair):
-        """The value of a JSON [re, im] array (a list or tuple of two)."""
-        if type(pair) not in (list, tuple) or len(pair) != 2:
-            raise ValueError(_PAIR_ERROR)
-        return cls(_rational(pair[0]), _rational(pair[1]))
 
     def to_pair(self):
         try:
@@ -632,13 +624,13 @@ def _json_rational(value):
 
 
 def _poly_from_json(coeffs):
-    """The RationalPoly of JSON [re, im] pairs, read as int pairs over the
-    lcm of their denominators.  An item that is not a list or tuple of two
-    raises ValueError, as GaussianRational.from_pair does."""
+    """The RationalPoly of JSON [re, im] pairs, each part read by
+    _json_rational, as int pairs over the lcm of their denominators.  An
+    item that is not a list or tuple of two raises ValueError."""
     parts = []
     for pair in coeffs:
         if type(pair) not in (list, tuple) or len(pair) != 2:
-            raise ValueError(_PAIR_ERROR)
+            raise ValueError("coefficient must be a [re, im] pair")
         parts.append(_json_rational(pair[0]) + _json_rational(pair[1]))
     den = math.lcm(*[d for part in parts for d in part[1::2]])
     return RationalPoly._from_pairs(

@@ -20,14 +20,9 @@ from toricstab import (
     underlying_complex,
 )
 from toricstab.cli import main
-from toricstab.oracles import (
-    run_band,
-    run_complement,
-    run_jetsection,
-    run_membership,
-    run_stabilization,
-    run_vandermonde,
-)
+from toricstab.oracles import run_band, run_complement, run_jetsection, run_vandermonde
+
+from corpus import run_membership, run_stabilization
 
 SEED = 20260810
 
@@ -107,7 +102,7 @@ def test_criterion_6_complement_identity():
 
 def test_criterion_7_jet_section_identity():
     start = time.monotonic()
-    suite = run_jetsection(SEED, trials=100, n_max=6)
+    suite = run_jetsection(SEED, trials=100)
     elapsed = time.monotonic() - start
     _report(7, "jet section round trip (100 exact)", suite.ok, elapsed, 1.0)
 

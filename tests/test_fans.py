@@ -28,12 +28,13 @@ from toricstab import (
     is_complete,
     is_simplicial,
     is_smooth,
-    primitive_ray,
     spans_lattice,
     underlying_complex,
     validate_fan,
 )
 from toricstab.exactla import nullspace_int
+
+from corpus import primitive_ray
 
 
 class TestPrimitiveRay:

@@ -235,6 +235,18 @@ class TestVerifyRankClaim:
         assert [(len(m), len(m[0])) for m in eliminations] == [(6, 6)]
 
 
+@pytest.mark.parametrize("build,args,name", [
+    (verify_rank_claim, ([1, 2], 1.5, 5), "n"), (verify_rank_claim, ([1, 2], 1, 5.0), "degree"),
+    (stacked_system, ([1, 2], Fraction(2), 5), "n"), (confluent_vandermonde, ([3], 1.5, 3), "order"),
+    (confluent_vandermonde, ([3], 1, 3.5), "degree"), (HermiteSpec, ([1, 2], 1.0, 5, [[0, 0]]), "order"),
+    (HermiteSpec, ([1, 2], 2, 5.5, [[0, 0], [0, 0]]), "degree"),
+])
+def test_counts_that_are_not_ints_raise(build, args, name):
+    # int() would truncate them, and n*k would then be counted from the raw value
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        build(*args)
+
+
 class TestRankShapes:
     """The matrices verify_rank_claim and hermite_dimension hand to rank."""
 

@@ -25,7 +25,7 @@ EXPORTS = {
     "fans": ["Fan", "FanJsonError", "FanStructureError", "ValidationReport", "builtin_fan",
              "cox_group_rank", "degree_is_null", "fan_from_json", "fan_from_max_cones",
              "fan_power", "fan_to_json", "find_degree_vector", "is_complete", "is_simplicial",
-             "is_smooth", "primitive_ray", "spans_lattice", "validate_fan"],
+             "is_smooth", "spans_lattice", "validate_fan"],
     "hermite": ["HermiteSpec", "RankCheck", "bundle_rank", "confluent_vandermonde",
                 "hermite_dimension", "hermite_solution", "stacked_system", "verify_rank_claim"],
     "polynomials": ["GaussianRational", "MembershipResult", "PolySystem", "RationalPoly",
@@ -284,3 +284,17 @@ def test_fan_geometry_and_exact_kernels_use_no_floats():
                 if called in ("float", "complex", "sqrt", "atan2"):
                     offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_src_holds_the_library_and_the_cli_suites_only():
+    # each run_* suite of oracles is an oracle command; what only the tests
+    # run lives in tests/corpus.py and beside its tests
+    from toricstab import oracles
+    from toricstab.cli import COMMANDS
+
+    suites = sorted(name[4:] for name in vars(oracles) if name.startswith("run_"))
+    assert suites == sorted(c.split()[1] for c in COMMANDS if c.startswith("oracle "))
+    defined = {path.name: {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                           if isinstance(node, ast.FunctionDef)}
+               for path in (ROOT / "src" / "toricstab").glob("*.py")}
+    assert [name for name, funcs in defined.items() if funcs & {"primitive_ray", "from_pair"}] == []

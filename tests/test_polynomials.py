@@ -43,8 +43,9 @@ from toricstab import (
 )
 from toricstab.complexes import JET_COEFFICIENT_CAP
 from toricstab.exactla import P
-from toricstab.oracles import make_generic_system, make_planted_system
-from toricstab.polynomials import SystemJsonError
+from toricstab.polynomials import SystemJsonError, _json_rational, _rational
+
+from corpus import make_generic_system, make_planted_system, root_pool
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 G = GaussianRational
@@ -55,21 +56,26 @@ def poly(*ascending):
     return RationalPoly([G(c) for c in ascending])
 
 
+def _read_root(re, im):
+    """The root system_from_json reads from the JSON triple [re, im, 1]."""
+    return system_from_json({"roots": [[[re, im, 1]]]}).polys[0].roots[0][0]
+
+
 class TestGaussianRational:
     def test_pair_roundtrip(self):
-        a = G.from_pair(["3/2", "-1/4"])
+        a = _read_root("3/2", "-1/4")
         assert a.to_pair() == ["3/2", "-1/4"]
 
     def test_pair_decimal_and_exponent_forms(self):
-        assert G.from_pair(["0.5", "-1/3"]) == G(Fraction(1, 2), Fraction(-1, 3))
-        assert G.from_pair(["2.5e-3", "1E2"]) == G(Fraction(1, 400), 100)
+        assert _read_root("0.5", "-1/3") == G(Fraction(1, 2), Fraction(-1, 3))
+        assert _read_root("2.5e-3", "1E2") == G(Fraction(1, 400), 100)
         # 4300 digits print back; one more would not
-        assert len(G.from_pair(["1e4299", "0"]).to_pair()[0]) == 4300
+        assert len(_read_root("1e4299", "0").to_pair()[0]) == 4300
 
     @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "12e4299", "1e999999999", "1e+" + "9" * 5000])
     def test_pair_beyond_printable_digits_rejected(self, text):
         with pytest.raises(ValueError):
-            G.from_pair([text, "0"])
+            _read_root(text, "0")
 
     @pytest.mark.parametrize("value", [G(10 ** 4300), G(0, -10 ** 4300), G(Fraction(1, 10 ** 4300))],
                              ids=["re", "im", "denominator"])
@@ -515,8 +521,6 @@ def _outcome(f, *args):
 @settings(max_examples=400, deadline=None)
 @given(_JSON_PARTS)
 def test_json_rational_matches_fraction_reading(value):
-    from toricstab.polynomials import _json_rational, _rational
-
     fast, exact = _outcome(_json_rational, value), _outcome(_rational, value)
     if exact[0] == "value":
         num, den = fast[1]
@@ -540,8 +544,6 @@ def test_json_rational_matches_fraction_reading(value):
 def test_json_rational_edge_strings(value, expected):
     # ASCII digits split on "/" are read directly; everything else keeps
     # Fraction's reading, its value or its exception and message
-    from toricstab.polynomials import _json_rational
-
     outcome = _outcome(_json_rational, value)
     if isinstance(expected[0], int):
         assert outcome == ("value", expected)
@@ -549,10 +551,18 @@ def test_json_rational_edge_strings(value, expected):
         assert outcome == (*expected, None)
 
 
+def _from_pair(pair):
+    """The value of a JSON [re, im] array read part by part through Fraction:
+    the reference that the coefficient reader of system_from_json must match."""
+    if type(pair) not in (list, tuple) or len(pair) != 2:
+        raise ValueError("coefficient must be a [re, im] pair")
+    return G(_rational(pair[0]), _rational(pair[1]))
+
+
 def _from_pair_system_poly(coeffs):
-    """The coefficient branch of system_from_json on GaussianRational.from_pair."""
+    """The coefficient branch of system_from_json on the reference reader."""
     try:
-        poly = RationalPoly([G.from_pair(c) for c in coeffs])
+        poly = RationalPoly([_from_pair(c) for c in coeffs])
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise SystemJsonError(f"bad coefficient: {exc}", "/polys/0") from exc
     if poly.degree != 1 or not poly.is_monic:
@@ -579,16 +589,6 @@ def test_coefficient_parser_matches_from_pair(c0, c1):
 @pytest.fixture(scope="module")
 def np():
     return pytest.importorskip("numpy")
-
-
-def _distinct_gaussians(rng, count):
-    out = []
-    while len(out) < count:
-        z = G(Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4))),
-              Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4))))
-        if z not in out:
-            out.append(z)
-    return out
 
 
 class TestFloatHelpersAgainstNumpy:
@@ -945,7 +945,7 @@ class TestFaceTest:
 def test_generic_degree_24_system_is_certified_fast(h1):
     # the exact Euclid takes about half a second on this system
     rng = random.Random(24)
-    polys = [RationalPoly.from_roots([(a, 1) for a in _distinct_gaussians(rng, 24)])
+    polys = [RationalPoly.from_roots([(a, 1) for a in root_pool(rng, 24)])
              for _ in range(h1.ray_count)]
     system = PolySystem.coefficient_system(polys)
     for n in (2, 3):
