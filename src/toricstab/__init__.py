@@ -44,12 +44,27 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
+class UndefinedValueError(ValueError):
+    """A quantity that does not exist, or inputs that disagree in shape or form."""
+
+    exit_code = 4  # shape mismatch or undefined value
+
+
+def read_int(value, name, least=1):
+    """value, an int (not a bool) >= least, or UndefinedValueError; least None admits any int."""
+    if type(value) is bool or not isinstance(value, int):
+        raise UndefinedValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise UndefinedValueError(f"{name} must be >= {least}")
+    return value
+
+
 class Record:
     """An immutable value: a subclass lists its fields in ``__slots__``.
 
-    Instances are built positionally or by field name, compare field by
-    field, and refuse assignment, so they are not hashable unless the
-    subclass defines ``__hash__``.
+    Instances are built positionally or by field name, compare, print and
+    convert to a dict field by field, and refuse assignment, so they are
+    not hashable unless the subclass defines ``__hash__``.
     """
 
     __slots__ = ()
@@ -71,6 +86,13 @@ class Record:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def to_dict(self):
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def __getattr__(name):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 ok, 1 oracle failure, 2 parse error, 3 invalid or
 unsupported fan, 4 shape mismatch or undefined value, 5 enumeration cap
-exceeded (power facets, e1 window, jet coefficients, dualization step,
-complex vertices, simplex pivots, vandermonde shape or run) or output too
-large to print, 6 internal error.  Every failure, a malformed command
+exceeded (power facets, e1 window, band count, jet coefficients,
+dualization step, complex vertices, simplex pivots, cone pairs, vandermonde
+shape or run, oracle trials; the README gives each cap) or output too large
+to print, 6 internal error.  Every failure, a malformed command
 line included, prints a JSON error on stderr.  All reports embed the tool
 version, a digest of the canonicalized input, and the formula the verdict
 rests on.  Randomized suites surface their seed.

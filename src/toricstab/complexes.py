@@ -8,17 +8,11 @@ complex on vertex grid [r] x [n], and membership tests for points of
 
 from itertools import combinations, groupby, product
 
-from . import Record
+from . import Record, UndefinedValueError, read_int
 
 
-# each typed error carries the toricctl exit code it ends in
-
-class UndefinedValueError(ValueError):
-    """Raised when a quantity (e.g. the minimal primitive size) does not exist,
-    or is undefined for inputs that disagree in shape or form."""
-
-    exit_code = 4  # shape mismatch or undefined value
-
+# each typed error carries the toricctl exit code it ends in; UndefinedValueError,
+# which read_int raises, is defined in the package
 
 class UnsupportedFanError(ValueError):
     """Raised for fans outside the supported class (e.g. a ray spanning no cone)."""
@@ -92,9 +86,7 @@ class SimplicialComplex:
 
     def __init__(self, vertex_count, max_faces):
         self._minimal_cache = None
-        self.vertex_count = int(vertex_count)
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
+        self.vertex_count = read_int(vertex_count, "vertex_count", 0)
         faces = {frozenset(f) for f in max_faces}
         faces.add(frozenset())
         for f in faces:
@@ -306,8 +298,7 @@ def complex_power(complex_, n):
     antichain, and there are sum_F n^(r - |F|) of them; above
     POWER_FACET_CAP the build raises CapExceededError.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = read_int(n, "n")
     r = complex_.vertex_count
     count = sum(n ** (r - len(f)) for f in complex_.max_faces)
     CapExceededError.check(count, POWER_FACET_CAP, "power complex capped at {cap} facets")
@@ -323,12 +314,12 @@ def complex_power(complex_, n):
 def dim_arrangement(fan, n):
     """Real dimension of the union of coordinate subspaces indexed by non-faces."""
     r = len(fan.rays)
-    return 2 * n * (r - r_min(fan))
+    return 2 * read_int(n, "n") * (r - r_min(fan))
 
 
 def dim_config(fan, n, k):
     """Real dimension of the labelled k-point configuration space over the arrangement."""
-    r = len(fan.rays)
+    n, k, r = read_int(n, "n"), read_int(k, "k", 0), len(fan.rays)
     return 2 * k * (1 + n * r - n * r_min(fan))
 
 

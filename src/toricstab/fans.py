@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from . import Record, complexes
+from . import Record, complexes, read_int
 from .complexes import CapExceededError, JsonPointerError, UnsupportedFanError
 from .exactla import echelon, extends_to_basis, lp_feasible, nullspace_int
 
@@ -273,9 +273,6 @@ def _complete_simplicial(fan):
 class Violation(Record):
     __slots__ = ("kind", "detail")
 
-    def to_dict(self):
-        return {"kind": self.kind, "detail": self.detail}
-
 
 class ValidationReport:
     def __init__(self):
@@ -400,9 +397,10 @@ def spans_lattice(fan):
 
 def degree_is_null(fan, degrees):
     """Exact test of sum_k d_k * n_k = 0."""
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(degrees)
     if len(degrees) != fan.ray_count:
         raise ValueError(f"expected {fan.ray_count} degrees, got {len(degrees)}")
+    degrees = [read_int(d, "all degrees", None) for d in degrees]
     for j in range(fan.dim):
         if sum(d * ray[j] for d, ray in zip(degrees, fan.rays)) != 0:
             return False
@@ -440,8 +438,7 @@ def fan_power(fan, n):
     the facets of the power complex, so the underlying complex of the result
     is the power complex by construction.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = read_int(n, "n")
     m, r = fan.dim, fan.ray_count
     k = complexes.underlying_complex(fan)
     power = complexes.complex_power(k, n)
@@ -464,11 +461,8 @@ def builtin_fan(name, param=None):
         match = _BUILTIN_RE.match(str(name))
         if not match:
             raise ValueError(f"unknown fan name {name!r}; expected cp(m), hirzebruch(k) or affine(m)")
-        kind, param = match.group(1), int(match.group(2))
-    else:
-        kind, param = str(name), int(param)
-    if param < 1:
-        raise ValueError("fan parameter must be >= 1")
+        name, param = match.group(1), int(match.group(2))
+    kind, param = str(name), read_int(param, "fan parameter")
     if kind == "cp":
         m = param
         rays = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]

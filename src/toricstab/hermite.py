@@ -14,7 +14,7 @@ degree - n*k in closed form.  No floating point anywhere.
 from fractions import Fraction
 from math import perm
 
-from . import Record
+from . import Record, read_int
 from .exactla import rank, solve_affine
 
 
@@ -27,13 +27,6 @@ def _nodes(points):
     return pts
 
 
-def _check_ints(**counts):
-    """Raise ValueError for a count that is not an int, which int() would truncate."""
-    for name, value in counts.items():
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def _blocks(pts, orders, degree):
     """Rows of confluent_vandermonde, order by order, as (integer row, scale) pairs.
 
@@ -42,9 +35,8 @@ def _blocks(pts, orders, degree):
     in columns l + j (an all-zero row, l >= degree, has scale 1).  Every order
     reads one table per node: the running powers a^i and b^i for i < degree.
     Row scaling preserves rank, so the rank certificate reads these rows directly.
+    The callers have read the orders (>= 0) and the degree (>= 1).
     """
-    if orders[0] < 0 or degree < 1:
-        raise ValueError("need order >= 0 and degree >= 1")
     tables = []
     for x in pts:
         a, b = x.numerator, x.denominator
@@ -69,19 +61,17 @@ def _fraction_rows(block):
 
 def confluent_vandermonde(points, order, degree):
     """k x d matrix of the coefficients of a_0..a_{d-1} in f^(order)(x_j)."""
-    _check_ints(order=order, degree=degree)
+    order, degree = read_int(order, "order", 0), read_int(degree, "degree")
     return _fraction_rows(_blocks(_nodes(points), range(order, order + 1), degree))
 
 
 def _stacked_blocks(points, n, degree):
-    if n < 1:
-        raise ValueError("n must be positive")
     return _blocks(_nodes(points), range(n), degree)
 
 
 def stacked_system(points, n, degree):
     """The n*k x d matrix stacking derivative orders 0..n-1."""
-    _check_ints(n=n, degree=degree)
+    n, degree = read_int(n, "n"), read_int(degree, "degree")
     return _fraction_rows(_stacked_blocks(points, n, degree))
 
 
@@ -114,7 +104,7 @@ def verify_rank_claim(points, n, degree):
     row rank n*k.  Outside the regime the whole matrix is ranked and the
     result flags the violation (the rank is then capped by degree).
     """
-    _check_ints(n=n, degree=degree)
+    n, degree = read_int(n, "n"), read_int(degree, "degree")
     nk = n * len(points)
     # the rows of stacked_system scaled to integers (same rank), cut to n*k
     # columns in the regime
@@ -130,11 +120,7 @@ class HermiteSpec(Record):
 
     def __init__(self, points, order, degree, targets):
         pts = tuple(_nodes(points))
-        _check_ints(order=order, degree=degree)
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
+        order, degree = read_int(order, "order"), read_int(degree, "degree")
         tg = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in targets)
         if len(tg) != order or any(len(row) != len(pts) for row in tg):
             raise ValueError("targets must be an order x k grid")
@@ -190,5 +176,6 @@ def hermite_solution(spec):
 def bundle_rank(degrees, k, n, r):
     """Rank 2*N(D) - 2nrk + k - 1 of the band of the resolved discriminant
     over the k-point configuration stratum."""
-    total = sum(int(d) for d in degrees)
+    total = sum(read_int(d, "all degrees") for d in degrees)
+    k, n, r = read_int(k, "k", 0), read_int(n, "n"), read_int(r, "r")
     return 2 * total - 2 * n * r * k + k - 1

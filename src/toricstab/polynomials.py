@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from . import Record
+from . import Record, read_int
 from .complexes import (
     JET_COEFFICIENT_CAP,
     CapExceededError,
@@ -196,7 +196,7 @@ class RationalPoly(Record):
         for alpha, mult in root_mults:
             [(ar, ai)], d = _integer_pairs(
                 [alpha if isinstance(alpha, GaussianRational) else GaussianRational(alpha)])
-            for _ in range(int(mult)):
+            for _ in range(read_int(mult, "multiplicities")):
                 pairs, den = _product(pairs, [(-ar, -ai), (d, 0)]), den * d
         return cls._from_pairs(pairs, den)
 
@@ -307,9 +307,7 @@ class RationalPoly(Record):
 def derivative(poly, order=1):
     """Formal derivative of the given order, exactly: c_i z^i becomes
     c_i i! / (i - order)! z^(i - order)."""
-    order = int(order)
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
+    order = read_int(order, "derivative order", 0)
     out = []
     for i, (x, y) in enumerate(poly.pairs[order:], order):
         f = math.perm(i, order)
@@ -319,8 +317,7 @@ def derivative(poly, order=1):
 
 def jet(poly, n):
     """The tuple (f, f + f', f + f'', ...) truncated at order n."""
-    if n < 1:
-        raise ValueError("jet order must be positive")
+    n = read_int(n, "n")
     CapExceededError.check(n * (poly.degree + 1), JET_COEFFICIENT_CAP,
                            "jet capped at {cap} coefficients per polynomial")
     entries = [poly]
@@ -348,8 +345,7 @@ def mult_part(f, n):
     """
     if f.is_zero:
         raise ValueError("mult_part of the zero polynomial")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = read_int(n, "n")
     g = f.monic()
     for order in range(1, n):
         if g.degree == 0:
@@ -376,7 +372,7 @@ def jet_section(values):
 
 
 def n_of(degrees):
-    return sum(int(d) for d in degrees)
+    return sum(read_int(d, "all degrees") for d in degrees)
 
 
 def phi_map(degrees, w):
@@ -406,9 +402,7 @@ class RootPoly(Record):
     def __init__(self, roots):
         merged = {}
         for a, m in roots:
-            m = int(m)
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
+            m = read_int(m, "multiplicities")
             a = _exact(a)
             merged[a] = merged.get(a, 0) + m
         super().__init__(tuple(merged.items()))
@@ -426,11 +420,10 @@ class PolySystem(Record):
     def __init__(self, form, polys, degrees):
         if form not in ("coefficient", "root"):
             raise ValueError(f"unknown system form {form!r}")
-        polys, degrees = tuple(polys), tuple([int(d) for d in degrees])
+        polys, degrees = tuple(polys), tuple(degrees)
         if len(polys) != len(degrees):
             raise ValueError("degree vector length must match polynomial count")
-        if any(d < 1 for d in degrees):
-            raise ValueError("all degrees must be >= 1")
+        degrees = tuple([read_int(d, "all degrees") for d in degrees])
         super().__init__(form, polys, degrees)
 
     @classmethod
@@ -482,9 +475,7 @@ def is_member(system, fan, n):
     result carries the offending collection and the common factor, or the
     first common root in the order of the collection's first polynomial.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = read_int(n, "n")
     complex_ = underlying_complex(fan)
     if system.r != fan.ray_count:
         raise UndefinedValueError(f"system has {system.r} polynomials, fan has {fan.ray_count} rays")
@@ -553,11 +544,10 @@ def stabilize(system, shifts):
     """
     if system.form != "root":
         raise UndefinedValueError("stabilize needs a root-form system")
-    a = [int(x) for x in shifts]
+    a = list(shifts)
     if len(a) != system.r:
         raise UndefinedValueError(f"shift vector must have length {system.r}")
-    if any(x < 0 for x in a):
-        raise UndefinedValueError("shift entries must be >= 0")
+    a = [read_int(x, "shift entries", 0) for x in a]
     if not any(a):
         raise UndefinedValueError("shift vector must be nonzero")
     degrees = system.degrees
@@ -573,9 +563,7 @@ def stabilize(system, shifts):
 
 def evaluate_jet(system, n, alpha):
     """The point of (C^n)^r with blocks given by the order-n jets at alpha."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = read_int(n, "n")
     polys = system.polys
     if system.form == "root":
         polys = [RationalPoly.from_roots(p.roots) for p in polys]

@@ -8,7 +8,7 @@ underlying groups are out of scope, only the vanishing ranges are certified.
 
 from math import isqrt
 
-from . import Record
+from . import Record, read_int
 from .complexes import BAND_COUNT_CAP, E1_CELL_CAP, CapExceededError, UndefinedValueError, r_min
 from .fans import degree_is_null
 
@@ -18,19 +18,17 @@ TAIL_UNKNOWN = "tail_unknown"
 
 
 def _degrees(degrees, fan):
-    """The degree vector as ints: one entry >= 1 per ray, or UndefinedValueError."""
-    degrees = tuple(int(d) for d in degrees)
+    """The degree vector: one int entry >= 1 per ray, or UndefinedValueError."""
+    degrees = tuple(degrees)
     if len(degrees) != fan.ray_count:
         raise UndefinedValueError(f"expected {fan.ray_count} degrees, got {len(degrees)}")
-    if any(d < 1 for d in degrees):
-        raise UndefinedValueError("all degrees must be >= 1")
-    return degrees
+    return tuple([read_int(d, "all degrees") for d in degrees])
 
 
 def stability_dim(degrees, fan, n):
     """(2 n r_min - 3) * floor(d_min / n) - 2, the stable comparison range for n >= 2."""
     d_min = min(_degrees(degrees, fan))
-    return _stability_dim(r_min(fan), d_min, int(n))
+    return _stability_dim(r_min(fan), d_min, read_int(n, "n"))
 
 
 def _stability_dim(rm, d_min, n):
@@ -54,7 +52,7 @@ def stability_dim_n1(degrees, fan):
 
 def stability_dim_projective(d, m, n):
     """(2mn - 3)(floor(d/n) + 1) - 1 for equal-degree tuples on projective space."""
-    d, m, n = int(d), int(m), int(n)
+    d, m, n = read_int(d, "d"), read_int(m, "m"), read_int(n, "n")
     if (m, n) == (1, 1):
         raise UndefinedValueError("the pair (m, n) = (1, 1) is excluded")
     return (2 * m * n - 3) * (d // n + 1) - 1
@@ -62,7 +60,7 @@ def stability_dim_projective(d, m, n):
 
 def connectivity_bound(fan, n):
     """2 n r_min - 5; the space of admissible systems is this connected for n >= 2."""
-    return _connectivity(r_min(fan), int(n))
+    return _connectivity(r_min(fan), read_int(n, "n"))
 
 
 def _connectivity(rm, n):
@@ -75,22 +73,10 @@ class StabilityReport(Record):
     __slots__ = ("r_min", "d_min", "d_prime", "stability_dim", "connectivity", "degree_null", "n",
                  "degrees")
 
-    def to_dict(self):
-        return {
-            "r_min": self.r_min,
-            "d_min": self.d_min,
-            "d_prime": self.d_prime,
-            "stability_dim": self.stability_dim,
-            "connectivity": self.connectivity,
-            "degree_null": self.degree_null,
-            "n": self.n,
-            "degrees": list(self.degrees),
-        }
-
 
 def stability_report(degrees, fan, n):
     degrees = _degrees(degrees, fan)
-    n = int(n)
+    n = read_int(n, "n")
     rm = r_min(fan)
     d_min = min(degrees)
     return StabilityReport(
@@ -140,7 +126,7 @@ def e1_support(degrees, fan, n, s_max=None):
     before any is built, raises CapExceededError; n < 2, UndefinedValueError.
     """
     d_min = min(_degrees(degrees, fan))
-    n = int(n)
+    n = read_int(n, "n")
     if n < 2:
         raise UndefinedValueError("the vanishing table requires n >= 2")
     rm = r_min(fan)
@@ -148,6 +134,8 @@ def e1_support(degrees, fan, n, s_max=None):
     d_prime = d_min // n
     if s_max is None:
         s_max = _stability_dim(rm, d_min, n) + 2 * n * rm + 4
+    else:
+        s_max = read_int(s_max, "s_max", 0)
     s_min = 0
     count = (d_prime + 2) * (s_max - s_min + 1)
     CapExceededError.check(count, E1_CELL_CAP, "the e1 window is capped at {cap} cells")
@@ -211,7 +199,7 @@ def min_unknown_band(degrees, fan, n):
     CapExceededError.
     """
     d_min = min(_degrees(degrees, fan))
-    n = int(n)
+    n = read_int(n, "n")
     if n < 2:
         raise UndefinedValueError("the band minima require n >= 2")
     rm = r_min(fan)
@@ -233,7 +221,7 @@ def truncation_dim(degrees, fan, n):
     that identity.
     """
     degrees = _degrees(degrees, fan)
-    n = int(n)
+    n = read_int(n, "n")
     if n < 2:
         raise UndefinedValueError("truncation dimension needs n >= 2")
     rm = r_min(fan)

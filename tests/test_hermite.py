@@ -19,6 +19,7 @@ from toricstab import (
     stacked_system,
     verify_rank_claim,
 )
+import toricstab as ts
 from toricstab import exactla, hermite
 from toricstab.exactla import P, rank
 from toricstab.hermite import (
@@ -196,14 +197,14 @@ class TestVerifyRankClaim:
         assert verify_rank_claim([], 2, 5) == RankCheck(rank=0, expected=0, in_regime=True)
 
     @pytest.mark.parametrize("points,n,degree,message", [
-        ([1, 2], 0, 5, "n must be positive"),
-        ([1, 2], -1, 5, "n must be positive"),
-        ([], 0, 5, "n must be positive"),
+        ([1, 2], 0, 5, "n must be >= 1"),
+        ([1, 2], -1, 5, "n must be >= 1"),
+        ([], 0, 5, "n must be >= 1"),
         ([1, 1], 1, 5, "distinct"),  # in the regime
         ([1, 2, 1], 2, 3, "distinct"),  # below it
-        ([1], 1, 0, "degree >= 1"),
-        ([1, 2], 1, -3, "degree >= 1"),
-        ([], 1, 0, "degree >= 1"),
+        ([1], 1, 0, "degree must be >= 1"),
+        ([1, 2], 1, -3, "degree must be >= 1"),
+        ([], 1, 0, "degree must be >= 1"),
     ])
     def test_invalid_input_raises(self, points, n, degree, message):
         with pytest.raises(ValueError, match=message):
@@ -245,6 +246,120 @@ def test_counts_that_are_not_ints_raise(build, args, name):
     # int() would truncate them, and n*k would then be counted from the raw value
     with pytest.raises(ValueError, match=f"^{name} must be an int"):
         build(*args)
+
+
+H1 = ts.builtin_fan("hirzebruch(1)")
+DEGREES = (5, 7, 5, 12)
+ROOTS = ts.PolySystem.root_system([[(0, 1)], [(1, 2)], [(2, 1)], [(3, 1)]])
+DOUBLE = ts.RationalPoly.from_roots([(GaussianRational(1), 2)])
+
+
+def _second(vector, x):
+    """The vector with its second entry replaced by x."""
+    return (vector[0], x, *vector[2:])
+
+
+# every integer argument the library reads: (id, call taking the value, the
+# name its error gives, least value or None for any int)
+COUNT_ARGUMENTS = [
+    ("confluent_vandermonde-order", lambda x: confluent_vandermonde([3], x, 3), "order", 0),
+    ("confluent_vandermonde-degree", lambda x: confluent_vandermonde([3], 1, x), "degree", 1),
+    ("stacked_system-n", lambda x: stacked_system([1, 2], x, 5), "n", 1),
+    ("stacked_system-degree", lambda x: stacked_system([1, 2], 1, x), "degree", 1),
+    ("verify_rank_claim-n", lambda x: verify_rank_claim([1, 2], x, 5), "n", 1),
+    ("verify_rank_claim-degree", lambda x: verify_rank_claim([1, 2], 1, x), "degree", 1),
+    ("HermiteSpec-order", lambda x: HermiteSpec([1, 2], x, 5, [[0, 0]]), "order", 1),
+    ("HermiteSpec-degree", lambda x: HermiteSpec([1, 2], 1, x, [[0, 0]]), "degree", 1),
+    ("bundle_rank-degrees", lambda x: bundle_rank((5, x), 1, 2, 2), "all degrees", 1),
+    ("bundle_rank-k", lambda x: bundle_rank((5, 7), x, 2, 2), "k", 0),
+    ("bundle_rank-n", lambda x: bundle_rank((5, 7), 1, x, 2), "n", 1),
+    ("bundle_rank-r", lambda x: bundle_rank((5, 7), 1, 2, x), "r", 1),
+    ("from_roots-multiplicity",
+     lambda x: ts.RationalPoly.from_roots([(GaussianRational(1), 1), (GaussianRational(2), x)]),
+     "multiplicities", 1),
+    ("RootPoly-multiplicity", lambda x: ts.RootPoly([(1, 1), (2, x)]), "multiplicities", 1),
+    ("derivative-order", lambda x: derivative(DOUBLE, x), "derivative order", 0),
+    ("jet-n", lambda x: ts.jet(DOUBLE, x), "n", 1),
+    ("mult_part-n", lambda x: ts.mult_part(DOUBLE, x), "n", 1),
+    ("is_member-n", lambda x: ts.is_member(ROOTS, H1, x), "n", 1),
+    ("evaluate_jet-n", lambda x: ts.evaluate_jet(ROOTS, x, 0), "n", 1),
+    ("n_of-degrees", lambda x: ts.n_of(_second(DEGREES, x)), "all degrees", 1),
+    ("phi_map-degrees", lambda x: ts.phi_map(_second(DEGREES, x), 0), "all degrees", 1),
+    ("PolySystem-degrees",
+     lambda x: ts.PolySystem("root", ROOTS.polys, _second(ROOTS.degrees, x)), "all degrees", 1),
+    ("stabilize-shifts", lambda x: ts.stabilize(ROOTS, (1, x, 0, 0)), "shift entries", 0),
+    *[(f"{f.__name__}-degrees", lambda x, f=f: f(_second(DEGREES, x), H1, 2), "all degrees", 1)
+      for f in (ts.stability_dim, ts.stability_report, ts.e1_support, ts.min_unknown_band,
+                ts.truncation_dim)],
+    ("stability_dim_n1-degrees", lambda x: ts.stability_dim_n1(_second(DEGREES, x), H1),
+     "all degrees", 1),
+    *[(f"{f.__name__}-n", lambda x, f=f: f(DEGREES, H1, x), "n", 1)
+      for f in (ts.stability_dim, ts.stability_report, ts.e1_support, ts.min_unknown_band,
+                ts.truncation_dim)],
+    ("connectivity_bound-n", lambda x: ts.connectivity_bound(H1, x), "n", 1),
+    ("stability_dim_projective-d", lambda x: ts.stability_dim_projective(x, 2, 2), "d", 1),
+    ("stability_dim_projective-m", lambda x: ts.stability_dim_projective(6, x, 2), "m", 1),
+    ("stability_dim_projective-n", lambda x: ts.stability_dim_projective(6, 2, x), "n", 1),
+    ("degree_is_null-degrees", lambda x: ts.degree_is_null(H1, _second(DEGREES, x)),
+     "all degrees", None),
+    ("fan_power-n", lambda x: ts.fan_power(H1, x), "n", 1),
+    ("SimplicialComplex-vertex_count", lambda x: ts.SimplicialComplex(x, []), "vertex_count", 0),
+    ("complex_power-n", lambda x: ts.complex_power(H1.complex, x), "n", 1),
+    ("dim_arrangement-n", lambda x: ts.dim_arrangement(H1, x), "n", 1),
+    ("dim_config-n", lambda x: ts.dim_config(H1, x, 1), "n", 1),
+    ("dim_config-k", lambda x: ts.dim_config(H1, 2, x), "k", 0),
+]
+# the arguments for which None means "not given"
+OPTIONAL_COUNT_ARGUMENTS = [
+    ("e1_support-s_max", lambda x: ts.e1_support(DEGREES, H1, 2, s_max=x), "s_max", 0),
+    ("builtin_fan-param", lambda x: ts.builtin_fan("cp", x), "fan parameter", 1),
+]
+
+
+# the calls that truncated, crashed or read an empty window before one reader
+# decided: read as d = 5, n = 2 and 5 + 7; a TypeError, a ZeroDivisionError,
+# an empty window; the vertex count 3 and cp(2)
+TRUNCATED_OR_CRASHED = [
+    ("stability_report-5.5", lambda x: ts.stability_report((x, 7, 5, 12), H1, 2), 5.5,
+     "all degrees must be an int, got 5.5"),
+    ("is_member-2.5", lambda x: ts.is_member(ROOTS, H1, x), 2.5, "n must be an int, got 2.5"),
+    ("bundle_rank-7.9", lambda x: bundle_rank([5, x], 1, 2, 2), 7.9,
+     "all degrees must be an int, got 7.9"),
+    ("jet-1.5", lambda x: ts.jet(DOUBLE, x), 1.5, "n must be an int, got 1.5"),
+    ("stability_dim_projective-0-0-0", lambda x: ts.stability_dim_projective(x, x, x), 0,
+     "d must be >= 1"),
+    ("e1_support-s_max--5", lambda x: ts.e1_support(DEGREES, H1, 2, s_max=x), -5,
+     "s_max must be >= 0"),
+    ("SimplicialComplex-3.5", lambda x: ts.SimplicialComplex(x, [[0, 1]]), 3.5,
+     "vertex_count must be an int, got 3.5"),
+    ("builtin_fan-cp-2.5", lambda x: ts.builtin_fan("cp", x), 2.5,
+     "fan parameter must be an int, got 2.5"),
+]
+
+
+def _refused_counts():
+    """Each argument with a float, a numeric string, None, a bool and the
+    int below its least, and the message each must raise."""
+    for arguments, values in ((COUNT_ARGUMENTS, (1.5, "2", None, True)),
+                              (OPTIONAL_COUNT_ARGUMENTS, (1.5, "2", True))):
+        for id_, call, name, least in arguments:
+            for value in values:
+                yield pytest.param(call, value, f"{name} must be an int, got {value!r}",
+                                   id=f"{id_}-{value!r}")
+            if least is not None:
+                yield pytest.param(call, least - 1, f"{name} must be >= {least}",
+                                   id=f"{id_}-{least - 1}")
+    for id_, call, value, message in TRUNCATED_OR_CRASHED:
+        yield pytest.param(call, value, message, id=id_)
+
+
+@pytest.mark.parametrize("call,value,message", _refused_counts())
+def test_every_count_argument_refuses_what_it_cannot_read(call, value, message):
+    # one reader decides for every entry point: none truncates, reads True as 1
+    # or lets a count below its least reach the arithmetic
+    with pytest.raises(ts.UndefinedValueError) as caught:
+        call(value)
+    assert str(caught.value) == message
 
 
 class TestRankShapes:

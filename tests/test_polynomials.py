@@ -365,6 +365,8 @@ class TestStabilize:
         ("root", (1,), "shift vector must have length 2"),
         ("root", (1, -1), "shift entries must be >= 0"),
         ("root", (0, 0), "shift vector must be nonzero"),
+        ("root", (-1, 1.5, 0), "shift vector must have length 2"),  # the length is read first
+        ("root", (1, 1.5), "shift entries must be an int, got 1.5"),
     ])
     def test_shape_and_form_errors_are_undefined_values(self, form, shifts, message):
         system = (PolySystem.coefficient_system([poly(0, 1), poly(1, 1)]) if form == "coefficient"

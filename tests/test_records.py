@@ -6,6 +6,7 @@ behaviour callers rely on, so no class depends on a generated method.
 
 import ast
 import importlib
+import json
 import pathlib
 import pkgutil
 from fractions import Fraction
@@ -108,6 +109,21 @@ def test_fan_repr_leaves_out_the_complex():
     fan.complex
     assert repr(fan) == f"Fan(dim=1, rays=((1,), (-1,)), generating_cones={fan.generating_cones!r})"
     assert "complex" not in repr(fan).lower()
+
+
+def test_records_print_and_convert_field_by_field():
+    check = verify_rank_claim([Fraction(1), Fraction(2)], 3, 6)
+    assert repr(check) == "RankCheck(rank=6, expected=6, in_regime=True)"
+    assert repr(MembershipResult(True, "root")) == (
+        "MembershipResult(member=True, representation='root', witness_collection=None, "
+        "witness_factor=None, witness_root=None)")
+    assert Violation("ray", "ray 0 is the zero vector").to_dict() == {
+        "kind": "ray", "detail": "ray 0 is the zero vector"}
+    # the JSON bytes of the report's former hand-written to_dict
+    report = stability_report((5, 7, 5, 12), builtin_fan("hirzebruch(1)"), 2)
+    assert json.dumps(report.to_dict()) == (
+        '{"r_min": 2, "d_min": 5, "d_prime": 2, "stability_dim": 8, "connectivity": 3, '
+        '"degree_null": true, "n": 2, "degrees": [5, 7, 5, 12]}')
 
 
 def test_fan_keeps_its_cached_complex():

@@ -315,9 +315,11 @@ DEGREE_READERS = {
     ((5, 7, 5, 12, 3), "expected 4 degrees, got 5"),
     ((0, 7, 5, 12), "all degrees must be >= 1"),
     ((5, 7, -1, 12), "all degrees must be >= 1"),
+    ((5.5, 7, 5, 12), "all degrees must be an int, got 5.5"),
     # the length is checked first, and before n
     ((0, 7), "expected 4 degrees, got 2"),
-], ids=["short", "long", "zero", "negative", "short-and-zero"])
+    ((5.5, 7), "expected 4 degrees, got 2"),
+], ids=["short", "long", "zero", "negative", "float", "short-and-zero", "short-and-float"])
 def test_bounds_refuse_bad_degree_vectors(name, degrees, message, h1):
     # stability_dim((5,), h1, 2) returned 8, e1_support((5,), ...) a table and
     # min_unknown_band((0, 7, 5, 12), ...) a band before the vector was checked
