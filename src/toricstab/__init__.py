@@ -44,10 +44,41 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
+# each typed error carries the toricctl exit code it ends in
+
+class JsonPointerError(ValueError):
+    """A defect in an input document, located by its JSON pointer."""
+
+    exit_code = 2  # parse error
+
+    def __init__(self, message, pointer=""):
+        super().__init__(f"{message} (at {pointer or '/'})")
+        self.pointer = pointer
+        self.message = message
+
+
+class UnsupportedFanError(ValueError):
+    """Raised for fans outside the supported class (e.g. a ray spanning no cone)."""
+
+    exit_code = 3  # invalid or unsupported fan
+
+
 class UndefinedValueError(ValueError):
     """A quantity that does not exist, or inputs that disagree in shape or form."""
 
     exit_code = 4  # shape mismatch or undefined value
+
+
+class CapExceededError(ValueError):
+    """An enumeration was requested beyond its documented cap."""
+
+    exit_code = 5  # enumeration cap exceeded
+
+    @classmethod
+    def check(cls, count, cap, limit):
+        """Raise when count passes cap; limit reads "<what> capped at {cap} <unit>"."""
+        if count > cap:
+            raise cls(f"{limit.format(cap=cap)}, this one has {count}")
 
 
 def read_int(value, name, least=1):

@@ -18,7 +18,7 @@ import sys
 
 # the library modules are imported inside the commands that run them, so a
 # toricctl call loads only the modules its command needs
-from . import __version__
+from . import UnsupportedFanError, __version__
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -58,7 +58,6 @@ def _load_json(path):
 
 def _load_fan(path):
     """A valid simplicial fan and the document it was read from."""
-    from .complexes import UnsupportedFanError
     from .fans import fan_from_json, is_simplicial, validate_fan
 
     raw = _load_json(path)

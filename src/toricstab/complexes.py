@@ -8,62 +8,17 @@ complex on vertex grid [r] x [n], and membership tests for points of
 
 from itertools import combinations, groupby, product
 
-from . import Record, UndefinedValueError, read_int
-
-
-# each typed error carries the toricctl exit code it ends in; UndefinedValueError,
-# which read_int raises, is defined in the package
-
-class UnsupportedFanError(ValueError):
-    """Raised for fans outside the supported class (e.g. a ray spanning no cone)."""
-
-    exit_code = 3  # invalid or unsupported fan
-
-
-class JsonPointerError(ValueError):
-    """A defect in an input document, located by its JSON pointer."""
-
-    exit_code = 2  # parse error
-
-    def __init__(self, message, pointer=""):
-        super().__init__(f"{message} (at {pointer or '/'})")
-        self.pointer = pointer
-        self.message = message
+from . import (CapExceededError, JsonPointerError, Record, UndefinedValueError,
+               UnsupportedFanError, read_int)
 
 
 class ComplexJsonError(JsonPointerError):
     """A defect in a complex document."""
 
 
-class CapExceededError(ValueError):
-    """An enumeration was requested beyond its documented cap."""
-
-    exit_code = 5  # enumeration cap exceeded
-
-    @classmethod
-    def check(cls, count, cap, limit):
-        """Raise when count passes cap; limit reads "<what> capped at {cap} <unit>"."""
-        if count > cap:
-            raise cls(f"{limit.format(cap=cap)}, this one has {count}")
-
-
 # Largest facet count complex_power builds; time and memory grow with the
 # count.  (P^1)^8 with n = 2 has 2^16 facets and builds in about 0.5 s.
 POWER_FACET_CAP = 1 << 16
-
-# Largest (k, s) window stability.e1_support builds: (d' + 2)(s_max + 1)
-# cells, one dict entry each.  Uncapped, 800k cells took 8.7 s and 931 MB
-# on a 2-vCPU host.
-E1_CELL_CAP = 1 << 16
-
-# Largest band count t_max stability.min_unknown_band lists, one dict entry
-# per band; t_max is about sqrt(2 d').  Uncapped, d' = 10^13 gave 4.47M
-# bands in 0.69 s and 657 MB.
-BAND_COUNT_CAP = 1 << 16
-
-# Largest coefficient count n (deg + 1) polynomials.jet builds for one
-# polynomial; toricctl prints two degree-2 jets at the cap in 0.8 s, 96 MB.
-JET_COEFFICIENT_CAP = 1 << 16
 
 # Largest vertex count a complex document may declare.  A fan document lists
 # its rays, but this count is a bare number, and the dualization and the
@@ -336,7 +291,7 @@ class PointInProduct(Record):
     def __init__(self, blocks):
         blocks = tuple(tuple(b) for b in blocks)
         if len({len(b) for b in blocks}) > 1:
-            raise ValueError("all blocks must have equal length")
+            raise UndefinedValueError("all blocks must have equal length")
         super().__init__(blocks)
 
     @property
@@ -351,7 +306,7 @@ class PointInProduct(Record):
 def in_polyhedral_product(point, complex_):
     """True iff the zero-block support of the point is a face."""
     if point.block_count != complex_.vertex_count:
-        raise ValueError(
+        raise UndefinedValueError(
             f"point has {point.block_count} blocks, complex has {complex_.vertex_count} vertices"
         )
     return complex_.is_face(point.zero_support())
@@ -361,7 +316,7 @@ def in_arrangement(point, fan_or_complex):
     """True iff the zero-block support contains a primitive collection."""
     k = _as_complex(fan_or_complex)
     if point.block_count != k.vertex_count:
-        raise ValueError(
+        raise UndefinedValueError(
             f"point has {point.block_count} blocks, complex has {k.vertex_count} vertices"
         )
     supp = point.zero_support()

@@ -9,10 +9,12 @@ certification of the Hermite constraint matrices.
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import CapExceededError
+
 
 # A Mersenne prime: ranks modulo P certify full rank over Q (one-sided).
 P = (1 << 61) - 1
-# Pivots before lp_feasible raises SimplexCapError; Bland's rule never cycles.
+# Pivots before lp_feasible raises CapExceededError; Bland's rule never cycles.
 SIMPLEX_MAX_ITER = 100_000
 
 
@@ -235,12 +237,6 @@ class SimplexError(RuntimeError):
     """An unbounded phase-one objective, which cannot happen: a defect."""
 
 
-class SimplexCapError(SimplexError):
-    """lp_feasible passed SIMPLEX_MAX_ITER pivots."""
-
-    exit_code = 5  # toricctl's enumeration cap exceeded, as for a CapExceededError
-
-
 def lp_feasible(a_rows, b):
     """A point of {x >= 0 : A x = b} by exact phase-one simplex, or None.
 
@@ -296,7 +292,7 @@ def lp_feasible(a_rows, b):
         obj = _pivot_row(obj, top, p, enter, d)
         d = p
         basis[leave] = enter
-    raise SimplexCapError(f"the simplex is capped at {SIMPLEX_MAX_ITER} pivots")
+    raise CapExceededError(f"the simplex is capped at {SIMPLEX_MAX_ITER} pivots")
 
 
 def _pivot_row(row, top, p, enter, d):

@@ -23,8 +23,8 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from . import Record, complexes, read_int
-from .complexes import CapExceededError, JsonPointerError, UnsupportedFanError
+from . import (CapExceededError, JsonPointerError, Record, UndefinedValueError,
+               UnsupportedFanError, complexes, read_int)
 from .exactla import echelon, extends_to_basis, lp_feasible, nullspace_int
 
 # Largest number of cone pairs validate_fan checks one by one, counted before
@@ -34,10 +34,10 @@ from .exactla import echelon, extends_to_basis, lp_feasible, nullspace_int
 CONE_PAIR_CAP = 1 << 16
 
 
-class FanStructureError(ValueError):
-    """Structural defect (bad index, malformed shape) detected before axiom checks."""
-
-    exit_code = 2  # toricctl's parse error, as for a JsonPointerError
+class FanStructureError(JsonPointerError):
+    """Structural defect (bad index, malformed shape) detected before axiom
+    checks, located by a pointer into the arguments dim, rays and
+    generating_cones."""
 
 
 class FanJsonError(JsonPointerError):
@@ -103,28 +103,30 @@ def _check_structure(dim, rays, generating_cones):
     """The rays as tuples of ints and the nonempty cones as a frozenset of
     frozensets, or FanStructureError for the first defect of shape."""
     if not _is_integer(dim) or dim < 1:
-        raise FanStructureError("ambient dimension must be a positive integer")
+        raise FanStructureError("ambient dimension must be a positive integer", "/dim")
     checked = []
     for i, ray in enumerate(rays):
         try:
             ray = tuple(ray)
         except TypeError:
-            raise FanStructureError(f"ray {i} is not a sequence") from None
+            raise FanStructureError(f"ray {i} is not a sequence", f"/rays/{i}") from None
         if len(ray) != dim:
-            raise FanStructureError(f"ray {i} has length {len(ray)}, expected {dim}")
+            raise FanStructureError(f"ray {i} has length {len(ray)}, expected {dim}", f"/rays/{i}")
         if not all(map(_is_integer, ray)):
-            raise FanStructureError(f"ray {i} has a non-integer entry")
+            raise FanStructureError(f"ray {i} has a non-integer entry", f"/rays/{i}")
         checked.append(tuple(map(int, ray)))
     r = len(checked)
     cones = set()
-    for cone in generating_cones:
+    for j, cone in enumerate(generating_cones):
         try:
             cone = frozenset(cone)
         except TypeError:
-            raise FanStructureError(f"cone {cone!r} is not a set of ray indices") from None
+            raise FanStructureError(f"cone {cone!r} is not a set of ray indices",
+                                    f"/generating_cones/{j}") from None
         for k in cone:
             if not (_is_integer(k) and 0 <= k < r):
-                raise FanStructureError(f"cone references ray index {k!r} outside 0..{r - 1}")
+                raise FanStructureError(f"cone references ray index {k!r} outside 0..{r - 1}",
+                                        f"/generating_cones/{j}")
         if cone:
             cones.add(cone)
     return tuple(checked), frozenset(cones)
@@ -395,12 +397,17 @@ def spans_lattice(fan):
     return extends_to_basis(fan.ray_matrix())
 
 
-def degree_is_null(fan, degrees):
-    """Exact test of sum_k d_k * n_k = 0."""
+def _degrees(degrees, fan, least=1):
+    """The degree vector: one int entry >= least per ray, or UndefinedValueError."""
     degrees = tuple(degrees)
     if len(degrees) != fan.ray_count:
-        raise ValueError(f"expected {fan.ray_count} degrees, got {len(degrees)}")
-    degrees = [read_int(d, "all degrees", None) for d in degrees]
+        raise UndefinedValueError(f"expected {fan.ray_count} degrees, got {len(degrees)}")
+    return tuple([read_int(d, "all degrees", least) for d in degrees])
+
+
+def degree_is_null(fan, degrees):
+    """Exact test of sum_k d_k * n_k = 0."""
+    degrees = _degrees(degrees, fan, None)
     for j in range(fan.dim):
         if sum(d * ray[j] for d, ray in zip(degrees, fan.rays)) != 0:
             return False

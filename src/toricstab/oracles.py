@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 
+from . import CapExceededError, read_int
 from .exactla import rank
 from .hermite import (HermiteInconsistencyError, HermiteSpec, hermite_dimension, stacked_system,
                       verify_rank_claim)
@@ -76,14 +77,6 @@ VANDERMONDE_RUN_CELL_CAP = 1 << 19
 ORACLE_TRIAL_CAP = 1 << 16
 
 
-def _check_cap(count, cap, limit):
-    """CapExceededError.check, loading complexes only for a count past its cap."""
-    if count > cap:
-        from .complexes import CapExceededError
-
-        CapExceededError.check(count, cap, limit)
-
-
 def _distinct_fractions(rng, count):
     out = []
     seen = set()
@@ -104,20 +97,24 @@ def run_vandermonde(seed, trials=500, k=None, n=None, d=None):
     degree above VANDERMONDE_DEGREE_CAP raises it before it draws its points.
     Each reported rank is checked against the rank of the full stacked rows.
     """
+    trials = read_int(trials, "trials", 0)
+    k, n, d = (v if v is None else read_int(v, name) for v, name in ((k, "k"), (n, "n"), (d, "d")))
     k_max = k if k is not None else 5
     n_max = n if n is not None else 4
     d_max = d if d is not None else max(n_max * k_max, 30)
-    _check_cap(trials * k_max * n_max * d_max, VANDERMONDE_RUN_CELL_CAP,
-               "a vandermonde run is capped at {cap} cells over its trials")
+    CapExceededError.check(trials * k_max * n_max * d_max, VANDERMONDE_RUN_CELL_CAP,
+                           "a vandermonde run is capped at {cap} cells over its trials")
     rng = random.Random(seed)
     result = SuiteResult("vandermonde", seed, trials)
     for trial in range(trials):
         kk = k if k is not None else rng.randint(1, k_max)
         nn = n if n is not None else rng.randint(1, n_max)
         dd = d if d is not None else rng.randint(nn * kk, max(nn * kk, 30))
-        _check_cap(kk, POINT_POOL, "vandermonde points are capped at {cap}")
-        _check_cap(dd, VANDERMONDE_DEGREE_CAP, "the vandermonde degree is capped at {cap}")
-        _check_cap(nn * kk * dd, VANDERMONDE_CELL_CAP, "the vandermonde matrix is capped at {cap} cells")
+        CapExceededError.check(kk, POINT_POOL, "vandermonde points are capped at {cap}")
+        CapExceededError.check(dd, VANDERMONDE_DEGREE_CAP,
+                               "the vandermonde degree is capped at {cap}")
+        CapExceededError.check(nn * kk * dd, VANDERMONDE_CELL_CAP,
+                               "the vandermonde matrix is capped at {cap} cells")
         points = _distinct_fractions(rng, kk)
         check = verify_rank_claim(points, nn, dd)
         full_rank = rank(stacked_system(points, nn, dd))
@@ -159,7 +156,8 @@ def run_band(seed, trials=50):
     from .fans import builtin_fan
     from .stability import min_unknown_band, stability_dim
 
-    _check_cap(trials, ORACLE_TRIAL_CAP, "a band run is capped at {cap} trials")
+    trials = read_int(trials, "trials", 0)
+    CapExceededError.check(trials, ORACLE_TRIAL_CAP, "a band run is capped at {cap} trials")
     rng = random.Random(seed)
     fans = {name: builtin_fan(name) for name in _BAND_FAMILY}
     result = SuiteResult("band", seed, trials)
@@ -197,7 +195,9 @@ def run_complement(seed, samples=1000):
     from .complexes import PointInProduct, in_arrangement, in_polyhedral_product, underlying_complex
     from .fans import builtin_fan
 
-    _check_cap(samples, ORACLE_TRIAL_CAP, "a complement run is capped at {cap} samples per fan")
+    samples = read_int(samples, "samples", 0)
+    CapExceededError.check(samples, ORACLE_TRIAL_CAP,
+                           "a complement run is capped at {cap} samples per fan")
     rng = random.Random(seed)
     result = SuiteResult("complement", seed, 0)
     trial = 0
@@ -237,7 +237,8 @@ def run_jetsection(seed, trials=100):
     for jet orders 1 to 6."""
     from .polynomials import GaussianRational, jet, jet_section
 
-    _check_cap(trials, ORACLE_TRIAL_CAP, "a jetsection run is capped at {cap} trials")
+    trials = read_int(trials, "trials", 0)
+    CapExceededError.check(trials, ORACLE_TRIAL_CAP, "a jetsection run is capped at {cap} trials")
     rng = random.Random(seed)
     result = SuiteResult("jetsection", seed, trials)
     zero = GaussianRational(0)

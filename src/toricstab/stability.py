@@ -8,21 +8,23 @@ underlying groups are out of scope, only the vanishing ranges are certified.
 
 from math import isqrt
 
-from . import Record, read_int
-from .complexes import BAND_COUNT_CAP, E1_CELL_CAP, CapExceededError, UndefinedValueError, r_min
-from .fans import degree_is_null
+from . import CapExceededError, Record, UndefinedValueError, read_int
+from .complexes import r_min
+from .fans import _degrees, degree_is_null
+
+# Largest (k, s) window e1_support builds: (d' + 2)(s_max + 1) cells, one
+# dict entry each.  Uncapped, 800k cells took 8.7 s and 931 MB on a 2-vCPU
+# host.
+E1_CELL_CAP = 1 << 16
+
+# Largest band count t_max min_unknown_band lists, one dict entry per band;
+# t_max is about sqrt(2 d').  Uncapped, d' = 10^13 gave 4.47M bands in
+# 0.69 s and 657 MB.
+BAND_COUNT_CAP = 1 << 16
 
 ZERO = "zero"
 POSSIBLY_NONZERO = "possibly_nonzero"
 TAIL_UNKNOWN = "tail_unknown"
-
-
-def _degrees(degrees, fan):
-    """The degree vector: one int entry >= 1 per ray, or UndefinedValueError."""
-    degrees = tuple(degrees)
-    if len(degrees) != fan.ray_count:
-        raise UndefinedValueError(f"expected {fan.ray_count} degrees, got {len(degrees)}")
-    return tuple([read_int(d, "all degrees") for d in degrees])
 
 
 def stability_dim(degrees, fan, n):

@@ -14,6 +14,7 @@ from toricstab import (
     Fan,
     FanJsonError,
     FanStructureError,
+    JsonPointerError,
     SimplicialComplex,
     UnsupportedFanError,
     builtin_fan,
@@ -86,16 +87,21 @@ class TestValidateFan:
         with pytest.raises(FanStructureError, match="ray 1 has a non-integer entry"):
             Fan(2, [(1, 0), (entry, 1)], [(0, 1)])
 
-    @pytest.mark.parametrize("args,message", [
-        ((2, [5], []), "ray 0 is not a sequence"),
-        ((2, [(1, 0)], [(0, "a")]), "cone references ray index 'a' outside 0..0"),
-        (("a", [], []), "ambient dimension must be a positive integer"),
-        ((2, [(1, 0)], [5]), "cone 5 is not a set of ray indices"),
+    @pytest.mark.parametrize("args,message,pointer", [
+        ((2, [5], []), "ray 0 is not a sequence", "/rays/0"),
+        ((2, [(1, 0)], [(0,), (0, "a")]), "cone references ray index 'a' outside 0..0",
+         "/generating_cones/1"),
+        (("a", [], []), "ambient dimension must be a positive integer", "/dim"),
+        ((2, [(1, 0)], [5]), "cone 5 is not a set of ray indices", "/generating_cones/0"),
+        ((2, [(1, 0), (0, 1, 2)], []), "ray 1 has length 3, expected 2", "/rays/1"),
     ], ids=["ray not a sequence", "index not an integer", "dim not an integer",
-            "cone not a set"])
-    def test_malformed_argument_is_structural(self, args, message):
-        with pytest.raises(FanStructureError, match=message):
+            "cone not a set", "ray of the wrong length"])
+    def test_malformed_argument_is_structural(self, args, message, pointer):
+        # a pointer into the arguments locates the defect, as a document's does
+        with pytest.raises(FanStructureError) as caught:
             Fan(*args)
+        assert (caught.value.message, caught.value.pointer) == (message, pointer)
+        assert isinstance(caught.value, JsonPointerError)
 
     def test_overlapping_cones_flagged(self):
         # the two 2-cones overlap in a 2-dimensional region

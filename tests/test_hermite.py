@@ -20,7 +20,7 @@ from toricstab import (
     verify_rank_claim,
 )
 import toricstab as ts
-from toricstab import exactla, hermite
+from toricstab import exactla, hermite, oracles
 from toricstab.exactla import P, rank
 from toricstab.hermite import (
     HermiteInconsistencyError,
@@ -308,17 +308,23 @@ COUNT_ARGUMENTS = [
     ("dim_arrangement-n", lambda x: ts.dim_arrangement(H1, x), "n", 1),
     ("dim_config-n", lambda x: ts.dim_config(H1, x, 1), "n", 1),
     ("dim_config-k", lambda x: ts.dim_config(H1, 2, x), "k", 0),
+    *[(f"run_{suite}-trials", lambda x, suite=suite: getattr(oracles, f"run_{suite}")(0, trials=x),
+       "trials", 0) for suite in ("vandermonde", "band", "jetsection")],
+    ("run_complement-samples", lambda x: oracles.run_complement(0, samples=x), "samples", 0),
 ]
 # the arguments for which None means "not given"
 OPTIONAL_COUNT_ARGUMENTS = [
     ("e1_support-s_max", lambda x: ts.e1_support(DEGREES, H1, 2, s_max=x), "s_max", 0),
     ("builtin_fan-param", lambda x: ts.builtin_fan("cp", x), "fan parameter", 1),
+    *[(f"run_vandermonde-{name}", lambda x, name=name: oracles.run_vandermonde(0, **{name: x}),
+       name, 1) for name in ("k", "n", "d")],
 ]
 
 
 # the calls that truncated, crashed or read an empty window before one reader
 # decided: read as d = 5, n = 2 and 5 + 7; a TypeError, a ZeroDivisionError,
-# an empty window; the vertex count 3 and cp(2)
+# an empty window; the vertex count 3 and cp(2); a vacuous band run of -3
+# trials and a TypeError
 TRUNCATED_OR_CRASHED = [
     ("stability_report-5.5", lambda x: ts.stability_report((x, 7, 5, 12), H1, 2), 5.5,
      "all degrees must be an int, got 5.5"),
@@ -334,6 +340,9 @@ TRUNCATED_OR_CRASHED = [
      "vertex_count must be an int, got 3.5"),
     ("builtin_fan-cp-2.5", lambda x: ts.builtin_fan("cp", x), 2.5,
      "fan parameter must be an int, got 2.5"),
+    ("run_band-trials--3", lambda x: oracles.run_band(0, trials=x), -3, "trials must be >= 0"),
+    ("run_jetsection-trials-2.0", lambda x: oracles.run_jetsection(0, trials=x), 2.0,
+     "trials must be an int, got 2.0"),
 ]
 
 

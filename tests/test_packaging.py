@@ -58,12 +58,19 @@ def _loaded_after(code):
     return {m.removeprefix("toricstab.") for m in proc.stdout.splitlines()[-1].split()}
 
 
-def _loaded_by_command(argv):
+def _loaded_by_command(argv, exit_code=None):
+    # exit_code: the SystemExit a refused command ends in; None for a report
     return _loaded_after(
         "import contextlib, io\n"
         "from toricstab.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    main({argv!r})\n")
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "    try:\n"
+        f"        main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        f"        assert exc.code == {exit_code!r}, exc.code\n"
+        "    else:\n"
+        f"        assert {exit_code!r} is None\n")
 
 
 @functools.cache
@@ -115,9 +122,12 @@ def test_cli_import_leaves_the_membership_certificate_unloaded():
 
 
 # the modules each command loads: the nine commands of the cli benchmark,
-# plus the complex-document and polynomial-only paths and the other three
-# oracle suites; only the commands that print an input_hash load hashlib
+# plus the complex-document and polynomial-only paths, the other three
+# oracle suites and a vandermonde run past its cell cap; only the
+# commands that print an input_hash load hashlib
 FAN_LAYER = {"complexes", "exactla", "fans", "hashlib"}
+# a vandermonde run past its cell cap, which exits 5 before it draws a point
+CAPPED_RUN = ["oracle", "vandermonde", "--d", "2000"]
 COMMAND_MODULES = [
     (["fan", "analyze", "hirzebruch1.json"], FAN_LAYER),
     (["fan", "validate", "bad_line.json"], FAN_LAYER),
@@ -140,15 +150,21 @@ COMMAND_MODULES = [
     (["complex", "primitives", "complex_ring.json"], {"complexes", "hashlib"}),
     (["poly", "jet", "--system", "system_generic_cp1.json", "--n", "3"],
      {"complexes", "hashlib", "polynomials"}),
+    (CAPPED_RUN, {"oracles", "hermite", "exactla"}),
 ]
+# a command and its fixture name a case; a repeated one is named by its argv
+COMMAND_IDS = []
+for argv, _ in COMMAND_MODULES:
+    name = " ".join(argv[:2] + [a for a in argv if a.endswith(".json")][-1:])
+    COMMAND_IDS.append(" ".join(argv) if name in COMMAND_IDS else name)
 
 
-@pytest.mark.parametrize("argv,modules", COMMAND_MODULES, ids=[
-    " ".join(argv[:2] + [a for a in argv if a.endswith(".json")][-1:]) for argv, _ in COMMAND_MODULES])
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_each_command_loads_only_its_layers(argv, modules):
     # no command loads dataclasses or inspect, unless a bare interpreter does
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
-    assert _loaded_by_command(argv) == {"toricstab", "cli"} | modules | _bare()
+    loaded = _loaded_by_command(argv, 5 if argv == CAPPED_RUN else None)
+    assert loaded == {"toricstab", "cli"} | modules | _bare()
 
 
 def test_no_runtime_dependencies():
@@ -212,17 +228,34 @@ def test_cli_catches_only_where_it_reads_input():
 
 
 def test_every_cap_is_named_in_readme():
+    # each cap is named in the README and read in the module that defines
+    # it, and each class whose exit code is 2 to 5 derives from the typed
+    # error of toricstab/__init__.py that carries that code
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    caps = {target.id
-            for path in (ROOT / "src" / "toricstab").glob("*.py")
-            for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, ast.Assign)
-            for target in node.targets
-            if isinstance(target, ast.Name)
-            and (target.id.endswith("_CAP") and not target.id.startswith("EXIT_")
-                 or target.id in ("SIMPLEX_MAX_ITER", "POINT_POOL"))}
+    caps, unread, classes = set(), [], []
+    for path in sorted((ROOT / "src" / "toricstab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = "toricstab" if path.stem == "__init__" else f"toricstab.{path.stem}"
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes.append(getattr(importlib.import_module(module), node.name))
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and (
+                        target.id.endswith("_CAP") and not target.id.startswith("EXIT_")
+                        or target.id in ("SIMPLEX_MAX_ITER", "POINT_POOL")):
+                    caps.add(target.id)
+                    if target.id not in read:
+                        unread.append(f"{path.name}:{target.id}")
     assert len(caps) >= 12
     assert sorted(name for name in caps if f"`{name}`" not in readme) == []
+    assert unread == []
+    bases = {cls.exit_code: cls for cls in classes
+             if cls.__module__ == "toricstab" and hasattr(cls, "exit_code")}
+    assert sorted(bases) == [2, 3, 4, 5]
+    assert [cls.__name__ for cls in classes if getattr(cls, "exit_code", None) in bases
+            and not issubclass(cls, bases[cls.exit_code])] == []
 
 
 def test_every_command_is_named_in_readme():

@@ -41,9 +41,8 @@ from toricstab import (
     system_to_json,
     underlying_complex,
 )
-from toricstab.complexes import JET_COEFFICIENT_CAP
 from toricstab.exactla import P
-from toricstab.polynomials import SystemJsonError, _json_rational, _rational
+from toricstab.polynomials import JET_COEFFICIENT_CAP, SystemJsonError, _json_rational, _rational
 
 from corpus import make_generic_system, make_planted_system, root_pool
 

@@ -25,7 +25,11 @@ from toricstab import (
     RootPoly,
     ValidationReport,
     builtin_fan,
+    bundle_rank,
+    degree_is_null,
     e1_support,
+    in_arrangement,
+    in_polyhedral_product,
     is_member,
     min_unknown_band,
     stability_report,
@@ -193,6 +197,27 @@ def test_points_and_root_polys_normalise_their_input():
 ])
 def test_typed_errors_carry_their_exit_codes(error, code):
     assert error.exit_code == code
+
+
+H1 = builtin_fan("hirzebruch(1)")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: degree_is_null(H1, (1, 2)), "expected 4 degrees, got 2"),
+    (lambda: PolySystem("root", (), (1,)), "degree vector length must match polynomial count"),
+    (lambda: PointInProduct(((0,), (1, 2))), "all blocks must have equal length"),
+    (lambda: in_polyhedral_product(PointInProduct(((0, 0),)), H1.complex),
+     "point has 1 blocks, complex has 4 vertices"),
+    (lambda: in_arrangement(PointInProduct(((0, 0),)), H1),
+     "point has 1 blocks, complex has 4 vertices"),
+    (lambda: bundle_rank((5, 7, 5, 12), 2, 2, 3), "expected 3 degrees, got 4"),
+], ids=["degree_is_null", "PolySystem", "PointInProduct", "in_polyhedral_product",
+        "in_arrangement", "bundle_rank"])
+def test_shape_mismatches_are_undefined_values(call, message):
+    # inputs that disagree in shape end in exit 4, whichever entry point reads them
+    with pytest.raises(UndefinedValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_records_fill_their_fields_positionally_or_by_name():

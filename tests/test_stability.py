@@ -21,7 +21,7 @@ from toricstab import (
     stability_report,
     truncation_dim,
 )
-from toricstab.complexes import BAND_COUNT_CAP, E1_CELL_CAP
+from toricstab.stability import BAND_COUNT_CAP, E1_CELL_CAP
 from toricstab.oracles import _band_minimum
 
 FAMILY = ("cp(1)", "cp(2)", "cp(3)", "hirzebruch(1)", "hirzebruch(2)", "hirzebruch(3)")
