@@ -27,7 +27,7 @@ bad = PolySystem.coefficient_system([z2, z2])
 verdict = is_member(bad, cp1, 2)
 print("(z^2, z^2) over cp(1), n=2:", "member" if verdict.member else "rejected")
 print("  witness collection:", verdict.witness_collection)
-print("  common factor coefficients:", [c.to_pair() for c in verdict.witness_factor.coeffs])
+print("  common factor coefficients:", verdict.witness_factor.to_pairs())
 
 # the root form of (z^2, z^2) names the shared double root exactly; it is a
 # point of the discriminant, so the jet there lands in the arrangement
@@ -53,6 +53,6 @@ print("double root shared on a primitive pair:",
 f = RationalPoly.from_roots([(G(1), 3), (G(-2), 1)])
 print()
 print("f with a triple root at 1; multiplicity >= 2 part:",
-      [c.to_pair() for c in mult_part(f, 2).coeffs])
+      mult_part(f, 2).to_pairs())
 print("jet of f at the triple root:", [e.evaluate(G(1)).to_pair() for e in jet(f, 3)])
 print("jet of f at the simple root:", [e.evaluate(G(-2)).to_pair() for e in jet(f, 3)])

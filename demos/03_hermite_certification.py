@@ -47,4 +47,4 @@ for order in range(2):
           "targets:", [str(t) for t in targets[order]])
 
 print("\nband rank bookkeeping for degrees (5,7,5,12), k=2, n=2, r=4:",
-      bundle_rank((5, 7, 5, 12), 2, 2, 4))
+      bundle_rank((5, 7, 5, 12), 2, 2))

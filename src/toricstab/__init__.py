@@ -10,13 +10,12 @@ import importlib
 
 __version__ = "0.1.0"
 
-# exported name -> (defining module, attribute there)
+# name -> (defining module, attribute there) for the exports not defined here
 _EXPORTS = {
     **{name: ("complexes", name) for name in (
-        "CapExceededError", "JsonPointerError", "PointInProduct", "SimplicialComplex",
-        "UndefinedValueError", "UnsupportedFanError", "complex_power", "dim_arrangement",
-        "dim_config", "in_arrangement", "in_polyhedral_product", "minimal_non_faces",
-        "primitive_collections", "r_min", "underlying_complex",
+        "PointInProduct", "SimplicialComplex", "complex_power", "dim_arrangement", "dim_config",
+        "in_arrangement", "in_polyhedral_product", "minimal_non_faces", "primitive_collections",
+        "r_min", "underlying_complex",
     )},
     **{name: ("fans", name) for name in (
         "Fan", "FanJsonError", "FanStructureError", "ValidationReport", "builtin_fan",
@@ -41,7 +40,8 @@ _EXPORTS = {
     )},
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "CapExceededError", "JsonPointerError", "UndefinedValueError",
+                  "UnsupportedFanError"])
 
 
 # each typed error carries the toricctl exit code it ends in

@@ -202,7 +202,7 @@ def cmd_poly_check(args):
     else:
         witness = {"collection": [i + 1 for i in verdict.witness_collection], "indexing": "1-based"}
         if verdict.witness_factor is not None:
-            witness["common_factor"] = [c.to_pair() for c in verdict.witness_factor.coeffs]
+            witness["common_factor"] = verdict.witness_factor.to_pairs()
         if verdict.witness_root is not None:
             witness["common_root"] = verdict.witness_root.to_pair()
         out["witness"] = witness
@@ -227,7 +227,7 @@ def cmd_poly_jet(args):
     system, raw = _load_system(args.system)
     if system.form != "coefficient":
         _fail(EXIT_SHAPE, "jet needs a coefficient-form system file")
-    jets = [[[c.to_pair() for c in entry.coeffs] for entry in jet(p, args.n)] for p in system.polys]
+    jets = [[entry.to_pairs() for entry in jet(p, args.n)] for p in system.polys]
     return {"input_hash": _canonical_hash(raw), "n": args.n, "jets": jets}, EXIT_OK
 
 

@@ -14,7 +14,7 @@ degree - n*k in closed form.  No floating point anywhere.
 from fractions import Fraction
 from math import perm
 
-from . import Record, UndefinedValueError, read_int
+from . import Record, read_int
 from .exactla import rank, solve_affine
 
 
@@ -173,11 +173,9 @@ def hermite_solution(spec):
     return RationalPoly(solution + [1])
 
 
-def bundle_rank(degrees, k, n, r):
+def bundle_rank(degrees, k, n):
     """Rank 2*N(D) - 2nrk + k - 1 of the band of the resolved discriminant
     over the k-point configuration stratum; r is the length of degrees."""
     degrees = [read_int(d, "all degrees") for d in degrees]
-    k, n, r = read_int(k, "k", 0), read_int(n, "n"), read_int(r, "r")
-    if len(degrees) != r:
-        raise UndefinedValueError(f"expected {r} degrees, got {len(degrees)}")
-    return 2 * sum(degrees) - 2 * n * r * k + k - 1
+    k, n = read_int(k, "k", 0), read_int(n, "n")
+    return 2 * sum(degrees) - 2 * n * len(degrees) * k + k - 1

@@ -3,8 +3,8 @@
 Coefficient-form polynomials are `RationalPoly`s over Q(i): ascending
 (re, im) Gaussian-integer pairs over one positive denominator, in lowest
 terms, so products, division, derivatives and gcds all run on ints.
-`GaussianRational` is the value at the boundary: JSON pairs, roots and
-evaluation points.  Root-form polynomials are `RootPoly`s, multisets of
+`GaussianRational` is the value at the boundary: roots, evaluation points
+and printed pairs.  Root-form polynomials are `RootPoly`s, multisets of
 exact Gaussian-rational roots; they are an input representation, never
 computed from coefficients, and equal roots merge by exact equality.
 `stabilize` moves roots by the rational homeomorphism `phi_map`, so a root
@@ -60,6 +60,16 @@ def _rational(value):
     return Fraction(text)
 
 
+def _text(num, den):
+    """num / den, den > 0, in lowest terms as "p" or "p/q"; CapExceededError past the cap."""
+    g = math.gcd(num, den)
+    try:
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
+    except ValueError:  # an int beyond the digits Python prints
+        raise CapExceededError(
+            f"a value has more than {MAX_COEFFICIENT_DIGITS} digits to print") from None
+
+
 class GaussianRational(Record):
     """a + b*i with exact rational a, b: the value type of JSON pairs, roots
     and evaluation points.  Arithmetic on Q(i) happens in `RationalPoly`."""
@@ -69,8 +79,8 @@ class GaussianRational(Record):
     def __init__(self, re=0, im=0):
         if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
             raise TypeError("Gaussian rational parts must be ints or Fractions")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     @classmethod
     def _of(cls, re, im):
@@ -81,11 +91,8 @@ class GaussianRational(Record):
         return out
 
     def to_pair(self):
-        try:
-            return [str(self.re), str(self.im)]
-        except ValueError:  # an int beyond the digits Python prints
-            raise CapExceededError(
-                f"a value has more than {MAX_COEFFICIENT_DIGITS} digits to print") from None
+        re, im = self.re, self.im
+        return [_text(re.numerator, re.denominator), _text(im.numerator, im.denominator)]
 
     def to_complex(self):
         return complex(self.re, self.im)
@@ -153,8 +160,8 @@ class RationalPoly(Record):
 
     `pairs` holds (re, im) int pairs, the last one nonzero; `den` is
     positive and shares no factor with all of them, so equal polynomials
-    have equal data.  Every operation runs on these ints; `coeffs` builds
-    GaussianRationals for printing.
+    have equal data.  Every operation runs on these ints; `to_pairs` prints
+    them as JSON pairs, and `coeffs` builds GaussianRationals.
     """
 
     __slots__ = ("pairs", "den")
@@ -200,7 +207,12 @@ class RationalPoly(Record):
     def coeffs(self):
         """The ascending coefficients as GaussianRationals."""
         den = self.den
-        return tuple([GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in self.pairs])
+        return tuple([GaussianRational._of(Fraction(x, den), Fraction(y, den)) for x, y in self.pairs])
+
+    def to_pairs(self):
+        """The ascending coefficients as JSON [re, im] pairs, printed as `to_pair` prints."""
+        den = self.den
+        return [[_text(x, den), _text(y, den)] for x, y in self.pairs]
 
     @property
     def degree(self):
@@ -294,7 +306,7 @@ class RationalPoly(Record):
         for k, (cr, ci) in enumerate(reversed(self.pairs)):
             re, im = re * xr - im * xi + cr * d ** k, re * xi + im * xr + ci * d ** k
         den = self.den * d ** self.degree
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
+        return GaussianRational._of(Fraction(re, den), Fraction(im, den))
 
     def __repr__(self):
         return f"RationalPoly({[repr(c) for c in self.coeffs]})"
@@ -581,7 +593,7 @@ def system_to_json(system):
     if system.form == "coefficient":
         return {
             "degrees": list(system.degrees),
-            "polys": [[c.to_pair() for c in p.coeffs] for p in system.polys],
+            "polys": [p.to_pairs() for p in system.polys],
         }
     return {
         "roots": [[[*a.to_pair(), m] for a, m in p.roots] for p in system.polys],

@@ -129,7 +129,7 @@ def test_criterion_9_dimension_bookkeeping():
         fan = builtin_fan(name)
         d_prime = min(degrees) // n
         value = truncation_dim(degrees, fan, n)
-        ok &= value == bundle_rank(degrees, d_prime, n, fan.ray_count) + dim_config(fan, n, d_prime) + 1
+        ok &= value == bundle_rank(degrees, d_prime, n) + dim_config(fan, n, d_prime) + 1
         for k in range(1, 5):
             ok &= dim_config(fan, n, k) == 2 * k + k * dim_arrangement(fan, n)
     elapsed = time.monotonic() - start

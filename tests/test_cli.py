@@ -886,12 +886,25 @@ def test_roots_beyond_printing_exit_cap(fixtures_dir, tmp_path, capsys):
 
 
 def test_stabilize_unprintable_root_exits_5(tmp_path, capsys):
-    # the library raises the cap when it prints the moved root
+    # stabilization moves the 4300-digit root 10^4300 - 1 to the 4301-digit
+    # (2x - 1)/x; printed through to_pair, or from the int pairs of a
+    # coefficient system, it raises one message, and stabilize exits 5 on it
+    x = 10 ** 4300 - 1
+    moved = polynomials.phi_map((1, 1), x)
+    assert moved.re == Fraction(2 * x - 1, x) and 10 ** 4300 <= 2 * x - 1 < 10 ** 4301
+    system = polynomials.PolySystem.coefficient_system(
+        [polynomials.RationalPoly.from_roots([(moved, 1)])])
+    errors = []
+    for printing in (moved.to_pair, lambda: polynomials.system_to_json(system)):
+        with pytest.raises(polynomials.CapExceededError) as caught:
+            printing()
+        errors.append(str(caught.value))
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"roots": [[["9" * 4300, 0, 1]], [[0, 0, 1]]]}))
     code, out, err = run_cli(["poly", "stabilize", "--system", str(path), "--a", "1,0"], capsys)
     assert code == 5 and out == ""
     assert json.loads(err)["error"] == "a value has more than 4300 digits to print"
+    assert errors == [json.loads(err)["error"]] * 2
 
 
 @pytest.mark.parametrize("system,shifts,message", [

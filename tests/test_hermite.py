@@ -270,10 +270,9 @@ COUNT_ARGUMENTS = [
     ("verify_rank_claim-degree", lambda x: verify_rank_claim([1, 2], 1, x), "degree", 1),
     ("HermiteSpec-order", lambda x: HermiteSpec([1, 2], x, 5, [[0, 0]]), "order", 1),
     ("HermiteSpec-degree", lambda x: HermiteSpec([1, 2], 1, x, [[0, 0]]), "degree", 1),
-    ("bundle_rank-degrees", lambda x: bundle_rank((5, x), 1, 2, 2), "all degrees", 1),
-    ("bundle_rank-k", lambda x: bundle_rank((5, 7), x, 2, 2), "k", 0),
-    ("bundle_rank-n", lambda x: bundle_rank((5, 7), 1, x, 2), "n", 1),
-    ("bundle_rank-r", lambda x: bundle_rank((5, 7), 1, 2, x), "r", 1),
+    ("bundle_rank-degrees", lambda x: bundle_rank((5, x), 1, 2), "all degrees", 1),
+    ("bundle_rank-k", lambda x: bundle_rank((5, 7), x, 2), "k", 0),
+    ("bundle_rank-n", lambda x: bundle_rank((5, 7), 1, x), "n", 1),
     ("from_roots-multiplicity",
      lambda x: ts.RationalPoly.from_roots([(GaussianRational(1), 1), (GaussianRational(2), x)]),
      "multiplicities", 1),
@@ -329,7 +328,7 @@ TRUNCATED_OR_CRASHED = [
     ("stability_report-5.5", lambda x: ts.stability_report((x, 7, 5, 12), H1, 2), 5.5,
      "all degrees must be an int, got 5.5"),
     ("is_member-2.5", lambda x: ts.is_member(ROOTS, H1, x), 2.5, "n must be an int, got 2.5"),
-    ("bundle_rank-7.9", lambda x: bundle_rank([5, x], 1, 2, 2), 7.9,
+    ("bundle_rank-7.9", lambda x: bundle_rank([5, x], 1, 2), 7.9,
      "all degrees must be an int, got 7.9"),
     ("jet-1.5", lambda x: ts.jet(DOUBLE, x), 1.5, "n must be an int, got 1.5"),
     ("stability_dim_projective-0-0-0", lambda x: ts.stability_dim_projective(x, x, x), 0,
@@ -511,10 +510,10 @@ class TestHermiteDimension:
 
 class TestBundleRank:
     def test_fixture_value(self):
-        assert bundle_rank((5, 7, 5, 12), 2, 2, 4) == 27
+        assert bundle_rank((5, 7, 5, 12), 2, 2) == 27
 
     def test_k_zero(self):
-        assert bundle_rank((5, 7, 5, 12), 0, 2, 4) == 2 * 29 - 1
+        assert bundle_rank((5, 7, 5, 12), 0, 2) == 2 * 29 - 1
 
     def test_fiber_decomposition(self):
         # rank = twice the complex fiber dimension plus the open simplex dimension
@@ -525,4 +524,4 @@ class TestBundleRank:
             k = rng.randint(0, 4)
             n = rng.randint(1, 4)
             fiber = 2 * sum(d - n * k for d in degrees)
-            assert bundle_rank(degrees, k, n, r) == fiber + (k - 1)
+            assert bundle_rank(degrees, k, n) == fiber + (k - 1)

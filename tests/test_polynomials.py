@@ -585,6 +585,62 @@ def test_coefficient_parser_matches_from_pair(c0, c1):
     assert parsed == _outcome(_from_pair_system_poly, [c0, c1])
 
 
+# -- printing: every path prints what str(Fraction) prints --------------------
+
+_PRINTED_INTS = st.integers(-10 ** 30, 10 ** 30) | st.sampled_from([0, 1, -1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PRINTED_INTS, _PRINTED_INTS), min_size=1, max_size=6),
+       st.integers(1, 10 ** 12) | st.just(1), st.integers(1, 60))
+def test_printed_pairs_match_str_fraction(pairs, den, factor):
+    # the factor is shared by every part and the denominator, so printing
+    # must reduce each part on its own; zero parts and den 1 are drawn too
+    pairs, den = [(x * factor, y * factor) for x, y in pairs], den * factor
+    printed = [[str(Fraction(x, den)), str(Fraction(y, den))] for x, y in pairs]
+    while printed and printed[-1] == ["0", "0"]:
+        printed.pop()
+    p = RationalPoly._from_pairs(pairs, den)
+    assert p.to_pairs() == [c.to_pair() for c in p.coeffs] == printed
+    assert system_to_json(PolySystem("coefficient", [p], [1]))["polys"] == [printed]
+    for x, y in pairs:
+        re, im = Fraction(x, den), Fraction(y, den)
+        value = G(re, im)
+        assert value.re is re and value.im is im  # a Fraction is kept, not rebuilt
+        assert value.to_pair() == [str(re), str(im)]
+        ints = G(x, y)
+        assert (type(ints.re), type(ints.im)) == (Fraction, Fraction)
+        assert (ints.re, ints.im) == (x, y)
+        for parts in ((x / den, im), (re, float(y)), (float(x),)):
+            with pytest.raises(TypeError, match="parts must be ints or Fractions"):
+                G(*parts)
+
+
+_PRINT_FROM_PAIRS = {
+    "to_pairs": lambda p: p.to_pairs(),
+    "system_to_json": lambda p: system_to_json(PolySystem("coefficient", [p], [1]))["polys"][0],
+}
+
+
+@pytest.mark.parametrize("part", ["re", "im", "denominator"])
+@pytest.mark.parametrize("printing", sorted(_PRINT_FROM_PAIRS))
+def test_int_pairs_beyond_printable_digits_raise_cap(printing, part):
+    # the int-pair paths print 4300 digits of a numerator or denominator and
+    # refuse 4301 with the message `to_pair` raises on the same value
+    def value(big):
+        return {"re": G(big, 1), "im": G(1, -big), "denominator": G(Fraction(1, big), 1)}[part]
+
+    at_cap, past_cap = value(10 ** 4300 - 1), value(10 ** 4300)
+    print_pairs = _PRINT_FROM_PAIRS[printing]
+    assert print_pairs(RationalPoly.from_roots([(at_cap, 1)])) == [
+        [f"-{t}" if t[0] != "-" else t[1:] for t in at_cap.to_pair()], ["1", "0"]]
+    with pytest.raises(CapExceededError) as by_pair:
+        past_cap.to_pair()
+    with pytest.raises(CapExceededError) as by_pairs:
+        print_pairs(RationalPoly.from_roots([(past_cap, 1)]))
+    assert str(by_pairs.value) == str(by_pair.value) == "a value has more than 4300 digits to print"
+
+
 # -- float helpers against numpy, a test-only oracle ----------------------------
 
 @pytest.fixture(scope="module")

@@ -210,9 +210,8 @@ H1 = builtin_fan("hirzebruch(1)")
      "point has 1 blocks, complex has 4 vertices"),
     (lambda: in_arrangement(PointInProduct(((0, 0),)), H1),
      "point has 1 blocks, complex has 4 vertices"),
-    (lambda: bundle_rank((5, 7, 5, 12), 2, 2, 3), "expected 3 degrees, got 4"),
 ], ids=["degree_is_null", "PolySystem", "PointInProduct", "in_polyhedral_product",
-        "in_arrangement", "bundle_rank"])
+        "in_arrangement"])
 def test_shape_mismatches_are_undefined_values(call, message):
     # inputs that disagree in shape end in exit 4, whichever entry point reads them
     with pytest.raises(UndefinedValueError) as caught:

@@ -285,7 +285,7 @@ class TestTruncationDim:
             d_prime = min(degrees) // n
             value = truncation_dim(degrees, fan, n)
             assert value == (
-                bundle_rank(degrees, d_prime, n, fan.ray_count)
+                bundle_rank(degrees, d_prime, n)
                 + dim_config(fan, n, d_prime) + 1
             )
 
