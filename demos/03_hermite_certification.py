@@ -16,12 +16,12 @@ from toricstab import (
     bundle_rank,
     confluent_vandermonde,
     derivative,
-    exact_rank,
     hermite_dimension,
     hermite_solution,
     stacked_system,
     verify_rank_claim,
 )
+from toricstab.exactla import rank
 
 x = Fraction(3)
 print("constraint rows at a single node x = 3:")
@@ -30,7 +30,7 @@ for order, degree in ((0, 3), (1, 3), (2, 4)):
 
 points = [Fraction(1), Fraction(-1, 2), Fraction(5, 3)]
 rows = stacked_system(points, 2, 9)
-print(f"\n3 nodes, orders 0..1, degree 9: rank {exact_rank(rows)} (expected 6)")
+print(f"\n3 nodes, orders 0..1, degree 9: rank {rank(rows)} (expected 6)")
 print("claim check:", verify_rank_claim(points, 2, 9).to_dict())
 
 rng = random.Random(0)

@@ -42,4 +42,4 @@ print("equal-degree projective case d=6, m=2, n=2:", stability_dim_projective(6,
 print("connectivity bound:", connectivity_bound(h1, 2))
 
 print("\nfirst-page vanishing table (k columns, s rows):")
-print(_render_table(e1_support(degrees, h1, 2, s_max=16)))
+print(_render_table(e1_support(degrees, h1, 2, s_max=16).to_dict()))

@@ -23,7 +23,6 @@ _EXPORTS = {
         "fan_to_json", "find_degree_vector", "is_complete", "is_simplicial", "is_smooth",
         "spans_lattice", "validate_fan",
     )},
-    "exact_rank": ("exactla", "rank"),
     **{name: ("hermite", name) for name in (
         "HermiteSpec", "RankCheck", "bundle_rank", "confluent_vandermonde",
         "hermite_dimension", "hermite_solution", "stacked_system", "verify_rank_claim",

@@ -250,11 +250,13 @@ def cmd_stability_report(args):
 _STATUS_GLYPH = {"zero": ".", "possibly_nonzero": "?", "tail_unknown": "T"}
 
 
-def _render_table(support):
-    columns = range(support.k_max + 1)
+def _render_table(e1):
+    """The window of an E1Support.to_dict() report as text, read from its cells."""
+    status = {(cell["k"], cell["s"]): cell["status"] for cell in e1["cells"]}
+    columns = range(e1["k_max"] + 1)
     lines = ["s\\k " + " ".join(f"{k:>3d}" for k in columns)]
-    lines += [f"{s:>3d} " + " ".join(f"{_STATUS_GLYPH[support.status(k, s)]:>3}" for k in columns)
-              for s in range(support.s_max, support.s_min - 1, -1)]
+    lines += [f"{s:>3d} " + " ".join(f"{_STATUS_GLYPH[status[k, s]]:>3}" for k in columns)
+              for s in range(e1["s_max"], e1["s_min"] - 1, -1)]
     lines.append("legend: . zero   ? possibly_nonzero   T tail_unknown")
     return "\n".join(lines)
 
@@ -264,11 +266,11 @@ def cmd_stability_e1(args):
 
     fan, raw = _load_fan(args.fan)
     degrees = _degrees(args.degrees)
-    support = e1_support(degrees, fan, args.n, s_max=args.s_max)
+    e1 = e1_support(degrees, fan, args.n, s_max=args.s_max).to_dict()
     if args.table:
-        return _render_table(support), EXIT_OK
-    out = {"input_hash": _canonical_hash(raw), **support.to_dict()}
-    return {**out, "degrees": degrees, "table": _render_table(support)}, EXIT_OK
+        return _render_table(e1), EXIT_OK
+    out = {"input_hash": _canonical_hash(raw), **e1}
+    return {**out, "degrees": degrees, "table": _render_table(e1)}, EXIT_OK
 
 
 # -- the command table --------------------------------------------------------

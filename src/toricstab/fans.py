@@ -75,6 +75,9 @@ class Fan(Record):
     def __repr__(self):
         return f"Fan(dim={self.dim!r}, rays={self.rays!r}, generating_cones={self.generating_cones!r})"
 
+    def to_dict(self):
+        return dict(zip(("dim", "rays", "generating_cones"), self._key()))
+
     @property
     def ray_count(self):
         return len(self.rays)
@@ -463,13 +466,14 @@ _BUILTIN_RE = re.compile(r"^\s*(cp|hirzebruch|affine)\s*\(\s*(\d+)\s*\)\s*$")
 
 
 def builtin_fan(name, param=None):
-    """Named standard fans: cp(m), hirzebruch(k), affine(m)."""
+    """Named standard fans: cp(m) and affine(m) with m >= 1, hirzebruch(k) with k >= 0."""
     if param is None:
         match = _BUILTIN_RE.match(str(name))
         if not match:
             raise ValueError(f"unknown fan name {name!r}; expected cp(m), hirzebruch(k) or affine(m)")
         name, param = match.group(1), int(match.group(2))
-    kind, param = str(name), read_int(param, "fan parameter")
+    kind = str(name)
+    param = read_int(param, "fan parameter", 0 if kind == "hirzebruch" else 1)
     if kind == "cp":
         m = param
         rays = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]

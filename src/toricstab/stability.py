@@ -26,16 +26,26 @@ ZERO = "zero"
 POSSIBLY_NONZERO = "possibly_nonzero"
 TAIL_UNKNOWN = "tail_unknown"
 
+_STABILITY_DIM_N1 = "stability_dim needs n >= 2; use stability_dim_n1 for n = 1"
+
+
+def _read(degrees, fan, n, refusal=None):
+    """The checked (degrees, n, r_min, d_min), read in that order; refusal, when
+    given, is the caller's message for n < 2, raised before r_min is read."""
+    degrees = _degrees(degrees, fan)
+    n = read_int(n, "n")
+    if refusal is not None and n < 2:
+        raise UndefinedValueError(refusal)
+    return degrees, n, r_min(fan), min(degrees)
+
 
 def stability_dim(degrees, fan, n):
     """(2 n r_min - 3) * floor(d_min / n) - 2, the stable comparison range for n >= 2."""
-    d_min = min(_degrees(degrees, fan))
-    return _stability_dim(r_min(fan), d_min, read_int(n, "n"))
+    _, n, rm, d_min = _read(degrees, fan, n, _STABILITY_DIM_N1)
+    return _stability_dim(rm, d_min, n)
 
 
 def _stability_dim(rm, d_min, n):
-    if n < 2:
-        raise UndefinedValueError("stability_dim needs n >= 2; use stability_dim_n1 for n = 1")
     return (2 * n * rm - 3) * (d_min // n) - 2
 
 
@@ -45,8 +55,7 @@ def stability_dim_n1(degrees, fan):
     Homotopy range (2 r_min - 3) d_min - 2 when r_min >= 3; only a homology
     range d_min - 2 when r_min = 2.
     """
-    d_min = min(_degrees(degrees, fan))
-    rm = r_min(fan)
+    _, _, rm, d_min = _read(degrees, fan, 1)
     if rm >= 3:
         return (2 * rm - 3) * d_min - 2, "homotopy"
     return d_min - 2, "homology"
@@ -62,12 +71,13 @@ def stability_dim_projective(d, m, n):
 
 def connectivity_bound(fan, n):
     """2 n r_min - 5; the space of admissible systems is this connected for n >= 2."""
-    return _connectivity(r_min(fan), read_int(n, "n"))
+    n = read_int(n, "n")
+    if n < 2:
+        raise UndefinedValueError("connectivity bound requires n >= 2")
+    return _connectivity(r_min(fan), n)
 
 
 def _connectivity(rm, n):
-    if n < 2:
-        raise UndefinedValueError("connectivity bound requires n >= 2")
     return 2 * n * rm - 5
 
 
@@ -77,10 +87,7 @@ class StabilityReport(Record):
 
 
 def stability_report(degrees, fan, n):
-    degrees = _degrees(degrees, fan)
-    n = read_int(n, "n")
-    rm = r_min(fan)
-    d_min = min(degrees)
+    degrees, n, rm, d_min = _read(degrees, fan, n, _STABILITY_DIM_N1)
     return StabilityReport(
         r_min=rm,
         d_min=d_min,
@@ -96,26 +103,26 @@ def stability_report(degrees, fan, n):
 class E1Support(Record):
     """Vanishing statuses of the truncated first page on a (k, s) window.
 
-    The cells dict materializes the window; status() answers for any cell.
+    status() answers for any cell; cells computes the window from it on
+    each read.
     """
 
-    __slots__ = ("cells", "k_max", "s_min", "s_max", "d_prime", "r_min", "n", "ray_count")
+    __slots__ = ("k_max", "s_min", "s_max", "d_prime", "r_min", "n", "ray_count")
 
     def status(self, k, s):
         return _cell_status(k, s, self.d_prime, self.r_min, self.n, self.ray_count)
 
+    @property
+    def cells(self):
+        """{(k, s): status} over the window, in increasing (k, s)."""
+        return {(k, s): self.status(k, s) for k in range(self.k_max + 1)
+                for s in range(self.s_min, self.s_max + 1)}
+
     def to_dict(self):
-        return {
-            "k_max": self.k_max,
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "d_prime": self.d_prime,
-            "r_min": self.r_min,
-            "n": self.n,
-            "cells": [
-                {"k": k, "s": s, "status": v} for (k, s), v in sorted(self.cells.items())
-            ],
-        }
+        out = super().to_dict()
+        del out["ray_count"]  # status() reads it; the report leaves it out
+        out["cells"] = [{"k": k, "s": s, "status": v} for (k, s), v in self.cells.items()]
+        return out
 
 
 def e1_support(degrees, fan, n, s_max=None):
@@ -127,33 +134,22 @@ def e1_support(degrees, fan, n, s_max=None):
     unknown above it.  A window of more than E1_CELL_CAP cells, counted
     before any is built, raises CapExceededError; n < 2, UndefinedValueError.
     """
-    d_min = min(_degrees(degrees, fan))
-    n = read_int(n, "n")
-    if n < 2:
-        raise UndefinedValueError("the vanishing table requires n >= 2")
-    rm = r_min(fan)
-    r = fan.ray_count
+    _, n, rm, d_min = _read(degrees, fan, n, "the vanishing table requires n >= 2")
     d_prime = d_min // n
     if s_max is None:
         s_max = _stability_dim(rm, d_min, n) + 2 * n * rm + 4
     else:
         s_max = read_int(s_max, "s_max", 0)
-    s_min = 0
-    count = (d_prime + 2) * (s_max - s_min + 1)
+    count = (d_prime + 2) * (s_max + 1)
     CapExceededError.check(count, E1_CELL_CAP, "the e1 window is capped at {cap} cells")
-    cells = {}
-    for k in range(0, d_prime + 2):
-        for s in range(s_min, s_max + 1):
-            cells[(k, s)] = _cell_status(k, s, d_prime, rm, n, r)
     return E1Support(
-        cells=cells,
         k_max=d_prime + 1,
-        s_min=s_min,
+        s_min=0,
         s_max=s_max,
         d_prime=d_prime,
         r_min=rm,
         n=n,
-        ray_count=r,
+        ray_count=fan.ray_count,
     )
 
 
@@ -200,11 +196,7 @@ def min_unknown_band(degrees, fan, n):
     More than BAND_COUNT_CAP bands, counted before any is listed, raises
     CapExceededError.
     """
-    d_min = min(_degrees(degrees, fan))
-    n = read_int(n, "n")
-    if n < 2:
-        raise UndefinedValueError("the band minima require n >= 2")
-    rm = r_min(fan)
+    _, n, rm, d_min = _read(degrees, fan, n, "the band minima require n >= 2")
     d_prime = d_min // n
     if d_prime == 0:
         return BandResult(None, {}, True)
@@ -222,12 +214,8 @@ def truncation_dim(degrees, fan, n):
     k = d' (hermite.bundle_rank, complexes.dim_config); the tests check
     that identity.
     """
-    degrees = _degrees(degrees, fan)
-    n = read_int(n, "n")
-    if n < 2:
-        raise UndefinedValueError("truncation dimension needs n >= 2")
-    rm = r_min(fan)
-    d_prime = min(degrees) // n
+    degrees, n, rm, d_min = _read(degrees, fan, n, "truncation dimension needs n >= 2")
+    d_prime = d_min // n
     if d_prime < 1:
         raise UndefinedValueError("truncation dimension needs floor(d_min / n) >= 1")
     return 2 * sum(degrees) + 3 * d_prime - 2 * n * rm * d_prime

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import copy
 import inspect
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricstab import cli, complexes, exactla, fans, hermite, oracles, polynomials
+from toricstab import cli, complexes, exactla, fans, hermite, oracles, polynomials, stability
 from toricstab.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from toricstab.oracles import run_band, run_vandermonde
 
@@ -436,6 +437,17 @@ def test_command_output_is_pinned(argv, fixtures_dir, monkeypatch):
 @pytest.mark.parametrize("argv", list(ORACLE_DIGESTS))
 def test_oracle_output_is_pinned(argv, fixtures_dir, monkeypatch):
     assert _pinned_digest("oracle " + argv, fixtures_dir, monkeypatch) == ORACLE_DIGESTS[argv]
+
+
+def test_pinned_digests_replay_without_pytest(fixtures_dir):
+    # the standard-library replay that checks the corpus on interpreters without pytest
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parent.parent)}
+    script = fixtures_dir.parent / "tests" / "pinned_digests.py"
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    count = len(COMMAND_DIGESTS) + len(ORACLE_DIGESTS)
+    assert proc.returncode == 0, proc.stdout
+    assert f"{count}/{count} pinned digests match" in proc.stdout
 
 
 class TestStabilityCommands:
@@ -1028,6 +1040,24 @@ def test_e1_window_over_cap_exits_5_quickly(argv, capsys, fixtures_dir, monkeypa
     assert code == 5 and out == ""
     envelope = json.loads(err)
     assert envelope["tool"] == "toricctl" and "capped at 65536 cells" in envelope["error"]
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["json", "table"])
+def test_e1_evaluates_each_window_cell_once(table, capsys, fixtures_dir, monkeypatch):
+    calls = collections.Counter()
+    cell_status = stability._cell_status
+
+    def counting(k, s, *rest):
+        calls[k, s] += 1
+        return cell_status(k, s, *rest)
+
+    monkeypatch.setattr(stability, "_cell_status", counting)
+    monkeypatch.chdir(fixtures_dir.parent)
+    argv = ["stability", "e1", "--fan", H1, "--degrees", "5,7,5,12", "--n", "2"]
+    code, _, _ = run_cli(argv + ["--table"] * table, capsys)
+    # d' = 2 and the default s_max = stability_dim + 2 n r_min + 4 = 20
+    assert code == 0
+    assert dict(calls) == {(k, s): 1 for k in range(4) for s in range(21)}
 
 
 def test_e1_window_at_cap_prints(capsys, fixtures_dir, monkeypatch):

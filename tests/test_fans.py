@@ -16,6 +16,7 @@ from toricstab import (
     FanStructureError,
     JsonPointerError,
     SimplicialComplex,
+    UndefinedValueError,
     UnsupportedFanError,
     builtin_fan,
     complex_power,
@@ -29,6 +30,8 @@ from toricstab import (
     is_complete,
     is_simplicial,
     is_smooth,
+    primitive_collections,
+    r_min,
     spans_lattice,
     underlying_complex,
     validate_fan,
@@ -917,8 +920,21 @@ class TestBuiltins:
             builtin_fan("weighted(3)")
 
     def test_bad_parameter(self):
-        with pytest.raises(ValueError):
-            builtin_fan("cp(0)")
+        for name in ("cp(0)", "affine(0)"):
+            with pytest.raises(UndefinedValueError, match="fan parameter must be >= 1"):
+                builtin_fan(name)
+
+    def test_hirzebruch_zero_is_p1_times_p1(self):
+        fan = builtin_fan("hirzebruch(0)")
+        assert fan == builtin_fan("hirzebruch", 0)
+        assert fan.rays == ((1, 0), (0, 1), (-1, 0), (0, -1))
+        assert validate_fan(fan).ok and is_smooth(fan) and is_complete(fan)
+        assert primitive_collections(fan) == {frozenset({0, 2}), frozenset({1, 3})}
+        assert r_min(fan) == 2
+
+    def test_to_dict_lists_the_fields(self, h1):
+        # Fan has no slots of its own, so the inherited Record.to_dict returned {}
+        assert h1.to_dict() == {"dim": 2, "rays": h1.rays, "generating_cones": h1.generating_cones}
 
 
 class TestReconstruction:

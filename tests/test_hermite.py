@@ -13,7 +13,6 @@ from toricstab import (
     bundle_rank,
     confluent_vandermonde,
     derivative,
-    exact_rank,
     hermite_dimension,
     hermite_solution,
     stacked_system,
@@ -151,13 +150,13 @@ class TestStackedSystem:
 
 class TestExactRank:
     def test_identity(self):
-        assert exact_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+        assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
     def test_zero(self):
-        assert exact_rank([[0, 0], [0, 0]]) == 0
+        assert rank([[0, 0], [0, 0]]) == 0
 
     def test_two_point_two_order_system(self):
-        assert exact_rank(stacked_system([Fraction(1), Fraction(2)], 2, 4)) == 4
+        assert rank(stacked_system([Fraction(1), Fraction(2)], 2, 4)) == 4
 
     def test_against_sympy(self):
         rng = random.Random(44)
@@ -168,7 +167,7 @@ class TestExactRank:
                 [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(cols)]
                 for _ in range(rows)
             ]
-            assert exact_rank(mat) == sympy.Matrix(mat).rank()
+            assert rank(mat) == sympy.Matrix(mat).rank()
 
 
 class TestVerifyRankClaim:
@@ -475,7 +474,7 @@ class TestHermiteDimension:
                 tuple(Fraction(rng.randint(-5, 5)) for _ in range(k)) for _ in range(n)
             )
             spec = HermiteSpec(tuple(points), n, d, targets)
-            assert hermite_dimension(spec) == d - exact_rank(stacked_system(points, n, d))
+            assert hermite_dimension(spec) == d - rank(stacked_system(points, n, d))
 
 
     def test_inconsistent_below_regime_raises(self):

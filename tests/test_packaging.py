@@ -87,7 +87,6 @@ def test_package_import_loads_no_submodule():
 
 def test_exports_resolve_to_their_modules():
     expected = {name: (module, name) for module, names in EXPORTS.items() for name in names}
-    expected["exact_rank"] = ("exactla", "rank")
     assert sorted(toricstab.__all__) == sorted(expected)
     assert set(toricstab.__all__) <= set(dir(toricstab))
     for name, (module, attr) in expected.items():

@@ -79,7 +79,7 @@ def _frozen_instances():
         "RootPoly": (RootPoly([(1, 2)]), "roots"),
         "MembershipResult": (MembershipResult(member=True, representation="root"), "member"),
         "StabilityReport": (stability_report((5, 7, 5, 12), h1, 2), "r_min"),
-        "E1Support": (e1_support((5, 7, 5, 12), h1, 2), "cells"),
+        "E1Support": (e1_support((5, 7, 5, 12), h1, 2), "k_max"),
         "BandResult": (min_unknown_band((5, 7, 5, 12), h1, 2), "value"),
     }
 

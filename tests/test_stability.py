@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -13,6 +14,7 @@ from toricstab import (
     connectivity_bound,
     dim_config,
     e1_support,
+    fan_from_json,
     min_unknown_band,
     r_min,
     stability_dim,
@@ -192,6 +194,14 @@ class TestE1Support:
                 else:
                     assert k == sup.d_prime + 1 and not vanishes, (k, s)
 
+    @pytest.mark.parametrize("name", FAMILY)
+    def test_cells_are_status_over_the_window(self, name):
+        fan = builtin_fan(name)
+        sup = e1_support(tuple(range(4, 4 + fan.ray_count)), fan, 2)
+        window = [(k, s) for k in range(sup.k_max + 1) for s in range(sup.s_min, sup.s_max + 1)]
+        assert sup.cells == {(k, s): sup.status(k, s) for k, s in window}
+        assert list(sup.cells) == window
+
     def test_window_cap(self, h1):
         # d' = 2, so the window has 4 (s_max + 1) cells
         assert len(e1_support((5, 7, 5, 12), h1, 2, s_max=16383).cells) == E1_CELL_CAP
@@ -327,6 +337,50 @@ def test_bounds_refuse_bad_degree_vectors(name, degrees, message, h1):
         with pytest.raises(UndefinedValueError) as info:
             DEGREE_READERS[name](degrees, h1, n)
         assert str(info.value) == message
+
+
+NO_PRIMITIVE = "no primitive collection: every ray subset spans a cone"
+# the message each reader raises for n = 1
+BELOW_TWO = {
+    "stability_dim": "stability_dim needs n >= 2; use stability_dim_n1 for n = 1",
+    "stability_dim_n1": NO_PRIMITIVE,  # it takes no n
+    "stability_report": "stability_dim needs n >= 2; use stability_dim_n1 for n = 1",
+    "e1_support": "the vanishing table requires n >= 2",
+    "min_unknown_band": "the band minima require n >= 2",
+    "truncation_dim": "truncation dimension needs n >= 2",
+}
+# (degrees, n) on the affine2 fixture, which has no primitive collection, and
+# the message each reader raises: the first fault in the order degree vector,
+# n, n >= 2, r_min
+DOUBLE_FAULTS = {
+    "n=1": ((5, 7), 1, BELOW_TWO),
+    "n=0": ((5, 7), 0, {**dict.fromkeys(DEGREE_READERS, "n must be >= 1"),
+                        "stability_dim_n1": NO_PRIMITIVE}),
+    "short-n=1": ((5,), 1, dict.fromkeys(DEGREE_READERS, "expected 2 degrees, got 1")),
+}
+
+
+def _affine2(fixtures_dir):
+    return fan_from_json(json.loads((fixtures_dir / "affine2.json").read_text()))
+
+
+@pytest.mark.parametrize("name", list(DEGREE_READERS))
+@pytest.mark.parametrize("case", list(DOUBLE_FAULTS))
+def test_double_faults_report_the_first_in_reading_order(case, name, fixtures_dir):
+    # stability_dim and stability_report reached r_min before n, so an
+    # affine fan with n = 1 reported its missing primitive collection
+    degrees, n, messages = DOUBLE_FAULTS[case]
+    with pytest.raises(UndefinedValueError) as info:
+        DEGREE_READERS[name](degrees, _affine2(fixtures_dir), n)
+    assert str(info.value) == messages[name]
+
+
+@pytest.mark.parametrize("n,message", [(1, "connectivity bound requires n >= 2"),
+                                       (0, "n must be >= 1")], ids=["n=1", "n=0"])
+def test_connectivity_bound_reads_n_before_r_min(n, message, fixtures_dir):
+    with pytest.raises(UndefinedValueError) as info:
+        connectivity_bound(_affine2(fixtures_dir), n)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bound,message", [
